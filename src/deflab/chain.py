@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import IncompatibleRestriction, InvalidQuotient
 from .groupring import GroupRingElement, fox_derivative
-from .linalg import mat_shape, zero_matrix
+from .linalg import mat_shape, mat_transpose, zero_matrix
+from .words import Word
 
 
 @dataclass(frozen=True)
@@ -79,10 +80,6 @@ def push_to_quotient(x, q):
     return m
 
 
-def _transpose_block(block):
-    return [list(row) for row in zip(*block)] if block else []
-
-
 def presentation_chain_complex(p, q):
     """Degree-2 chain complex (ranks 1, e1, e2) pushed to the quotient q."""
     for r in p.relators:
@@ -94,8 +91,8 @@ def presentation_chain_complex(p, q):
 
     d1 = zero_matrix(n, e1 * n)
     for i in range(e1):
-        xi = GroupRingElement.of_word(_gen_word(i)) - GroupRingElement.one()
-        block = _transpose_block(push_to_quotient(xi, q))
+        xi = GroupRingElement.of_word(Word(((i, 1),))) - GroupRingElement.one()
+        block = mat_transpose(push_to_quotient(xi, q))
         _paste(d1, block, 0, i, n)
 
     d2 = zero_matrix(e1 * n, e2 * n)
@@ -104,16 +101,10 @@ def presentation_chain_complex(p, q):
             der = fox_derivative(r, i)
             if not der:
                 continue
-            block = _transpose_block(push_to_quotient(der, q))
+            block = mat_transpose(push_to_quotient(der, q))
             _paste(d2, block, i, j, n)
 
     return ChainComplex(ranks=(1, e1, e2), boundaries=(d1, d2), quotient_order=n)
-
-
-def _gen_word(i):
-    from .words import Word
-
-    return Word(((i, 1),))
 
 
 def _paste(target, block, row_block, col_block, n):
@@ -141,16 +132,7 @@ def restrict_to_subgroup(c, record, quotient):
     if q % k:
         raise IncompatibleRestriction("index does not divide the quotient order")
     # image of H in the quotient, via its Schreier generator words
-    table = record.table
-    seeds = []
-    from .coset import _schreier_generator_pairs
-    from .words import Word
-
-    pairs, _ = _schreier_generator_pairs(table)
-    transversal = record.transversal
-    for cs, g in pairs:
-        w = transversal[cs] * Word(((g, 1),)) * transversal[table.action[g][cs]].inverse()
-        seeds.append(quotient.project_word(w))
+    seeds = [quotient.project_word(w) for _, _, w in record.schreier_generators()]
     sub_elements = quotient.subgroup_closure(seeds)
     qprime = q // k
     if len(sub_elements) != qprime:

@@ -100,14 +100,7 @@ CORPUS = {
 }
 
 
-def corpus_names():
-    return sorted(CORPUS)
-
-
 def corpus_presentation(name):
     entry = CORPUS[name]
     return parse_presentation(entry["text"])
 
-
-def corpus_metadata(name):
-    return dict(CORPUS[name])

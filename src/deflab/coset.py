@@ -1,9 +1,15 @@
-"""Todd-Coxeter coset enumeration and Schreier transversals.
+"""Coset tables: Todd-Coxeter enumeration, numbering, orbits and Schreier data.
 
-Tables use 0-based cosets internally (coset 0 is the subgroup); the JSON
-serialization is 1-based.  Canonical numbering everywhere: cosets are
-renumbered by first appearance when scanning rows in order over the positive
-generator columns, which makes every downstream report byte-stable.
+This module owns everything about how a coset table is built, numbered,
+walked and packaged; the low-index search, core quotients, intersections
+and Schreier rewriting all go through it.  Tables use 0-based cosets
+internally (coset 0 is the subgroup); the JSON serialization is 1-based.
+Canonical numbering everywhere: cosets are renumbered by first appearance
+when scanning rows in order over the positive generator columns, which makes
+every downstream report byte-stable.
+
+Partial tables are rows of letter codes: column 2*g is generator g, column
+2*g+1 its inverse, and UNDEF marks an entry not yet defined.
 """
 
 from __future__ import annotations
@@ -16,16 +22,30 @@ from .errors import LimitExceeded
 from .presentation import Presentation
 from .words import Word
 
-_UNDEF = -1
+UNDEF = -1
 
 
-def _letters_of(word):
+def letters_of(word):
     """Word as a sequence of letter codes 2*g (positive) / 2*g+1 (inverse)."""
     return [2 * g if s == 1 else 2 * g + 1 for g, s in word]
 
 
-def _inv_letter(l):
-    return l ^ 1
+def orbit(start, successors, limit=None):
+    """Breadth-first orbit of start under successors(point) -> points.
+
+    Returns (points in discovery order, point -> position).  Raises
+    LimitExceeded as soon as a point beyond the first `limit` is found.
+    """
+    order = [start]
+    index = {start: 0}
+    for point in order:
+        for nxt in successors(point):
+            if nxt not in index:
+                if limit is not None and len(order) >= limit:
+                    raise LimitExceeded(f"orbit exceeded the budget of {limit} points")
+                index[nxt] = len(order)
+                order.append(nxt)
+    return order, index
 
 
 @dataclass(frozen=True)
@@ -40,6 +60,23 @@ class CosetTable:
     index: int
     action: tuple  # per generator, a tuple of length index
     origin: Presentation
+
+    @classmethod
+    def from_rows(cls, rows, origin):
+        """Canonically numbered, verified table from complete letter-code rows.
+
+        Cosets are renumbered by first appearance in a row-major scan of the
+        positive generator columns.
+        """
+        order, rename = orbit(0, lambda c: rows[c][::2])
+        assert len(order) == len(rows), "table not transitive"
+        action = tuple(
+            tuple(rename[rows[c][2 * g]] for c in order)
+            for g in range(origin.num_generators)
+        )
+        table = cls(index=len(rows), action=action, origin=origin)
+        table.verify()
+        return table
 
     def __post_init__(self):
         n = self.index
@@ -72,18 +109,8 @@ class CosetTable:
         for r in self.origin.relators:
             for c in range(self.index):
                 assert self.trace(c, r) == c, "relator does not act trivially"
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for perm in self.action:
-                    d = perm[c]
-                    if d not in seen:
-                        seen.add(d)
-                        nxt.append(d)
-            frontier = nxt
-        assert len(seen) == self.index, "action is not transitive"
+        reached, _ = orbit(0, lambda c: [perm[c] for perm in self.action])
+        assert len(reached) == self.index, "action is not transitive"
 
     def action_key(self):
         return tuple(tuple(perm) for perm in self.action)
@@ -107,33 +134,26 @@ class SubgroupRecord:
     def index(self):
         return self.table.index
 
+    def schreier_generators(self):
+        """Yield (c, g, t_c g t_{c.g}^-1) for every pair off the spanning tree.
+
+        The tree edge into coset d carries the last letter of t_d, so (c, g)
+        is a tree edge exactly when t_{c.g} ends in g.  Pairs come in
+        (coset, generator) order.
+        """
+        t = self.transversal
+        for c in range(self.index):
+            for g, perm in enumerate(self.table.action):
+                d = perm[c]
+                if not t[d] or t[d].letters[-1] != (g, 1):
+                    yield c, g, t[c] * Word(((g, 1),)) * t[d].inverse()
+
     def to_json(self):
         p = self.table.origin
         data = self.table.to_json()
         data["transversal"] = [p.word_to_text(t) for t in self.transversal]
         data["is_normal"] = self.is_normal
         return data
-
-
-def _standardize(ngens, rows):
-    """Renumber cosets by first appearance in row-major positive-column scan."""
-    n = len(rows)
-    rename = {0: 0}
-    order = [0]
-    for c in order:
-        for g in range(ngens):
-            d = rows[c][2 * g]
-            if d not in rename:
-                rename[d] = len(rename)
-                order.append(d)
-    assert len(rename) == n, "table not transitive"
-    action = []
-    for g in range(ngens):
-        perm = [0] * n
-        for c in range(n):
-            perm[rename[c]] = rename[rows[c][2 * g]]
-        action.append(tuple(perm))
-    return tuple(action)
 
 
 class _Enumerator:
@@ -154,7 +174,7 @@ class _Enumerator:
             )
         self.created += 1
         self.parent.append(len(self.parent))
-        self.rows.append([_UNDEF] * (2 * self.ngens))
+        self.rows.append([UNDEF] * (2 * self.ngens))
         return len(self.parent) - 1
 
     def find(self, c):
@@ -166,10 +186,10 @@ class _Enumerator:
     def step(self, c, l):
         c = self.find(c)
         d = self.rows[c][l]
-        if d == _UNDEF:
+        if d == UNDEF:
             d = self.add_coset()
             self.rows[c][l] = d
-            self.rows[d][_inv_letter(l)] = c
+            self.rows[d][l ^ 1] = c
         return self.find(d)
 
     def follow(self, c, letters):
@@ -189,12 +209,12 @@ class _Enumerator:
             self.parent[b] = a
             for l in range(2 * self.ngens):
                 nb = self.rows[b][l]
-                if nb == _UNDEF:
+                if nb == UNDEF:
                     continue
                 na = self.rows[a][l]
-                if na == _UNDEF:
+                if na == UNDEF:
                     self.rows[a][l] = nb
-                    self.rows[self.find(nb)][_inv_letter(l)] = a
+                    self.rows[self.find(nb)][l ^ 1] = a
                 else:
                     stack.append((na, nb))
 
@@ -206,7 +226,7 @@ class _Enumerator:
             row = []
             for l in range(2 * self.ngens):
                 d = self.rows[c][l]
-                assert d != _UNDEF, "table incomplete after enumeration"
+                assert d != UNDEF, "table incomplete after enumeration"
                 row.append(rename[self.find(d)])
             rows.append(row)
         return rows
@@ -222,9 +242,9 @@ def todd_coxeter(p, subgens=(), limit=100_000):
         raise ValueError("limit must be >= 1")
     ngens = p.num_generators
     enum = _Enumerator(ngens, limit)
-    rel_letters = [_letters_of(r) for r in p.relators]
+    rel_letters = [letters_of(r) for r in p.relators]
     for w in subgens:
-        enum.unify(enum.follow(0, _letters_of(w)), 0)
+        enum.unify(enum.follow(0, letters_of(w)), 0)
     scan = 0
     while scan < len(enum.parent):
         c = enum.find(scan)
@@ -235,12 +255,7 @@ def todd_coxeter(p, subgens=(), limit=100_000):
             for l in range(2 * ngens):
                 enum.step(c, l)
         scan += 1
-    rows = enum.live_rows()
-    table = CosetTable(
-        index=len(rows), action=_standardize(ngens, rows), origin=p
-    )
-    table.verify()
-    return table
+    return CosetTable.from_rows(enum.live_rows(), p)
 
 
 def schreier_transversal(t):
@@ -249,61 +264,30 @@ def schreier_transversal(t):
     With canonical table numbering the BFS discovers cosets in numeric order,
     so transversal[i] maps coset 0 to coset i and prefixes are transversal
     entries themselves.
+
+    The same walk decides normality on permutations.  For each generator x,
+    images[x] extends H -> Hx along the spanning tree; it commutes with every
+    generator column iff it is a G-map, i.e. iff H lies in x^-1 H x, and at
+    finite index that inclusion is an equality.
     """
     n = t.index
     transversal = [None] * n
     transversal[0] = Word()
+    images = [[perm[0]] + [None] * (n - 1) for perm in t.action]
+    is_normal = True
     for c in range(n):
         assert transversal[c] is not None, "table numbering is not canonical"
-        for g in range(t.origin.num_generators):
-            d = t.action[g][c]
+        for g, perm in enumerate(t.action):
+            d = perm[c]
             if transversal[d] is None:
                 transversal[d] = transversal[c] * Word(((g, 1),))
+                for img in images:
+                    img[d] = perm[img[c]]
+            elif is_normal:
+                is_normal = all(img[d] == perm[img[c]] for img in images)
     return SubgroupRecord(
-        table=t, transversal=tuple(transversal), is_normal=_is_normal(t)
+        table=t, transversal=tuple(transversal), is_normal=is_normal
     )
-
-
-def _schreier_generator_pairs(t):
-    """(coset, generator) pairs that are not spanning-tree edges."""
-    n = t.index
-    seen = [False] * n
-    seen[0] = True
-    tree = set()
-    for c in range(n):
-        for g in range(t.origin.num_generators):
-            d = t.action[g][c]
-            if not seen[d]:
-                seen[d] = True
-                tree.add((c, g))
-    return [
-        (c, g)
-        for c in range(n)
-        for g in range(t.origin.num_generators)
-        if (c, g) not in tree
-    ], tree
-
-
-def _is_normal(t):
-    """Conjugation test: g^-1 s g stays in the subgroup for every Schreier
-    generator s and group generator g (equal finite index forces equality)."""
-    record_pairs, _ = _schreier_generator_pairs(t)
-    n = t.index
-    transversal = [None] * n
-    transversal[0] = Word()
-    for c in range(n):
-        for g in range(t.origin.num_generators):
-            d = t.action[g][c]
-            if transversal[d] is None:
-                transversal[d] = transversal[c] * Word(((g, 1),))
-    for c, g in record_pairs:
-        d = t.action[g][c]
-        s = transversal[c] * Word(((g, 1),)) * transversal[d].inverse()
-        for x in range(t.origin.num_generators):
-            conj = Word(((x, -1),)) * s * Word(((x, 1),))
-            if t.trace(0, conj) != 0:
-                return False
-    return True
 
 
 def subgroup_record(p, subgens=(), limit=100_000):
@@ -338,6 +322,4 @@ def cyclic_cover_record(p, k, weights=None):
             row.append((c + weights[g_]) % k)
             row.append((c - weights[g_]) % k)
         rows.append(row)
-    table = CosetTable(index=k, action=_standardize(ngens, rows), origin=p)
-    table.verify()
-    return schreier_transversal(table)
+    return schreier_transversal(CosetTable.from_rows(rows, p))

@@ -32,6 +32,10 @@ class NonPrimeModulus(DeflabError):
     """A mod-p operation was asked for a composite modulus."""
 
 
+class ModulusTooLarge(DeflabError):
+    """A mod-p operation was asked for p >= 2^31, beyond int64 elimination."""
+
+
 class ZeroWitness(DeflabError):
     """A kernel witness must be a non-zero tuple."""
 

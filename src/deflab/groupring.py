@@ -23,7 +23,7 @@ class GroupRingElement:
     @staticmethod
     def from_dict(d):
         items = [(w, c) for w, c in d.items() if c != 0]
-        items.sort(key=lambda wc: _word_key(wc[0]))
+        items.sort(key=lambda wc: wc[0].order_key())
         return GroupRingElement(tuple(items))
 
     @staticmethod
@@ -70,10 +70,6 @@ class GroupRingElement:
 
     __rmul__ = __mul__
 
-    def left_translate(self, w):
-        """w * self for a single word w."""
-        return GroupRingElement.from_dict({w * u: c for u, c in self.terms})
-
     def support(self):
         return tuple(w for w, _ in self.terms)
 
@@ -85,10 +81,6 @@ class GroupRingElement:
 
     def augmentation(self):
         return sum(c for _, c in self.terms)
-
-
-def _word_key(w):
-    return tuple((g, 0 if s == 1 else 1) for g, s in w.letters)
 
 
 def fox_derivative(relator, gen):

@@ -1,8 +1,9 @@
 """Exact integer and mod-p linear algebra.
 
 All integer work uses Python ints (arbitrary precision).  Mod-p ranks go
-through numpy with entries reduced after every elimination step.  Smith
-normal form tracks unimodular transforms and self-verifies on every call.
+through int64 numpy with entries reduced after every elimination step, so
+they take primes below 2^31.  Smith normal form tracks unimodular
+transforms and self-verifies on every call.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonPrimeModulus
+from .errors import ModulusTooLarge, NonPrimeModulus
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +98,13 @@ def is_prime(n):
 
 
 def rank_mod_p(a, p):
-    """Rank of an integer matrix over the field with p elements."""
+    """Rank of an integer matrix over the field with p elements.
+
+    Elimination runs in int64, where products of two residues stay exact
+    only while p < 2^31; larger p raise ModulusTooLarge.
+    """
+    if p >= 2**31:
+        raise ModulusTooLarge(f"prime {p} is too large: mod-p ranks need p < 2^31")
     if not is_prime(p):
         raise NonPrimeModulus(f"{p} is not prime")
     rows, cols = mat_shape(a)

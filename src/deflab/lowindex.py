@@ -9,14 +9,8 @@ force deductions.
 
 from __future__ import annotations
 
-from .coset import CosetTable, _standardize, schreier_transversal
+from .coset import UNDEF, CosetTable, letters_of, schreier_transversal
 from .errors import LimitExceeded
-
-_UNDEF = -1
-
-
-def _letters_of(word):
-    return [2 * g if s == 1 else 2 * g + 1 for g, s in word]
 
 
 class _Search:
@@ -27,11 +21,11 @@ class _Search:
         self.max_index = max_index
         self.max_nodes = max_nodes
         self.nodes = 0
-        self.rel_letters = [_letters_of(r) for r in p.relators]
+        self.rel_letters = [letters_of(r) for r in p.relators]
         self.found = []
 
     def run(self):
-        table = [[_UNDEF] * self.ncols]
+        table = [[UNDEF] * self.ncols]
         self.extend(table)
         return self.found
 
@@ -48,13 +42,13 @@ class _Search:
         c, l = pos
         m = len(table)
         linv = l ^ 1
-        candidates = [d for d in range(m) if table[d][linv] == _UNDEF]
+        candidates = [d for d in range(m) if table[d][linv] == UNDEF]
         if m < self.max_index:
             candidates.append(m)
         for d in candidates:
             work = [row[:] for row in table]
             if d == m:
-                work.append([_UNDEF] * self.ncols)
+                work.append([UNDEF] * self.ncols)
             work[c][l] = d
             work[d][linv] = c
             if self.deduce(work):
@@ -63,7 +57,7 @@ class _Search:
     def first_undefined(self, table):
         for c, row in enumerate(table):
             for l in range(self.ncols):
-                if row[l] == _UNDEF:
+                if row[l] == UNDEF:
                     return c, l
         return None
 
@@ -80,7 +74,7 @@ class _Search:
                     i = 0
                     while i < k:
                         nxt = table[fwd][letters[i]]
-                        if nxt == _UNDEF:
+                        if nxt == UNDEF:
                             break
                         fwd = nxt
                         i += 1
@@ -93,31 +87,24 @@ class _Search:
                     j = k
                     while j > i + 1:
                         prv = table[bwd][letters[j - 1] ^ 1]
-                        if prv == _UNDEF:
+                        if prv == UNDEF:
                             break
                         bwd = prv
                         j -= 1
                     if j == i + 1:
                         l = letters[i]
-                        if table[fwd][l] == _UNDEF and table[bwd][l ^ 1] == _UNDEF:
+                        if table[fwd][l] == UNDEF and table[bwd][l ^ 1] == UNDEF:
                             table[fwd][l] = bwd
                             table[bwd][l ^ 1] = fwd
                             changed = True
-                        elif table[fwd][l] == _UNDEF or table[bwd][l ^ 1] == _UNDEF:
+                        elif table[fwd][l] == UNDEF or table[bwd][l ^ 1] == UNDEF:
                             return False
                         elif table[fwd][l] != bwd:
                             return False
         return True
 
     def emit(self, table):
-        rows = [row[:] for row in table]
-        t = CosetTable(
-            index=len(rows),
-            action=_standardize(self.ngens, rows),
-            origin=self.p,
-        )
-        t.verify()
-        self.found.append(t)
+        self.found.append(CosetTable.from_rows(table, self.p))
 
 
 def low_index_subgroups(p, max_index, max_nodes=2_000_000, on_budget="raise"):

@@ -11,8 +11,13 @@ from dataclasses import dataclass
 from math import gcd
 
 from .chain import presentation_chain_complex
-from .coset import SubgroupRecord
-from .errors import SeparationExhausted, WitnessNotInKernel, ZeroWitness
+from .coset import CosetTable, SubgroupRecord, orbit, schreier_transversal
+from .errors import (
+    LimitExceeded,
+    SeparationExhausted,
+    WitnessNotInKernel,
+    ZeroWitness,
+)
 from .groupring import GroupRingElement
 from .linalg import cokernel_invariants, rank_mod_p, rank_over_Q
 from .lowindex import low_index_subgroups
@@ -111,8 +116,6 @@ def separating_subgroup(support, p, max_index):
     canonically least separating subgroup at the smallest sufficient budget
     wins.  Raises SeparationExhausted when nothing within budget works.
     """
-    from .errors import LimitExceeded
-
     words = []
     for w in support:
         if w not in words:
@@ -153,36 +156,23 @@ def separating_subgroup(support, p, max_index):
 
 def _intersect(r1, r2, max_index):
     """Orbit of the pair (0, 0) in the product action, as a coset table."""
-    from .coset import CosetTable, _standardize, schreier_transversal
-
-    p = r1.table.origin
-    ngens = p.num_generators
     t1, t2 = r1.table, r2.table
     inv1, inv2 = t1.inverse_action, t2.inverse_action
-    start = (0, 0)
-    index = {start: 0}
-    order = [start]
-    for pair in order:
-        for g in range(ngens):
-            for nxt in (
-                (t1.action[g][pair[0]], t2.action[g][pair[1]]),
-                (inv1[g][pair[0]], inv2[g][pair[1]]),
-            ):
-                if nxt not in index:
-                    if len(order) >= max_index:
-                        return None
-                    index[nxt] = len(order)
-                    order.append(nxt)
-    rows = []
-    for pair in order:
-        row = []
-        for g in range(ngens):
-            row.append(index[(t1.action[g][pair[0]], t2.action[g][pair[1]])])
-            row.append(index[(inv1[g][pair[0]], inv2[g][pair[1]])])
-        rows.append(row)
-    table = CosetTable(index=len(rows), action=_standardize(ngens, rows), origin=p)
-    table.verify()
-    return schreier_transversal(table)
+
+    def row(pair):
+        """Images of pair under each letter, in letter-code column order."""
+        out = []
+        for g in range(len(t1.action)):
+            out.append((t1.action[g][pair[0]], t2.action[g][pair[1]]))
+            out.append((inv1[g][pair[0]], inv2[g][pair[1]]))
+        return out
+
+    try:
+        order, index = orbit((0, 0), row, limit=max_index)
+    except LimitExceeded:
+        return None
+    rows = [[index[q] for q in row(pair)] for pair in order]
+    return schreier_transversal(CosetTable.from_rows(rows, t1.origin))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coset import CosetTable, _standardize, schreier_transversal
-from .errors import InvalidQuotient, LimitExceeded
+from .coset import CosetTable, orbit, schreier_transversal
 
 
 @dataclass(frozen=True)
@@ -83,26 +82,11 @@ class FiniteGroup:
         """
         if not gen_perms:
             raise ValueError("need at least one generator permutation")
-        deg = len(gen_perms[0])
-        ident = tuple(range(deg))
-        elements = [ident]
-        index = {ident: 0}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for gp in gen_perms:
-                    prod = tuple(gp[x] for x in e)
-                    if prod not in index:
-                        if len(elements) >= max_order:
-                            raise LimitExceeded(
-                                f"quotient order exceeded the budget {max_order}"
-                            )
-                        index[prod] = len(elements)
-                        elements.append(prod)
-                        nxt.append(prod)
-            frontier = nxt
-        n = len(elements)
+        elements, index = orbit(
+            tuple(range(len(gen_perms[0]))),
+            lambda e: [tuple(gp[x] for x in e) for gp in gen_perms],
+            limit=max_order,
+        )
         mult = []
         for a in elements:
             row = []
@@ -114,20 +98,8 @@ class FiniteGroup:
 
     def subgroup_closure(self, seeds):
         """Element set of the subgroup generated by seeds, in BFS order."""
-        elements = [0]
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for s in seeds:
-                    for t in (s, self._inv[s]):
-                        prod = self.mult[e][t]
-                        if prod not in seen:
-                            seen.add(prod)
-                            elements.append(prod)
-                            nxt.append(prod)
-            frontier = nxt
+        steps = [t for s in seeds for t in (s, self._inv[s])]
+        elements, _ = orbit(0, lambda e: [self.mult[e][t] for t in steps])
         return elements
 
 
@@ -143,36 +115,11 @@ def core_quotient(record, max_order=20_000):
         [tuple(perm) for perm in table.action], max_order=max_order
     )
     # the core's coset table is the regular action of G/core on itself
-    ngens = table.origin.num_generators
-    rows = []
-    for e in range(group.order):
-        row = []
-        for g in range(ngens):
-            img = group.gen_images[g]
-            row.append(group.mult[e][img])
-            row.append(group.mult[e][group.inverse[img]])
-        rows.append(row)
-    core_table = CosetTable(
-        index=group.order,
-        action=_standardize(ngens, rows),
-        origin=table.origin,
-    )
-    core_table.verify()
-    return core_table, group
+    steps = [x for img in group.gen_images for x in (img, group.inverse[img])]
+    rows = [[group.mult[e][x] for x in steps] for e in range(group.order)]
+    return CosetTable.from_rows(rows, table.origin), group
 
 
 def core_record(record, max_order=20_000):
     core_table, group = core_quotient(record, max_order=max_order)
     return schreier_transversal(core_table), group
-
-
-def quotient_of_presentation(p, group):
-    """Validate that group is a quotient of the presented group."""
-    for r in p.relators:
-        if group.project_word(r) != 0:
-            raise InvalidQuotient(
-                "a relator has nonidentity image; not a quotient of this group"
-            )
-    if len(group.gen_images) != p.num_generators:
-        raise InvalidQuotient("generator image count mismatch")
-    return group

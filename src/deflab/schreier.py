@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coset import _schreier_generator_pairs
 from .presentation import Presentation
 from .words import Word
 
@@ -49,12 +48,12 @@ def rewrite_subgroup_presentation(p, record):
         raise ValueError("record does not belong to this presentation")
     k = table.index
     ngens = p.num_generators
-    pairs, tree = _schreier_generator_pairs(table)
-    assert len(pairs) == k * (ngens - 1) + 1
-    pair_index = {pair: i for i, pair in enumerate(pairs)}
+    gens = list(record.schreier_generators())
+    assert len(gens) == k * (ngens - 1) + 1
+    pair_index = {(c, g): i for i, (c, g, _) in enumerate(gens)}
     inv = table.inverse_action
 
-    names = tuple(f"g{c + 1}_{p.generators[g]}" for c, g in pairs)
+    names = tuple(f"g{c + 1}_{p.generators[g]}" for c, g, _ in gens)
 
     def rewrite_from(coset, word):
         out = []
@@ -81,11 +80,7 @@ def rewrite_subgroup_presentation(p, record):
             assert w, "rewritten relator collapsed to the identity"
             relators.append(w)
 
-    transversal = record.transversal
-    generator_map = tuple(
-        transversal[c] * Word(((g, 1),)) * transversal[table.action[g][c]].inverse()
-        for c, g in pairs
-    )
+    generator_map = tuple(w for _, _, w in gens)
     sub = Presentation(names, tuple(relators))
     assert sub.num_relators == k * p.num_relators
     return SubgroupPresentation(

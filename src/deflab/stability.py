@@ -29,6 +29,7 @@ from .intervals import (
 )
 from .linalg import cokernel_invariants, partial_euler_mu
 from .lowindex import low_index_subgroups
+from .presentation import serialize_presentation
 from .schreier import rewrite_subgroup_presentation
 from .tietze import tietze_simplify
 
@@ -172,8 +173,6 @@ def stability_report(
         verdict = STATUS_CERTIFIED
     else:
         verdict = STATUS_CONSISTENT
-    from .presentation import serialize_presentation
-
     return StabilityReport(
         group=group_name,
         presentation=serialize_presentation(base_pres),

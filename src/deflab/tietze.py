@@ -14,11 +14,10 @@ from .words import Word
 
 
 def _dedupe_key(w):
-    a = w.canonical_rotation()
-    b = w.inverse().canonical_rotation()
-    ka = tuple((g, 0 if s == 1 else 1) for g, s in a.letters)
-    kb = tuple((g, 0 if s == 1 else 1) for g, s in b.letters)
-    return min(ka, kb)
+    return min(
+        w.canonical_rotation().order_key(),
+        w.inverse().canonical_rotation().order_key(),
+    )
 
 
 def _pass_dedupe(p):

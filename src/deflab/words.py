@@ -53,10 +53,6 @@ class Word:
             return self.inverse() ** (-n)
         return Word(self.letters * n)
 
-    def conjugate(self, by):
-        """Return by * self * by^-1."""
-        return by * self * by.inverse()
-
     def max_generator(self):
         """Largest generator index occurring, or -1 for the identity."""
         return max((g for g, _ in self.letters), default=-1)
@@ -70,17 +66,17 @@ class Word:
             ls = ls[1:-1]
         return Word(tuple(ls))
 
-    def canonical_rotation(self):
-        """Lexicographically least rotation of a cyclically reduced word.
+    def order_key(self):
+        """Sort key: letter by letter, with a < a^-1 < b < b^-1 < ..."""
+        return tuple((g, 0 if s == 1 else 1) for g, s in self.letters)
 
-        Letters order as (gen, 0) for positive and (gen, 1) for negative, so
-        a < a^-1 < b < b^-1.
-        """
+    def canonical_rotation(self):
+        """Least rotation of a cyclically reduced word under order_key."""
         w = self.cyclically_reduced()
         n = len(w.letters)
         if n == 0:
             return w
-        key = [(g, 0 if s == 1 else 1) for g, s in w.letters]
+        key = w.order_key()
         best = min(range(n), key=lambda i: key[i:] + key[:i])
         return Word(w.letters[best:] + w.letters[:best])
 

@@ -60,6 +60,14 @@ def test_homology():
     assert data["betti"] == [1, 1, 1]
 
 
+def test_homology_rejects_prime_too_large_for_int64():
+    proc = run_cli("homology", "corpus:torus", "--field", "4294967311")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "2^31" in lines[0]
+
+
 def test_deficiency():
     proc = run_cli("deficiency", "corpus:trefoil")
     data = json.loads(proc.stdout)

@@ -1,0 +1,227 @@
+"""Byte-stability of every CLI report on the built-in corpus.
+
+Each case runs the CLI in-process and compares the exit code and the SHA-256
+of stdout with a digest recorded before the coset-table core was unified.  A
+changed digest means a report changed; there is deliberately no way to
+regenerate the table from this file.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from deflab.cli import main
+from deflab.corpus import CORPUS
+
+# witness supports (x, -x) on dup_relator: index 2, and index 6 through
+# pairwise intersections of normal cores
+WITNESSES = {
+    "w_a": ["1", "a"],
+    "w_ab": ["1", "a", "b", "a b", "b a"],
+}
+
+
+def case_keys():
+    keys = []
+    for name in sorted(CORPUS):
+        spec = f"corpus:{name}"
+        k = "2" if name == "genus3" else "3"
+        keys += [
+            f"parse {spec}",
+            f"subgroups {spec} --max-index {k}",
+            f"schreier {spec} --index-spec 1-{k}",
+            f"homology {spec}",
+            f"homology {spec} --field 2",
+            f"homology {spec} --quotient core:2:1",
+            f"deficiency {spec}",
+            f"stability {spec} --max-index {k}",
+            f"modp {spec} -p 2 --normal-index 2",
+        ]
+    keys += [f"cert corpus:dup_relator --witness {w}" for w in WITNESSES]
+    return keys
+
+
+def run_case(key, tmp_path):
+    argv = key.split()
+    if argv[0] == "cert":
+        words = WITNESSES[argv[-1]]
+        path = tmp_path / f"{argv[-1]}.json"
+        path.write_text(
+            json.dumps({"rho": [[[w, 1] for w in words], [[w, -1] for w in words]]})
+        )
+        argv[-1] = str(path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+GOLDEN = {
+    'parse corpus:c2': (0, 'bf2180d672658a6688c6179cdd13859d09cb66a0511d82d84f1d2f7ce8d137b6'),
+    'subgroups corpus:c2 --max-index 3': (0, '73a68e00b0414fb7c3ccdf4fb780a07fb75e9b0e97ec6945007d43dc490c9d39'),
+    'schreier corpus:c2 --index-spec 1-3': (0, '58976de6933adde0c766c156d780d12e3bbf61587ebe3e52a2c18862a6a206f3'),
+    'homology corpus:c2': (0, 'd0b4c0ba43aa2a6231be29d41de53378031e9a6adeba2c4004cd08a454fd8a83'),
+    'homology corpus:c2 --field 2': (0, 'a3816f29bf8ee6342a13fb71df87d5ec1d661e1526ca499cbebcebe41d152b7d'),
+    'homology corpus:c2 --quotient core:2:1': (0, 'de1e0d6cf8a7ed3c8c05fc73cd272b01d8a8914b8769559d0645eead518a0cbb'),
+    'deficiency corpus:c2': (0, '77f3f714511ee84adde1bcb3b46aad2e77454e947f5d7b03abdb6667f7633c21'),
+    'stability corpus:c2 --max-index 3': (2, 'bf03f290fc5e3f5b342a674444eba8d515113ce0b9a7084d3ad9842bc53b823e'),
+    'modp corpus:c2 -p 2 --normal-index 2': (0, '8266b1f3bf100886c9dfb5f8ecb604d763570a5c40db95492dd3f37f8819bf0d'),
+    'parse corpus:c2xc2': (0, 'e71bbd3f56134f22ce4844ce5f095f19d0b18b6ab00e9cefab25b3d2eb9a48ae'),
+    'subgroups corpus:c2xc2 --max-index 3': (0, '0812c95d3d5dc8fe433cc38d6d733d15db923c0a6b2c72f12acf5f51eef3584c'),
+    'schreier corpus:c2xc2 --index-spec 1-3': (0, 'c42077801f4f5ce85924654896b2af7966d0ea4aaf3cee6425b8249182e2d774'),
+    'homology corpus:c2xc2': (0, '834ec5aa6ab00fdb6def0d8db0b3727b86c9904df77a4526609e7f8d0f263e02'),
+    'homology corpus:c2xc2 --field 2': (0, '0668c0e726dc87da53bff436b63daa86ee6c8593bc873eff4134cdac9ebb655d'),
+    'homology corpus:c2xc2 --quotient core:2:1': (0, '267dcfe78c8d48b2269d1ac3e03da5906cbf79f4a3513a6ee2a516abfdea7bbd'),
+    'deficiency corpus:c2xc2': (0, '0cd055044a70abb6b8d555020111c802d78a8f15571e8ee4d97e7bf985b48785'),
+    'stability corpus:c2xc2 --max-index 3': (2, '20a90d10510ae58a88af13c641a20dee72862b257b3d9a698e0f4576b4f94413'),
+    'modp corpus:c2xc2 -p 2 --normal-index 2': (0, '2a9a6c472d839cea4f54e3ae7129748c8a5ae4c81eb0e9d3a40cd37ac5a32797'),
+    'parse corpus:c3': (0, 'd0e1cc14fc9e2473e2da15597178bda12bd220353878b79ec2e5e627223111fc'),
+    'subgroups corpus:c3 --max-index 3': (0, '798e247f11c4e2e2c6ba733f754a64fbe2370e9a8c5e6d6b577f2425a740d327'),
+    'schreier corpus:c3 --index-spec 1-3': (0, '8ed92720fd9406651fb623ced79ad583003c5649ca9830e4a313c41d0e3e59f5'),
+    'homology corpus:c3': (0, '9195d87a02a0f0aef0d7a575d3eaf55854d730a7189ab469df392d3188d7e215'),
+    'homology corpus:c3 --field 2': (0, '4058b0ae1f62b405f176cceec04f1fff4a4530cfc220352ce963d4f75ca61095'),
+    'homology corpus:c3 --quotient core:2:1': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'deficiency corpus:c3': (0, '77f3f714511ee84adde1bcb3b46aad2e77454e947f5d7b03abdb6667f7633c21'),
+    'stability corpus:c3 --max-index 3': (2, 'd2af6dccc8cab4e7e6741f78dc5612c84deef47b9606a35db6fc11c1d5f1c3b6'),
+    'modp corpus:c3 -p 2 --normal-index 2': (0, '37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570'),
+    'parse corpus:c4': (0, '465684395b81e49f74f826a39907c73ac870c347d4b1702e618a8c8560fc330e'),
+    'subgroups corpus:c4 --max-index 3': (0, '73a68e00b0414fb7c3ccdf4fb780a07fb75e9b0e97ec6945007d43dc490c9d39'),
+    'schreier corpus:c4 --index-spec 1-3': (0, 'd2e3e1ae272d8dc3c91b66c9eb17be5b3d166c0e47d172a6690da73319848f67'),
+    'homology corpus:c4': (0, '4d724aebd9c8076ac3392552587542da6630617310fbae7fc13f5c05cf315cda'),
+    'homology corpus:c4 --field 2': (0, 'a3816f29bf8ee6342a13fb71df87d5ec1d661e1526ca499cbebcebe41d152b7d'),
+    'homology corpus:c4 --quotient core:2:1': (0, '73fe1dbd183b31a05f0f7ebe2f89a3e51b849d38def2fa824106cfde913c43d7'),
+    'deficiency corpus:c4': (0, '77f3f714511ee84adde1bcb3b46aad2e77454e947f5d7b03abdb6667f7633c21'),
+    'stability corpus:c4 --max-index 3': (2, '9204c795e842115ae98a1cd31a752caee52612ab32d734ee71ec87d5ec3765e4'),
+    'modp corpus:c4 -p 2 --normal-index 2': (0, 'eed115285b0105451aec05e1da738f3c78ffef8be182aea810b9b52ed01675a2'),
+    'parse corpus:c5': (0, '6ba0e5ddfb1461a91e4f3fffb208db4dfe370d60966acf7af754957d7ea7188a'),
+    'subgroups corpus:c5 --max-index 3': (0, '205b936441d41e80a17df348eef083c07e7f73ff982ccd88d595ba0bb88eeded'),
+    'schreier corpus:c5 --index-spec 1-3': (0, '1da2e085f74cac03c7badf0527abe07a5b300047623f0201f857523d437be447'),
+    'homology corpus:c5': (0, '7c5d95e0741b735c1c6179d3d665541174032d210bd00e51ac58ab5272448689'),
+    'homology corpus:c5 --field 2': (0, '4058b0ae1f62b405f176cceec04f1fff4a4530cfc220352ce963d4f75ca61095'),
+    'homology corpus:c5 --quotient core:2:1': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'deficiency corpus:c5': (0, '77f3f714511ee84adde1bcb3b46aad2e77454e947f5d7b03abdb6667f7633c21'),
+    'stability corpus:c5 --max-index 3': (0, '3b772a612aef98fce54fc72feaebc83d35da1a3bf554a798f89b6fc7e3b20929'),
+    'modp corpus:c5 -p 2 --normal-index 2': (0, '37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570'),
+    'parse corpus:d4': (0, 'd1ec99e8bfc32d42f62b2cb0ba9aa1f78ab8db35dc6483416b6acf484d155404'),
+    'subgroups corpus:d4 --max-index 3': (0, 'c0f4473a64600677229ba9d6a1115f77c597b3c058e6dffac4a426887cd39fe4'),
+    'schreier corpus:d4 --index-spec 1-3': (0, '6cd646637d17edf43eb5d03142f778579751f7b6a375c0d43d508248c3d1181a'),
+    'homology corpus:d4': (0, '834ec5aa6ab00fdb6def0d8db0b3727b86c9904df77a4526609e7f8d0f263e02'),
+    'homology corpus:d4 --field 2': (0, '0668c0e726dc87da53bff436b63daa86ee6c8593bc873eff4134cdac9ebb655d'),
+    'homology corpus:d4 --quotient core:2:1': (0, 'cd0558864c4ccc7d21221c2d847d4f814102c00bb7aaa05043c8b58d080d6636'),
+    'deficiency corpus:d4': (0, '0cd055044a70abb6b8d555020111c802d78a8f15571e8ee4d97e7bf985b48785'),
+    'stability corpus:d4 --max-index 3': (2, 'a7577f10dfd3fef66fc43ae570e4f6af0572c0750b327fb071355ba0e0545174'),
+    'modp corpus:d4 -p 2 --normal-index 2': (0, 'a47ca20199eff8b5147195cf1f2081ff6e48dda798b59e12c63201fe38506fe8'),
+    'parse corpus:dup_relator': (0, '6664a2abdf2d91b49afcd79ba61250d1fafe43e8d1f5aa6f67eacb4fe838f960'),
+    'subgroups corpus:dup_relator --max-index 3': (0, '8f64bf5aaf146f521b767780f69c7dd3e9e85a7d9e3b971c8d5f337a44860d9c'),
+    'schreier corpus:dup_relator --index-spec 1-3': (0, '34b54c63cd7a2f3dadc636185e1171c56cc3b0d2da0d1193964d63aaea2d696d'),
+    'homology corpus:dup_relator': (0, 'efebbab015ab3c9c10d504b6c31e93b488e28622e257a54c84915714eb679b57'),
+    'homology corpus:dup_relator --field 2': (0, 'ef1ac9962313b25a0da0455747cabad648758ab0df07c9ef0d0b9b885c8d9aaf'),
+    'homology corpus:dup_relator --quotient core:2:1': (0, '0ee775d17b468b696a9161348bd1e66683d43102cb7cf1006384f1aef61533a1'),
+    'deficiency corpus:dup_relator': (0, 'b125d454a242f58ed8d8bb797419237b6ac8db1ec439aa6370e106698370d580'),
+    'stability corpus:dup_relator --max-index 3': (2, 'f60c26a7976d19077e80ea52aa32640ae24d6ddfad6cd0604ef9a8531f09a0be'),
+    'modp corpus:dup_relator -p 2 --normal-index 2': (0, 'a975873ad98678a2cb30e69d074a3e1a1a20727f2184b72f09589c4994e86934'),
+    'parse corpus:f2xf2': (0, 'a94114628f9e629e31fc32e10aa0dd0a841b10cb142c13dccc1b67399c113c1e'),
+    'subgroups corpus:f2xf2 --max-index 3': (0, 'fde571e36532b4f53e8d6abec312a60c3a2fa34c037df492ef466adea531afa5'),
+    'schreier corpus:f2xf2 --index-spec 1-3': (0, 'b7efc50d8b5cf11f2dff77d3ae7bda1be71d6fc52aa0b53aa33fb6705cf4f258'),
+    'homology corpus:f2xf2': (0, '03c406ebeb08af02279e77a9c82241d8538980d651db6ec56809ca782fa19789'),
+    'homology corpus:f2xf2 --field 2': (0, 'd01627cfcdf8dfeaf5b5fcc1c883e7c8046f9f6589cf0f46f596f0c5a0bdc627'),
+    'homology corpus:f2xf2 --quotient core:2:1': (0, '7bdb14c9e7427b0d3ef298e8b7f68860ee9ee3c750debc4b003aedaeeb6234b6'),
+    'deficiency corpus:f2xf2': (0, 'f668dfd0775ac3c82ec98c144602bb4b95e031fab877bdb01aeb7fc95b260120'),
+    'stability corpus:f2xf2 --max-index 3': (0, '11a15b0b0423dc55966812a9aa0a5822caae6dc68629bd858461867915811ded'),
+    'modp corpus:f2xf2 -p 2 --normal-index 2': (0, 'e7a3bbf3ecfd9469d241ac0e87f4b9b379854fde042756a65064fe95b2e9cfac'),
+    'parse corpus:free1': (0, 'a552a0cd9a8f26117c86c59d499cd77854d7507d6be80798f7f3bf0da3c4b10a'),
+    'subgroups corpus:free1 --max-index 3': (0, 'a603cf4a8b6780c9702eba6e988ba0f5c8170b1e2dc6b3771e9ead51785c6419'),
+    'schreier corpus:free1 --index-spec 1-3': (0, '8ab1b0f719901f5c0b3547282ba15ce19ae7a00f89aa6a0b2e0f6f49013f95da'),
+    'homology corpus:free1': (0, 'a22d2c8afe7d2a6e2d6f1ad799df4bc57f45424c6df966c0f05c463fd94c8aaa'),
+    'homology corpus:free1 --field 2': (0, '5b71a0c149d0884714e53de865ee9c308e0f3cb6ca8233f1a6fe5b725930eb0c'),
+    'homology corpus:free1 --quotient core:2:1': (0, '80344f8ee8f626769fe1d2104be8ad19700e16cbcd477b49b45ef2990569727c'),
+    'deficiency corpus:free1': (0, 'b125d454a242f58ed8d8bb797419237b6ac8db1ec439aa6370e106698370d580'),
+    'stability corpus:free1 --max-index 3': (0, '52b001e8e3280241c9dfd17f1d3486ecbf0b941ff3987fcfbe4d1db84b353c29'),
+    'modp corpus:free1 -p 2 --normal-index 2': (0, 'c15292eeac645aa8f8b1eda64a57ac9f88f9936d236adf45baf2d838942db05b'),
+    'parse corpus:free2': (0, '435769cc7ad402bf03af40a3ce04406090e8dfa898a6e1211f78031fe1fb32fc'),
+    'subgroups corpus:free2 --max-index 3': (0, '51e7344285d0d87ae404bbe2c10e9e5266a23e3078949c63d0554c5bea42eca5'),
+    'schreier corpus:free2 --index-spec 1-3': (0, 'b5e66922ea47db5f212a7ffc263d05b88600fa7d1cb2a28afa2aa5c706f99eb5'),
+    'homology corpus:free2': (0, '38ccbe158063c160ff01f11524af83630ac0dadd5dcbcbd211dafe4ac34b83be'),
+    'homology corpus:free2 --field 2': (0, '9c4e35ecac25882389cb496048c69e9f87ede50ea2451d28d8aee54d650217e2'),
+    'homology corpus:free2 --quotient core:2:1': (0, '429b31a7082731a0924b3dcc00d74a20c9cb46a57730c340ace8517679086284'),
+    'deficiency corpus:free2': (0, 'e83b054a58b5e43b1f1524a317fd83eaa354c10606a2e58f1532a3c93fad270d'),
+    'stability corpus:free2 --max-index 3': (0, 'ffa181358b61dd6b990f28d365dd63b3950ed4614a34f57cb50a034f307c4024'),
+    'modp corpus:free2 -p 2 --normal-index 2': (0, '884ff2ae490980fe983f3575376629e6f8f0dcf3e2111819285df465f5809122'),
+    'parse corpus:free3': (0, '2555c4c2e39a8fd8e4852e159b2fe999da3c0cf9294662452dec481c46073e6f'),
+    'subgroups corpus:free3 --max-index 3': (0, '7355d579c17606c717857a9180587f1cea0eade19cb5ce4f5dafaf6f5c9d7f27'),
+    'schreier corpus:free3 --index-spec 1-3': (0, 'f832d91b37b8455a5073733829ec91ba6276982f34212aba498e547e708c4bc3'),
+    'homology corpus:free3': (0, '85b6b1a43d640d5358dad96fedd31697fb083cdfe1831abecb57e23d147526df'),
+    'homology corpus:free3 --field 2': (0, '669845024bbb085382bc62a3b4d3b2429f850b6a4d7f802d4a24135fa37fcaa0'),
+    'homology corpus:free3 --quotient core:2:1': (0, 'fa045823fe878038425b5a1dbd08ae0bab946360db170dc9fef41c4750832dc5'),
+    'deficiency corpus:free3': (0, '707906bba2c2a1f6d1796241cfa725ab5d5a7f43c36d8dd8e4b59c6050362fc0'),
+    'stability corpus:free3 --max-index 3': (0, '3fbf4a445b4f8e37875d5459253f5409ca4c46c80e7e3e3d98784ff0f6367f2a'),
+    'modp corpus:free3 -p 2 --normal-index 2': (0, '0e0cf866e29e24a89ce2a36b094acddc3dda9b520c94e5cda733709c2842d47d'),
+    'parse corpus:genus2': (0, 'b01dbd37a6c971a3d4a76d576b7d9840a32b0f3a59dfd6e6e51808feb64f4b24'),
+    'subgroups corpus:genus2 --max-index 3': (0, '4ce5096996e371f4def598a6f3e084c88f2fa175fada66cd3cc3d519bae7d624'),
+    'schreier corpus:genus2 --index-spec 1-3': (0, '5559de5c91fdb6c4c6d5b5aee6e7f99a978dd4057e9ab6326c4d6d2ea89186dd'),
+    'homology corpus:genus2': (0, '45ae41063967575d9523ca88778ef38986674065b353b650d67d0cc7fdb99db6'),
+    'homology corpus:genus2 --field 2': (0, 'ea98903dadf5c7cfd3a867119abfc287bfe7f8414e48fe25310ac3f9a5e7d2a7'),
+    'homology corpus:genus2 --quotient core:2:1': (0, '3c8ff7d3d9822df691dcaf7b48bf0c25e3fc201818f520b8477931dcaccc3bc7'),
+    'deficiency corpus:genus2': (0, '0b3d4a0e155c5daf31a7b3cae735bb1a421659310b3b6fd9cafda9b4eebc2beb'),
+    'stability corpus:genus2 --max-index 3': (0, '984084884ee02a716d709c925bc82a91477f36799726cbab82a10d104b9d3240'),
+    'modp corpus:genus2 -p 2 --normal-index 2': (0, 'bafe38a88cc8c72aca90e8e3b56755a66139a9fb14acbf0944983f875346e6ba'),
+    'parse corpus:genus3': (0, '2bd370fbc6975db8ae077525974cba21e181ef4e661fcff40aee4fb53386b3cf'),
+    'subgroups corpus:genus3 --max-index 2': (0, '523b28753700c2f2b42e8a5a88e0852132d3f6d8cfb03c550f46c573aec765e1'),
+    'schreier corpus:genus3 --index-spec 1-2': (0, '574d99de9762a95ba3efecde222a729714885114796c6c006d49d755418112fe'),
+    'homology corpus:genus3': (0, 'ce08343a6ba99cb7029b01075905b69ed38ed49f70a3837d10df249c8d04263f'),
+    'homology corpus:genus3 --field 2': (0, '7efcc5120d79ed04bdbaf7cc30edcefe535395e179ac749e3d8e00a782254096'),
+    'homology corpus:genus3 --quotient core:2:1': (0, '27593cef242694246070b82d9b07e8047829eb3c15d1c199113b40ecaa9a7c3d'),
+    'deficiency corpus:genus3': (0, '220ef4c926bc6945b36f12e652ddadc9fe3c22c0bd2eebc2de8a0c06385ba163'),
+    'stability corpus:genus3 --max-index 2': (0, 'bfa729d4615999395dbd0913735cd2b03f98c4e618fbdfbf937265049c88c9d3'),
+    'modp corpus:genus3 -p 2 --normal-index 2': (0, '8a5a675024e3684233cee5af324a74500b5cd2b4cfdca5ab5db0570f1fbee95e'),
+    'parse corpus:q8': (0, 'b5aa60a27fa11b31a1c8295dcbeaaccd7e59c0f8e68d488b833d4a298c23ce07'),
+    'subgroups corpus:q8 --max-index 3': (0, '0812c95d3d5dc8fe433cc38d6d733d15db923c0a6b2c72f12acf5f51eef3584c'),
+    'schreier corpus:q8 --index-spec 1-3': (0, '2e34c9e74ad655fd4ab7c3b65a43cc2318ddb4b38464108dc8a1e92043b34739'),
+    'homology corpus:q8': (0, '834ec5aa6ab00fdb6def0d8db0b3727b86c9904df77a4526609e7f8d0f263e02'),
+    'homology corpus:q8 --field 2': (0, '0668c0e726dc87da53bff436b63daa86ee6c8593bc873eff4134cdac9ebb655d'),
+    'homology corpus:q8 --quotient core:2:1': (0, 'cd0558864c4ccc7d21221c2d847d4f814102c00bb7aaa05043c8b58d080d6636'),
+    'deficiency corpus:q8': (0, '0cd055044a70abb6b8d555020111c802d78a8f15571e8ee4d97e7bf985b48785'),
+    'stability corpus:q8 --max-index 3': (2, '85f81c858ae4415cc8d8c7d67d8022aa9524c457ef5a755c0a9241625f4df754'),
+    'modp corpus:q8 -p 2 --normal-index 2': (0, '2a9a6c472d839cea4f54e3ae7129748c8a5ae4c81eb0e9d3a40cd37ac5a32797'),
+    'parse corpus:redundant': (0, '67795e1cd0d4096fb0294ec78cdd4ecf67ee92f8c505a5cd44586d65d7fdc444'),
+    'subgroups corpus:redundant --max-index 3': (0, '11be1b946f0d88b3fcdc48ab8b1b5caa5906c3f06611987ca2a961e3d7a52ebf'),
+    'schreier corpus:redundant --index-spec 1-3': (0, '3a3a08fc05ecb0d4a66d3f5ac796b9c92adc3c14cc1d637a9fc44b22f4658bed'),
+    'homology corpus:redundant': (0, '21e4a15a19622588b39daf90952bc08495eb5d64c6e487c382c9694ad054448e'),
+    'homology corpus:redundant --field 2': (0, 'fec332869bb38c7d376c3c6c1d4bfc5a96266bd82eeec328932ec35aeba675d2'),
+    'homology corpus:redundant --quotient core:2:1': (0, '379ee1e2d3a601408793e00835120ad6f31111e44ef777d6c573a483d6c0a0d6'),
+    'deficiency corpus:redundant': (0, '1227c2e472261c99e1aff73a714413493a6fe7d03551a907286ba39f5839b0e1'),
+    'stability corpus:redundant --max-index 3': (0, 'c23d4e6456f35bbfd6a64ce83a7e151b4004a3079360dde24cc67c042b009153'),
+    'modp corpus:redundant -p 2 --normal-index 2': (0, 'c459dd3506d8cd1ac7af53b8cf83576a8fe2bd8a2d019ed5795e3e0aa4e4f963'),
+    'parse corpus:torus': (0, 'ddc1b566e731076b52f449689d29bacce700ba4ea29aab4c504d19fdd89f4aa3'),
+    'subgroups corpus:torus --max-index 3': (0, '3f329ead726d44008d5dfc2e463e9cead50bdd17a17616560ce990b8bc334356'),
+    'schreier corpus:torus --index-spec 1-3': (0, '96b540a8e619a763908ec0e8ba8f1c046a9d996e563198beef6eea67f15703e5'),
+    'homology corpus:torus': (0, 'a5f1c23d60494e8ead460d58c0a0de9ec621b9d02432be3e9128451ad033001e'),
+    'homology corpus:torus --field 2': (0, '7a9ecf3d9c5805e73fac39a446be627a38c954d2d08dcf89a4739cc326834f51'),
+    'homology corpus:torus --quotient core:2:1': (0, 'd449677db3f8faacfbe8b29e04b3c22ae09fb8486f4ec61b0f0107c9c08ac08c'),
+    'deficiency corpus:torus': (0, '22049c9405a9f65d56b62fc3cb0029fc9a236c0a333d3a3925144eecca86c58d'),
+    'stability corpus:torus --max-index 3': (0, 'b2b12e91dea501b0b97c1c64e71564362cae7a587b484465a9f73ad672cae071'),
+    'modp corpus:torus -p 2 --normal-index 2': (0, '9d2198d3073dd3a6db277f764374d6540a6b11c2c44f08627716c674aae796a0'),
+    'parse corpus:trefoil': (0, '5149c442df77d4d9db26d8ca6a1892cbc7b89e65c39e24685cb00baa0f8cf4bf'),
+    'subgroups corpus:trefoil --max-index 3': (0, 'd32575ea0580784d3d25cc9bb3c84c23570c48945389c39468b8cbd139e3d540'),
+    'schreier corpus:trefoil --index-spec 1-3': (0, '9a441faa5cafbf476f56e05d686c173abb680994a910efb25b2f9fc858ce0a86'),
+    'homology corpus:trefoil': (0, '309648fb0d1ca7e64f077e4f2919a14335722ec0c4475cbc7f95903fce54a0df'),
+    'homology corpus:trefoil --field 2': (0, '3a17d9a7fd26892552249d873c53b7192b243fbfba4f01ed8f490f18d811d48d'),
+    'homology corpus:trefoil --quotient core:2:1': (0, '2236f213710ccbce0c9524435b70efbb1ea08988f297139e837155c85405ab9d'),
+    'deficiency corpus:trefoil': (0, '22049c9405a9f65d56b62fc3cb0029fc9a236c0a333d3a3925144eecca86c58d'),
+    'stability corpus:trefoil --max-index 3': (0, '22932600528254331c31b88f80b810f462960c715b0a40b3aff651acf3138d35'),
+    'modp corpus:trefoil -p 2 --normal-index 2': (0, 'c15292eeac645aa8f8b1eda64a57ac9f88f9936d236adf45baf2d838942db05b'),
+    'cert corpus:dup_relator --witness w_a': (0, '802c8a5938ae1a0ddd686261de0de308d6de938e54edcb95b61a74f4a53cb8fe'),
+    'cert corpus:dup_relator --witness w_ab': (0, '6919e35ba955484c13bbdc9f50e1caba106fbeef45b6fad6a7c7b2ae2dd29396'),
+}
+
+
+def test_golden_covers_every_case():
+    assert sorted(GOLDEN) == sorted(case_keys())
+
+
+@pytest.mark.parametrize("key", case_keys())
+def test_cli_report_digest(key, tmp_path):
+    assert run_case(key, tmp_path) == GOLDEN[key]

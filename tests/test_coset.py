@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from deflab.coset import (
@@ -8,7 +10,9 @@ from deflab.coset import (
 )
 from deflab.corpus import corpus_presentation
 from deflab.errors import LimitExceeded
+from deflab.lowindex import low_index_subgroups
 from deflab.presentation import parse_presentation, parse_word
+from deflab.quotient import core_quotient
 from deflab.words import Word
 
 
@@ -72,8 +76,6 @@ def test_transversal_examples():
 
 
 def test_transversal_prefix_closed_and_bijective():
-    from deflab.lowindex import low_index_subgroups
-
     p = corpus_presentation("genus2")
     trefoil = corpus_presentation("trefoil")
     records = [cyclic_cover_record(p, 5)] + low_index_subgroups(trefoil, 3)
@@ -108,23 +110,12 @@ def test_cyclic_cover_records():
         rec.table.verify()
 
 
-def test_todd_coxeter_cross_validates_low_index():
-    # two independent enumerations: feeding the Schreier generators of each
-    # low-index record back through Todd-Coxeter must reproduce its table
-    import random
-
-    from deflab.coset import _schreier_generator_pairs
-    from deflab.lowindex import low_index_subgroups
+def random_presentations(seed, count):
     from deflab.presentation import Presentation
 
-    rng = random.Random(41)
-    pres = [
-        corpus_presentation("torus"),
-        corpus_presentation("trefoil"),
-        corpus_presentation("dup_relator"),
-        parse_presentation("< a, b | a^2, b^3, a b a b >"),
-    ]
-    for _ in range(10):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
         ngens = rng.randrange(1, 3)
         rels = []
         for _ in range(rng.randrange(1, 3)):
@@ -134,15 +125,40 @@ def test_todd_coxeter_cross_validates_low_index():
             ))
             if w:
                 rels.append(w)
-        pres.append(Presentation(tuple("ab"[:ngens]), tuple(rels)))
+        out.append(Presentation(tuple("ab"[:ngens]), tuple(rels)))
+    return out
+
+
+def test_todd_coxeter_cross_validates_low_index():
+    # two independent enumerations: feeding the Schreier generators of each
+    # low-index record back through Todd-Coxeter must reproduce its table
+    pres = [
+        corpus_presentation("torus"),
+        corpus_presentation("trefoil"),
+        corpus_presentation("dup_relator"),
+        parse_presentation("< a, b | a^2, b^3, a b a b >"),
+    ] + random_presentations(41, 10)
     for p in pres:
         for rec in low_index_subgroups(p, 4, max_nodes=100_000):
-            pairs, _ = _schreier_generator_pairs(rec.table)
-            gens = [
-                rec.transversal[c] * Word(((g, 1),))
-                * rec.transversal[rec.table.action[g][c]].inverse()
-                for c, g in pairs
-            ]
+            gens = []
+            for c, g, w in rec.schreier_generators():
+                d = rec.table.action[g][c]
+                assert w == rec.transversal[c] * Word(((g, 1),)) * rec.transversal[d].inverse()
+                gens.append(w)
             t = todd_coxeter(p, gens, limit=50_000)
             assert t.index == rec.index
             assert t.action_key() == rec.table.action_key()
+
+
+def test_is_normal_matches_core_quotient_order():
+    # independent route: H is normal iff the core has the same index as H,
+    # i.e. iff the permutation image G/core has order [G:H]
+    names = ["torus", "trefoil", "dup_relator", "d4", "q8"]
+    pres = [corpus_presentation(n) for n in names] + random_presentations(7, 30)
+    seen = {True: 0, False: 0}
+    for p in pres:
+        for rec in low_index_subgroups(p, 4, max_nodes=100_000):
+            _, group = core_quotient(rec)
+            assert rec.is_normal == (group.order == rec.index)
+            seen[rec.is_normal] += 1
+    assert seen[True] and seen[False]

@@ -4,7 +4,7 @@ import pytest
 
 from deflab.chain import presentation_chain_complex
 from deflab.corpus import corpus_presentation
-from deflab.errors import NonPrimeModulus
+from deflab.errors import DeflabError, ModulusTooLarge, NonPrimeModulus
 from deflab.linalg import (
     betti_numbers,
     identity_matrix,
@@ -60,6 +60,39 @@ def test_rank_mod_p_examples():
         assert rank_mod_p([[1, 1], [1, 1]], p) == 1
     with pytest.raises(NonPrimeModulus):
         rank_mod_p([[1]], 6)
+
+
+def exact_rank_mod_p(a, p):
+    """Gauss-Jordan elimination over F_p in Python ints."""
+    m = [[x % p for x in row] for row in a]
+    rank = 0
+    for c in range(len(m[0])):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][c], p - 2, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def test_rank_mod_p_rejects_primes_beyond_int64_products():
+    # 2^32 + 15 is prime, but residue products no longer fit in int64
+    with pytest.raises(ModulusTooLarge):
+        rank_mod_p([[1, 2], [3, 4]], 2**32 + 15)
+    assert issubclass(ModulusTooLarge, DeflabError)
+    p = 2**31 - 1  # the largest prime still accepted
+    rng = random.Random(43)
+    for _ in range(100):
+        u = [[rng.randrange(p) for _ in range(3)] for _ in range(4)]
+        v = [[rng.randrange(p) for _ in range(4)] for _ in range(3)]
+        a = mat_mul(u, v)
+        assert rank_mod_p(a, p) == exact_rank_mod_p(a, p)
 
 
 def test_rank_agreement_away_from_torsion():
