@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import IncompatibleRestriction, InvalidQuotient
+from .errors import IncompatibleRestriction, InternalCheckFailed, InvalidQuotient
 from .groupring import GroupRingElement, fox_derivative
-from .linalg import mat_shape, mat_transpose, zero_matrix
+from .linalg import mat_is_zero, mat_mul, mat_shape, mat_transpose, zero_matrix
 from .words import Word
 
 
@@ -43,7 +41,8 @@ class ChainComplex:
         for i, b in enumerate(self.boundaries):
             assert mat_shape(b) == (self.ranks[i] * q, self.ranks[i + 1] * q)
         for lower, upper in zip(self.boundaries, self.boundaries[1:]):
-            assert _mul_is_zero(lower, upper), "boundary composition is nonzero"
+            if not mat_is_zero(mat_mul(lower, upper)):
+                raise InternalCheckFailed("boundary composition is nonzero")
 
     @property
     def dims(self):
@@ -55,18 +54,6 @@ class ChainComplex:
             "quotient_order": self.quotient_order,
             "boundaries": [[list(row) for row in b] for b in self.boundaries],
         }
-
-
-def _mul_is_zero(a, b):
-    (n, k), (k2, m) = mat_shape(a), mat_shape(b)
-    assert k == k2
-    if 0 in (n, k, m):
-        return True
-    aa = np.array(a, dtype=np.int64)
-    bb = np.array(b, dtype=np.int64)
-    bound = np.abs(aa).max() * np.abs(bb).max() * k
-    assert bound < 2**62, "entries too large for the fast zero check"
-    return not np.any(aa @ bb)
 
 
 def push_to_quotient(x, q):

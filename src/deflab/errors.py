@@ -33,7 +33,11 @@ class NonPrimeModulus(DeflabError):
 
 
 class ModulusTooLarge(DeflabError):
-    """A mod-p operation was asked for p >= 2^31, beyond int64 elimination."""
+    """A mod-p operation was asked for p >= 2^64, where primality is not certified."""
+
+
+class InternalCheckFailed(DeflabError):
+    """A load-bearing self-check failed (raised, not asserted, so -O keeps it)."""
 
 
 class ZeroWitness(DeflabError):

@@ -1,18 +1,20 @@
 """Exact integer and mod-p linear algebra.
 
-All integer work uses Python ints (arbitrary precision).  Mod-p ranks go
-through int64 numpy with entries reduced after every elimination step, so
-they take primes below 2^31.  Smith normal form tracks unimodular
-transforms and self-verifies on every call.
+All arithmetic uses Python ints (arbitrary precision), so nothing can
+overflow.  Ranks over Q and over F_p come from one sparse elimination,
+`_rank`; primes are certified by deterministic Miller-Rabin, which is exact
+below 2^64.  Smith normal form tracks unimodular transforms and
+self-verifies on every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from math import gcd
 
-import numpy as np
-
-from .errors import ModulusTooLarge, NonPrimeModulus
+from .errors import InternalCheckFailed, ModulusTooLarge, NonPrimeModulus
 
 
 # ---------------------------------------------------------------------------
@@ -34,13 +36,18 @@ def mat_shape(a):
 
 
 def mat_mul(a, b):
+    """Exact product a @ b; zero entries of a and b are skipped."""
     n, k = mat_shape(a)
     k2, m = mat_shape(b)
     assert k == k2, f"shape mismatch {k} != {k2}"
-    if n == 0 or m == 0 or k == 0:
-        return zero_matrix(n, m)
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = zero_matrix(n, m)
+    for row, acc in zip(a, out):
+        for x, b_row in zip(row, b_rows):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+    return out
 
 
 def mat_transpose(a):
@@ -53,86 +60,87 @@ def mat_is_zero(a):
     return all(all(x == 0 for x in row) for row in a)
 
 
+def _rank(a, p):
+    """Rank of a dense integer matrix over F_p, or over Q when p == 0.
+
+    Sparse rows {col: value} with a column -> rows index.  Each step pivots on
+    the sparsest row, at a +-1 entry if any, else in the shortest column, and
+    clears that column from the other rows by s*row - t*pivot: mod p with the
+    pivot scaled to 1 over F_p, divided by the row's content over Q.
+    """
+    rows, where = {}, defaultdict(set)
+    for i, dense in enumerate(a):
+        rows[i] = row = {j: y for j, x in enumerate(dense) if (y := x % p if p else x)}
+        for j in row:
+            where[j].add(i)
+    heap = [(len(row), i) for i, row in rows.items() if row]
+    heapify(heap)
+    units = (1, p - 1) if p else (1, -1)
+    while heap:
+        n, i = heappop(heap)
+        if len(rows.get(i, ())) != n:
+            continue  # stale entry: the row was pivoted or changed length
+        piv = rows.pop(i)
+        for j in piv:
+            where[j].discard(i)
+        c = min(piv, key=lambda j: (piv[j] not in units, len(where[j]), j))
+        v = piv.pop(c)
+        if p and v != 1:
+            inv = pow(v, -1, p)
+            piv, v = {j: x * inv % p for j, x in piv.items()}, 1
+        for k in where.pop(c):
+            row = rows[k]
+            w = row.pop(c)
+            g = gcd(v, w)
+            s, t = v // g, w // g
+            if s != 1:
+                rows[k] = row = {j: x * s for j, x in row.items()}
+            for j, x in piv.items():
+                y = row.get(j, 0) - t * x
+                if p:
+                    y %= p
+                if y:
+                    if j not in row:
+                        where[j].add(k)
+                    row[j] = y
+                elif j in row:
+                    del row[j]
+                    where[j].discard(k)
+            if row:
+                if not p and (g := gcd(*row.values())) > 1:
+                    rows[k] = {j: x // g for j, x in row.items()}
+                heappush(heap, (len(row), k))
+    return len(a) - len(rows)  # each pivot popped its row; the rest are now empty
+
+
 def rank_over_Q(a):
-    """Exact rational rank via fraction-free (Bareiss) elimination."""
-    m = [row[:] for row in a]
-    rows, cols = mat_shape(a)
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(cols):
-        piv = None
-        best = None
-        for i in range(r, rows):
-            v = m[i][c]
-            if v != 0 and (best is None or abs(v) < best):
-                best, piv = abs(v), i
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        rank += 1
-        if r == rows:
-            break
-    return rank
+    """Exact rational rank of an integer matrix; `a` is not modified."""
+    return _rank(a, 0)
 
 
 def is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
+    """Deterministic Miller-Rabin with bases 2..37, exact for every n < 2^64.
+
+    Larger n raise ModulusTooLarge rather than get an uncertified answer.
+    """
+    if n >= 2**64:
+        raise ModulusTooLarge(f"{n} too large: primality is certified only below 2^64")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % q == 0 for q in bases):
+        return n in bases
+    s = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for q in bases:
+        if pow(q, d, n) != 1 and all(pow(q, d << i, n) != n - 1 for i in range(s)):
+            return False  # q witnesses that n is composite
     return True
 
 
 def rank_mod_p(a, p):
-    """Rank of an integer matrix over the field with p elements.
-
-    Elimination runs in int64, where products of two residues stay exact
-    only while p < 2^31; larger p raise ModulusTooLarge.
-    """
-    if p >= 2**31:
-        raise ModulusTooLarge(f"prime {p} is too large: mod-p ranks need p < 2^31")
+    """Rank of an integer matrix over F_p, prime p < 2^64; `a` is not modified."""
     if not is_prime(p):
         raise NonPrimeModulus(f"{p} is not prime")
-    rows, cols = mat_shape(a)
-    if rows == 0 or cols == 0:
-        return 0
-    # reduce in python first: entries may exceed int64
-    m = np.array([[x % p for x in row] for row in a], dtype=np.int64)
-    rank = 0
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i, c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        m = (m - np.outer(col, m[r])) % p
-        r += 1
-        rank += 1
-        if r == rows:
-            break
-    return rank
+    return _rank(a, p)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +185,10 @@ class SNFResult:
         }
 
     def verify(self, a):
-        assert mat_mul(mat_mul(self.left, a), self.right) == self.diagonal_matrix()
-        for x, y in zip(self.diagonal, self.diagonal[1:]):
-            assert x > 0 and y % x == 0, f"divisibility fails: {self.diagonal}"
+        if mat_mul(mat_mul(self.left, a), self.right) != self.diagonal_matrix():
+            raise InternalCheckFailed("L @ A @ R is not the Smith diagonal")
+        if any(x <= 0 or y % x for x, y in zip(self.diagonal, self.diagonal[1:])):
+            raise InternalCheckFailed(f"divisibility fails: {self.diagonal}")
 
 
 class _SNFWork:

@@ -61,11 +61,16 @@ def test_homology():
 
 
 def test_homology_rejects_prime_too_large_for_int64():
-    proc = run_cli("homology", "corpus:torus", "--field", "4294967311")
+    # primality is certified only below 2^64; 2^64 + 13 is the first prime above
+    proc = run_cli("homology", "corpus:torus", "--field", str(2**64 + 13))
     assert proc.returncode == 1
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:") and "2^31" in lines[0]
+    assert len(lines) == 1 and lines[0].startswith("error:") and "2^64" in lines[0]
+    over_q = json.loads(run_cli("homology", "corpus:torus").stdout)
+    proc = run_cli("homology", "corpus:torus", "--field", "4294967311")  # 2^32 + 15
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["betti"] == over_q["betti"] == [1, 2, 1]
 
 
 def test_deficiency():

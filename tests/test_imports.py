@@ -1,4 +1,4 @@
-"""Modules share code through public names only."""
+"""Modules share code through public names only and import no numpy."""
 
 import ast
 from pathlib import Path
@@ -43,4 +43,44 @@ def test_checker_flags_private_imports(tmp_path):
     assert private_imports(bad) == [
         "bad.py:1 imports _hidden",
         "bad.py:3 imports _Search",
+    ]
+
+
+def numpy_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] == "numpy":
+                found.append(f"{path.name}:{node.lineno} imports {name}")
+    return found
+
+
+def test_no_module_imports_numpy():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 10
+    offences = [hit for path in modules for hit in numpy_imports(path)]
+    assert offences == []
+
+
+def test_checker_flags_numpy_imports(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import numpy as np\n"
+        "import os, numpy.linalg\n"
+        "def f():\n"
+        "    from numpy import array\n"
+        "from .numpy import helper\n"
+        "import numpyish\n"
+    )
+    assert numpy_imports(bad) == [
+        "bad.py:1 imports numpy",
+        "bad.py:2 imports numpy.linalg",
+        "bad.py:4 imports numpy",
     ]

@@ -1,13 +1,25 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from deflab.chain import presentation_chain_complex
-from deflab.corpus import corpus_presentation
-from deflab.errors import DeflabError, ModulusTooLarge, NonPrimeModulus
+from deflab import modp
+from deflab.chain import ChainComplex, presentation_chain_complex
+from deflab.corpus import CORPUS, corpus_presentation
+from deflab.errors import (
+    DeflabError,
+    InternalCheckFailed,
+    ModulusTooLarge,
+    NonPrimeModulus,
+)
 from deflab.linalg import (
+    SNFResult,
     betti_numbers,
     identity_matrix,
+    is_prime,
     mat_mul,
     morse_check,
     partial_euler_mu,
@@ -82,17 +94,37 @@ def exact_rank_mod_p(a, p):
 
 
 def test_rank_mod_p_rejects_primes_beyond_int64_products():
-    # 2^32 + 15 is prime, but residue products no longer fit in int64
+    # primality is certified only below 2^64; 2^64 + 13 is the first prime above
     with pytest.raises(ModulusTooLarge):
-        rank_mod_p([[1, 2], [3, 4]], 2**32 + 15)
+        rank_mod_p([[1, 2], [3, 4]], 2**64 + 13)
     assert issubclass(ModulusTooLarge, DeflabError)
-    p = 2**31 - 1  # the largest prime still accepted
     rng = random.Random(43)
-    for _ in range(100):
-        u = [[rng.randrange(p) for _ in range(3)] for _ in range(4)]
-        v = [[rng.randrange(p) for _ in range(4)] for _ in range(3)]
-        a = mat_mul(u, v)
-        assert rank_mod_p(a, p) == exact_rank_mod_p(a, p)
+    for p in (2**31 - 1, 2**32 + 15, 2**61 - 1):
+        for _ in range(100):
+            u = [[rng.randrange(p) for _ in range(3)] for _ in range(4)]
+            v = [[rng.randrange(p) for _ in range(4)] for _ in range(3)]
+            a = mat_mul(u, v)
+            assert rank_mod_p(a, p) == exact_rank_mod_p(a, p)
+        a = [[1, 1], [1, 1 + p]]
+        assert rank_mod_p(a, p) == exact_rank_mod_p(a, p) == 1
+
+
+def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(-3, 5000) if is_prime(n)] == [
+        n for n in range(-3, 5000) if trial(n)
+    ]
+    # Carmichael numbers with no factor below 41 (211 * 421 * 631 passes every
+    # base if reaching 1 before -1 counted as a pass), then strong
+    # pseudoprimes to every base up to 7, 13 and 23
+    for n in (41 * 61 * 101, 211 * 421 * 631, 3215031751, 3474749660383, 3825123056546413051):
+        assert not is_prime(n)
+    for n in (2**31 - 1, 2**32 + 15, 2**61 - 1, 2**64 - 59):
+        assert is_prime(n)
+    with pytest.raises(ModulusTooLarge, match="2\\^64"):
+        is_prime(2**64 + 13)
 
 
 def test_rank_agreement_away_from_torsion():
@@ -155,10 +187,8 @@ def test_morse_check():
     assert not holds and slack == -6
 
 
-def test_rank_agreement_on_corpus_matrices():
-    # corpus-derived integer matrices: abelianized relators, chain boundaries
-    from deflab.corpus import CORPUS, corpus_presentation
-
+def corpus_matrices():
+    """Corpus-derived integer matrices: abelianized relators, chain boundaries."""
     mats = []
     for name in CORPUS:
         p = corpus_presentation(name)
@@ -170,7 +200,11 @@ def test_rank_agreement_on_corpus_matrices():
             if b and b[0]:
                 mats.append(b)
     assert mats
-    for a in mats:
+    return mats
+
+
+def test_rank_agreement_on_corpus_matrices():
+    for a in corpus_matrices():
         snf = smith_normal_form(a)
         for p_ in (2, 3, 5, 7):
             if all(d % p_ for d in snf.diagonal):
@@ -178,8 +212,6 @@ def test_rank_agreement_on_corpus_matrices():
 
 
 def test_b0_is_one_on_connected_corpus_complexes():
-    from deflab.corpus import CORPUS, corpus_presentation
-
     for name in CORPUS:
         p = corpus_presentation(name)
         c = presentation_chain_complex(p, FiniteGroup.trivial(p.num_generators))
@@ -192,3 +224,115 @@ def test_snf_serializable():
     snf = smith_normal_form([[2, 0], [0, 3]])
     data = json.loads(json.dumps(snf.to_json()))
     assert data["diagonal"] == [1, 6] and data["rank"] == 2
+
+
+ORACLE_PRIMES = (2, 3, 5, 2**31 - 1)
+BIG = 10**30
+
+
+def rand_oracle_matrix(rng, max_dim=12):
+    """Random low-rank matrix with zero rows and columns, duplicate rows and
+    entries of +-10^30 (which vanish mod 2 and mod 5)."""
+    rows, cols = rng.randint(1, max_dim), rng.randint(1, max_dim)
+    inner = rng.randint(1, max_dim)
+    u = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(inner)] for _ in range(rows)]
+    v = [
+        [rng.choice((0, 0, 1, -1, 5, BIG, -BIG)) for _ in range(cols)]
+        for _ in range(inner)
+    ]
+    a = mat_mul(u, v)
+    for _ in range(rng.randint(0, 3)):
+        a[rng.randrange(rows)][rng.randrange(cols)] = rng.choice((BIG, -BIG))
+    if rng.random() < 0.5:
+        a[rng.randrange(rows)] = list(a[rng.randrange(rows)])
+    if rng.random() < 0.5:
+        a[rng.randrange(rows)] = [0] * cols
+    if rng.random() < 0.5:
+        j = rng.randrange(cols)
+        for row in a:
+            row[j] = 0
+    return a
+
+
+def assert_ranks_match_oracles(a, primes=ORACLE_PRIMES, q_rank=None):
+    before = [row[:] for row in a]
+    if q_rank is None:
+        q_rank = smith_normal_form(a).rank
+    assert rank_over_Q(a) == q_rank
+    for p in primes:
+        assert rank_mod_p(a, p) == exact_rank_mod_p(a, p), p
+    assert a == before, "rank routines must not modify their input"
+
+
+def test_sparse_ranks_match_oracles_on_random_matrices():
+    rng = random.Random(53)
+    for _ in range(200):
+        assert_ranks_match_oracles(rand_oracle_matrix(rng))
+
+
+def test_sparse_ranks_match_oracles_on_corpus_and_bar_matrices(monkeypatch):
+    for a in corpus_matrices():
+        assert_ranks_match_oracles(a)
+    bar = []  # the bar complex's d1 and d2, as bar_cohomology_dims ranks them
+    monkeypatch.setattr(modp, "rank_mod_p", lambda a, p: bar.append(a) or rank_mod_p(a, p))
+    d16 = FiniteGroup.from_permutations([(1, 2, 3, 4, 5, 6, 7, 0), (0, 7, 6, 5, 4, 3, 2, 1)])
+    assert modp.bar_cohomology_dims(d16, 2).dims == (1, 2, 3)
+    d1, d2 = bar
+    assert_ranks_match_oracles(d1)
+    # dense SNF of the 4096 x 256 d2 needs a 4096 x 4096 transform; over Q
+    # H^1 = H^2 = 0 for a finite group, so rank d2 = 16^2 - rank d1 = 240.
+    # The dense oracle takes seconds per prime here, so only p = 2 is run:
+    # the prime where the rank drops (H^2(D16; F_2) has dimension 3).
+    assert_ranks_match_oracles(d2, primes=(2,), q_rank=240)
+
+
+def test_mat_mul_matches_the_definition():
+    rng = random.Random(59)
+    for _ in range(200):
+        a, b = rand_oracle_matrix(rng), rand_oracle_matrix(rng)
+        b = (b * len(a[0]))[: len(a[0])]  # len(a[0]) rows
+        n, k, m = len(a), len(b), len(b[0])
+        expected = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
+        assert mat_mul(a, b) == expected
+    assert mat_mul([[1, 2]], [[0], [0]]) == [[0]]
+    assert mat_mul([[], []], []) == [[], []]
+
+
+def test_chain_complex_checks_large_entries_exactly():
+    x = 2**40
+    ChainComplex(ranks=(1, 2, 1), boundaries=([[x, x]], [[x], [-x]]), quotient_order=1)
+    with pytest.raises(InternalCheckFailed):
+        ChainComplex(ranks=(1, 1, 1), boundaries=([[x]], [[x]]), quotient_order=1)
+
+
+CHECKS_UNDER_O = """
+from deflab.chain import ChainComplex
+from deflab.errors import InternalCheckFailed
+from deflab.linalg import SNFResult
+
+assert False, "python -O must strip assert statements"
+for check in (
+    lambda: ChainComplex(ranks=(1, 1, 1), boundaries=([[1]], [[1]]), quotient_order=1),
+    lambda: SNFResult(diagonal=[2], rank=1, left=[[1]], right=[[1]], shape=(1, 1)).verify([[1]]),
+):
+    try:
+        check()
+    except InternalCheckFailed as exc:
+        print(type(exc).__name__)
+"""
+
+
+def test_internal_checks_survive_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CHECKS_UNDER_O], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["InternalCheckFailed"] * 2
+    with pytest.raises(InternalCheckFailed):
+        SNFResult(diagonal=[2], rank=1, left=[[1]], right=[[1]], shape=(1, 1)).verify([[1]])
+    not_a_chain = SNFResult(diagonal=[2, 3], rank=2, left=identity_matrix(2),
+                            right=identity_matrix(2), shape=(2, 2))
+    with pytest.raises(InternalCheckFailed, match="divisibility"):
+        not_a_chain.verify([[2, 0], [0, 3]])
