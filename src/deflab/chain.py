@@ -8,8 +8,10 @@ Conventions, fixed once and used consistently:
 * Boundary matrices act on column vectors.  The basis of the degree-d module
   (ZQ)^f is (slot, group element) with elements in canonical order, identity
   first; the (slot i, slot j) block of a boundary is the transpose of the
-  push of the corresponding group-ring entry.  d1 composed after d2 is the
-  zero matrix, verified at construction.
+  push of the corresponding group-ring entry.  It is filled straight from
+  the quotient's right action: a term c*w puts c at row h*w, column h of
+  the block for every element h.  d1 composed after d2 is the zero matrix,
+  verified at construction.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import IncompatibleRestriction, InternalCheckFailed, InvalidQuotient
 from .groupring import GroupRingElement, fox_derivative
-from .linalg import mat_is_zero, mat_mul, mat_shape, mat_transpose, zero_matrix
+from .linalg import mat_is_zero, mat_mul, mat_shape, zero_matrix
 from .words import Word
 
 
@@ -36,10 +38,14 @@ class ChainComplex:
 
     def __post_init__(self):
         q = self.quotient_order
-        assert q >= 1
-        assert len(self.boundaries) == len(self.ranks) - 1
+        if q < 1:
+            raise ValueError(f"quotient order {q} is not positive")
+        if len(self.boundaries) != len(self.ranks) - 1:
+            raise ValueError("need one boundary per pair of adjacent ranks")
         for i, b in enumerate(self.boundaries):
-            assert mat_shape(b) == (self.ranks[i] * q, self.ranks[i + 1] * q)
+            want = (self.ranks[i] * q, self.ranks[i + 1] * q)
+            if mat_shape(b) != want:
+                raise ValueError(f"boundary {i} has shape {mat_shape(b)}, not {want}")
         for lower, upper in zip(self.boundaries, self.boundaries[1:]):
             if not mat_is_zero(mat_mul(lower, upper)):
                 raise InternalCheckFailed("boundary composition is nonzero")
@@ -61,9 +67,8 @@ def push_to_quotient(x, q):
     n = q.order
     m = zero_matrix(n, n)
     for w, c in x.terms:
-        g = q.project_word(w)
         for h in range(n):
-            m[h][q.mult[h][g]] += c
+            m[h][q.trace(h, w)] += c
     return m
 
 
@@ -76,31 +81,22 @@ def presentation_chain_complex(p, q):
     e2 = p.num_relators
     n = q.order
 
+    def fill(d, x, row_block, col_block):
+        # block (row_block, col_block) of d is the transposed push of x
+        for w, c in x.terms:
+            for h in range(n):
+                d[row_block * n + q.trace(h, w)][col_block * n + h] += c
+
     d1 = zero_matrix(n, e1 * n)
     for i in range(e1):
-        xi = GroupRingElement.of_word(Word(((i, 1),))) - GroupRingElement.one()
-        block = mat_transpose(push_to_quotient(xi, q))
-        _paste(d1, block, 0, i, n)
+        fill(d1, GroupRingElement.of_word(Word(((i, 1),))) - GroupRingElement.one(), 0, i)
 
     d2 = zero_matrix(e1 * n, e2 * n)
     for j, r in enumerate(p.relators):
         for i in range(e1):
-            der = fox_derivative(r, i)
-            if not der:
-                continue
-            block = mat_transpose(push_to_quotient(der, q))
-            _paste(d2, block, i, j, n)
+            fill(d2, fox_derivative(r, i), i, j)
 
     return ChainComplex(ranks=(1, e1, e2), boundaries=(d1, d2), quotient_order=n)
-
-
-def _paste(target, block, row_block, col_block, n):
-    for a in range(n):
-        row = target[row_block * n + a]
-        base = col_block * n
-        brow = block[a]
-        for b in range(n):
-            row[base + b] = brow[b]
 
 
 def restrict_to_subgroup(c, record, quotient):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .errors import LimitExceeded
+from .errors import InternalCheckFailed, LimitExceeded
 from .presentation import Presentation
 from .words import Word
 
@@ -48,6 +48,17 @@ def orbit(start, successors, limit=None):
     return order, index
 
 
+def inverse_permutations(perms):
+    """The inverse of each permutation of range(n) in perms."""
+    inv = []
+    for perm in perms:
+        q = [0] * len(perm)
+        for i, j in enumerate(perm):
+            q[j] = i
+        inv.append(tuple(q))
+    return tuple(inv)
+
+
 @dataclass(frozen=True)
 class CosetTable:
     """Permutation action of the generators on the cosets of a subgroup.
@@ -69,7 +80,8 @@ class CosetTable:
         positive generator columns.
         """
         order, rename = orbit(0, lambda c: rows[c][::2])
-        assert len(order) == len(rows), "table not transitive"
+        if len(order) != len(rows):
+            raise InternalCheckFailed("table not transitive")
         action = tuple(
             tuple(rename[rows[c][2 * g]] for c in order)
             for g in range(origin.num_generators)
@@ -89,13 +101,7 @@ class CosetTable:
 
     @cached_property
     def inverse_action(self):
-        inv = []
-        for perm in self.action:
-            q = [0] * self.index
-            for i, j in enumerate(perm):
-                q[j] = i
-            inv.append(tuple(q))
-        return tuple(inv)
+        return inverse_permutations(self.action)
 
     def trace(self, coset, word):
         inv = self.inverse_action
@@ -108,9 +114,11 @@ class CosetTable:
         """Check relator actions are the identity and the action is transitive."""
         for r in self.origin.relators:
             for c in range(self.index):
-                assert self.trace(c, r) == c, "relator does not act trivially"
+                if self.trace(c, r) != c:
+                    raise InternalCheckFailed("relator does not act trivially")
         reached, _ = orbit(0, lambda c: [perm[c] for perm in self.action])
-        assert len(reached) == self.index, "action is not transitive"
+        if len(reached) != self.index:
+            raise InternalCheckFailed("action is not transitive")
 
     def action_key(self):
         return tuple(tuple(perm) for perm in self.action)

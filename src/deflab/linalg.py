@@ -24,13 +24,6 @@ def zero_matrix(rows, cols):
     return [[0] * cols for _ in range(rows)]
 
 
-def identity_matrix(n):
-    m = zero_matrix(n, n)
-    for i in range(n):
-        m[i][i] = 1
-    return m
-
-
 def mat_shape(a):
     return (len(a), len(a[0]) if a else 0)
 
@@ -39,7 +32,8 @@ def mat_mul(a, b):
     """Exact product a @ b; zero entries of a and b are skipped."""
     n, k = mat_shape(a)
     k2, m = mat_shape(b)
-    assert k == k2, f"shape mismatch {k} != {k2}"
+    if k != k2:
+        raise ValueError(f"shape mismatch {k} != {k2}")
     b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = zero_matrix(n, m)
     for row, acc in zip(a, out):
@@ -48,12 +42,6 @@ def mat_mul(a, b):
                 for j, y in b_row:
                     acc[j] += x * y
     return out
-
-
-def mat_transpose(a):
-    if not a:
-        return []
-    return [list(row) for row in zip(*a)]
 
 
 def mat_is_zero(a):
@@ -192,46 +180,44 @@ class SNFResult:
 
 
 class _SNFWork:
-    """Mutable elimination state; row ops mirror into L, column ops into R."""
+    """Mutable elimination state on the block matrix [[A, I], [I, 0]].
+
+    Row operations touch only the top rows and column operations only the
+    left columns, so each one moves A together with L (top right block) or
+    R (bottom left block): at every step the blocks hold L @ A @ R, L and R.
+    """
 
     def __init__(self, a):
-        self.m = [row[:] for row in a]
-        self.rows, self.cols = mat_shape(a)
-        self.left = identity_matrix(self.rows)
-        self.right = identity_matrix(self.cols)
-        self.det_left = 1
-        self.det_right = 1
+        self.rows, self.cols = rows, cols = mat_shape(a)
+        self.m = [list(row) + [0] * rows for row in a]
+        self.m += [[0] * (cols + rows) for _ in range(cols)]
+        for k in range(rows):
+            self.m[k][cols + k] = 1
+        for k in range(cols):
+            self.m[rows + k][k] = 1
+
+    @property
+    def left(self):
+        return [row[self.cols:] for row in self.m[:self.rows]]
+
+    @property
+    def right(self):
+        return [row[:self.cols] for row in self.m[self.rows:]]
 
     def swap_rows(self, i, j):
-        if i == j:
-            return
         self.m[i], self.m[j] = self.m[j], self.m[i]
-        self.left[i], self.left[j] = self.left[j], self.left[i]
-        self.det_left = -self.det_left
 
     def swap_cols(self, i, j):
         if i == j:
             return
         for row in self.m:
             row[i], row[j] = row[j], row[i]
-        for row in self.right:
-            row[i], row[j] = row[j], row[i]
-        self.det_right = -self.det_right
 
     def negate_row(self, i):
         self.m[i] = [-x for x in self.m[i]]
-        self.left[i] = [-x for x in self.left[i]]
-        self.det_left = -self.det_left
-
-    def add_row(self, src, dst, c):
-        # row[dst] += c * row[src]
-        self.m[dst] = [x + c * y for x, y in zip(self.m[dst], self.m[src])]
-        self.left[dst] = [x + c * y for x, y in zip(self.left[dst], self.left[src])]
 
     def add_col(self, src, dst, c):
         for row in self.m:
-            row[dst] += c * row[src]
-        for row in self.right:
             row[dst] += c * row[src]
 
     def combine_rows(self, i, j, col):
@@ -239,17 +225,15 @@ class _SNFWork:
         a, b = self.m[i][col], self.m[j][col]
         if b == 0:
             return
+        mi, mj = self.m[i], self.m[j]
         if a != 0 and b % a == 0:
-            self.add_row(i, j, -(b // a))
+            c = b // a
+            self.m[j] = [v - c * u for u, v in zip(mi, mj)]
             return
         g, x, y = _xgcd(a, b)
         ag, bg = a // g, b // g
-        mi, mj = self.m[i], self.m[j]
-        li, lj = self.left[i], self.left[j]
         self.m[i] = [x * u + y * v for u, v in zip(mi, mj)]
         self.m[j] = [-bg * u + ag * v for u, v in zip(mi, mj)]
-        self.left[i] = [x * u + y * v for u, v in zip(li, lj)]
-        self.left[j] = [-bg * u + ag * v for u, v in zip(li, lj)]
         # determinant of [[x, y], [-bg, ag]] is x*ag + y*bg = 1
 
     def combine_cols(self, i, j, row):
@@ -265,10 +249,6 @@ class _SNFWork:
             u, v = mrow[i], mrow[j]
             mrow[i] = x * u + y * v
             mrow[j] = -bg * u + ag * v
-        for rrow in self.right:
-            u, v = rrow[i], rrow[j]
-            rrow[i] = x * u + y * v
-            rrow[j] = -bg * u + ag * v
 
 
 def smith_normal_form(a):
@@ -329,7 +309,6 @@ def smith_normal_form(a):
         shape=(rows, cols),
     )
     result.verify(a)
-    assert abs(w.det_left) == 1 and abs(w.det_right) == 1
     return result
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .chain import presentation_chain_complex
 from .coset import subgroup_record
 from .errors import (
+    InternalCheckFailed,
     LimitExceeded,
     NonNormalSubgroup,
     NonPrimeModulus,
@@ -121,7 +122,8 @@ def dual_complex_dims(p, record, prime, cap=64, bar_crosscheck=True):
     if k > cap:
         raise OrderCapExceeded(f"quotient order {k} exceeds the cap {cap}")
     _, quotient = core_quotient(record, max_order=cap + 1)
-    assert quotient.order == k, "normal subgroup must equal its core"
+    if quotient.order != k:
+        raise InternalCheckFailed("normal subgroup must equal its core")
     complex_ = presentation_chain_complex(p, quotient)
     e1, e2 = p.num_generators, p.num_relators
     d1, d2 = complex_.boundaries
@@ -136,11 +138,13 @@ def dual_complex_dims(p, record, prime, cap=64, bar_crosscheck=True):
         finite = _finite_subgroup_realization(p, record, cap)
         if finite is not None:
             ref = bar_cohomology_dims(finite, prime, max_order=cap)
-            assert ref.dims[0] == h0 and ref.dims[1] == h1, (
-                "dual complex disagrees with the bar oracle in low degrees"
-            )
+            if ref.dims[:2] != (h0, h1):
+                raise InternalCheckFailed(
+                    "dual complex disagrees with the bar oracle in low degrees"
+                )
             jbar = h2t - ref.dims[2]
-            assert jbar >= 0
+            if jbar < 0:
+                raise InternalCheckFailed(f"bar oracle H^2 exceeds the truncated h2 by {-jbar}")
     return DualComplexReport(
         p=prime,
         index=k,
@@ -151,8 +155,9 @@ def dual_complex_dims(p, record, prime, cap=64, bar_crosscheck=True):
 
 
 def _finite_subgroup_realization(p, record, cap):
-    """Multiplication table of the subgroup itself, when the whole group is
-    finite and small enough to realize regularly."""
+    """The subgroup itself as a FiniteGroup, when the whole group is finite
+    and small enough to realize regularly: the closure of its members'
+    right-regular permutations of one another."""
     try:
         regular = subgroup_record(p, (), limit=4 * cap + 8)
     except LimitExceeded:
@@ -166,11 +171,7 @@ def _finite_subgroup_realization(p, record, cap):
     if len(members) * record.index != order:
         return None
     pos = {e: i for i, e in enumerate(members)}
-    gmult = [
-        [regular.table.trace(a, regular.transversal[b]) for b in range(order)]
-        for a in range(order)
-    ]
-    mult = tuple(
-        tuple(pos[gmult[a][b]] for b in members) for a in members
-    )
-    return FiniteGroup(mult=mult, gen_images=())
+    return FiniteGroup.from_permutations([
+        tuple(pos[regular.table.trace(x, regular.transversal[m])] for x in members)
+        for m in members
+    ])

@@ -1,78 +1,84 @@
-"""Finite quotient groups: permutation-image closures and multiplication
-tables, plus projections used for group-ring pushforwards.
+"""Finite quotient groups as right-regular permutation actions, plus the
+projections used for group-ring pushforwards.
 
-Element 0 is always the identity and elements are numbered in BFS order of
-right multiplication by the generator images, matching the canonical coset
-numbering of the underlying tables.
+A FiniteGroup keeps only the generator columns of its right-regular action,
+O(order * generators) entries; products are computed by tracing words.  The
+order x order multiplication table and the inverses are derived on first
+use.  Element 0 is always the identity and elements are numbered in BFS
+order of right multiplication by the generator images, matching the
+canonical coset numbering of the underlying tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .coset import CosetTable, orbit, schreier_transversal
+from .coset import CosetTable, inverse_permutations, orbit, schreier_transversal
 
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group given by its multiplication table.
+    """A finite group given by the right-regular action of its generators.
 
-    mult[i][j] is the product (element i) * (element j); inverse and the
-    identity (element 0) are derived.  gen_images projects the generators of
-    an ambient presentation into the group; the projection of a word folds
-    the table over its letters.
+    right[i][e] is element e times the image of generator i.  The image of
+    generator i is right[i][0]; with no generators the group is trivial.
     """
 
-    mult: tuple
-    gen_images: tuple
+    right: tuple  # per generator, a permutation of range(order)
+
+    def __post_init__(self):
+        n = self.order
+        for perm in self.right:
+            if sorted(perm) != list(range(n)):
+                raise ValueError("generator action is not a permutation of the elements")
 
     @property
     def order(self):
-        return len(self.mult)
+        return len(self.right[0]) if self.right else 1
 
-    def __post_init__(self):
-        n = len(self.mult)
-        assert all(len(row) == n for row in self.mult)
-        assert all(self.mult[0][j] == j and self.mult[j][0] == j for j in range(n)), (
-            "element 0 must be the identity"
-        )
-        inv = [None] * n
-        for i in range(n):
-            for j in range(n):
-                if self.mult[i][j] == 0:
-                    inv[i] = j
-        assert None not in inv, "multiplication table has no inverses"
-        object.__setattr__(self, "_inv", tuple(inv))
+    @cached_property
+    def inverse_right(self):
+        """inverse_right[i][e] is element e times the inverse image of generator i."""
+        return inverse_permutations(self.right)
 
-    @property
-    def inverse(self):
-        return self._inv
-
-    def project_word(self, w):
-        e = 0
+    def trace(self, e, w):
+        """Element e times the image of the word w."""
         for g, s in w:
-            img = self.gen_images[g]
-            e = self.mult[e][img if s == 1 else self._inv[img]]
+            e = (self.right if s == 1 else self.inverse_right)[g][e]
         return e
 
-    def verify_group_axioms(self):
-        n = self.order
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    assert (
-                        self.mult[self.mult[i][j]][k] == self.mult[i][self.mult[j][k]]
-                    ), "multiplication is not associative"
+    def project_word(self, w):
+        return self.trace(0, w)
+
+    @cached_property
+    def mult(self):
+        """mult[a][b] is the product a * b; built here, order^2 entries.
+
+        Column b of the table is the map a -> a * b.  The columns form one
+        orbit under right multiplication by the generators, starting at the
+        identity column; more than `order` of them means the action is not
+        regular.
+        """
+        columns, _ = orbit(
+            tuple(range(self.order)),
+            lambda col: [tuple(perm[a] for a in col) for perm in self.right],
+            limit=self.order,
+        )
+        return tuple(zip(*sorted(columns)))  # column b starts with 0 * b = b
+
+    @cached_property
+    def inverse(self):
+        return tuple(row.index(0) for row in self.mult)
 
     @staticmethod
     def trivial(ngens):
-        return FiniteGroup(mult=((0,),), gen_images=(0,) * ngens)
+        return FiniteGroup(right=((0,),) * ngens)
 
     @staticmethod
     def cyclic(n, ngens=1):
         """Cyclic group of order n with every generator mapping to 1 mod n."""
-        mult = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-        return FiniteGroup(mult=mult, gen_images=(1 % n,) * ngens)
+        return FiniteGroup(right=(tuple((e + 1) % n for e in range(n)),) * ngens)
 
     @staticmethod
     def from_permutations(gen_perms, max_order=20_000):
@@ -87,18 +93,13 @@ class FiniteGroup:
             lambda e: [tuple(gp[x] for x in e) for gp in gen_perms],
             limit=max_order,
         )
-        mult = []
-        for a in elements:
-            row = []
-            for b in elements:
-                row.append(index[tuple(b[x] for x in a)])
-            mult.append(tuple(row))
-        gen_images = tuple(index[tuple(gp)] for gp in gen_perms)
-        return FiniteGroup(mult=tuple(mult), gen_images=gen_images)
+        return FiniteGroup(right=tuple(
+            tuple(index[tuple(gp[x] for x in e)] for e in elements) for gp in gen_perms
+        ))
 
     def subgroup_closure(self, seeds):
         """Element set of the subgroup generated by seeds, in BFS order."""
-        steps = [t for s in seeds for t in (s, self._inv[s])]
+        steps = [t for s in seeds for t in (s, self.inverse[s])]
         elements, _ = orbit(0, lambda e: [self.mult[e][t] for t in steps])
         return elements
 
@@ -115,8 +116,8 @@ def core_quotient(record, max_order=20_000):
         [tuple(perm) for perm in table.action], max_order=max_order
     )
     # the core's coset table is the regular action of G/core on itself
-    steps = [x for img in group.gen_images for x in (img, group.inverse[img])]
-    rows = [[group.mult[e][x] for x in steps] for e in range(group.order)]
+    pairs = list(zip(group.right, group.inverse_right))
+    rows = [[perm[e] for pair in pairs for perm in pair] for e in range(group.order)]
     return CosetTable.from_rows(rows, table.origin), group
 
 

@@ -11,7 +11,7 @@ from deflab.chain import (
 from deflab.corpus import corpus_presentation
 from deflab.coset import subgroup_record
 from deflab.errors import InvalidQuotient
-from deflab.groupring import GroupRingElement
+from deflab.groupring import GroupRingElement, fox_derivative
 from deflab.linalg import betti_numbers, mat_mul, mat_is_zero
 from deflab.lowindex import low_index_subgroups
 from deflab.presentation import Presentation, parse_presentation, parse_word
@@ -30,6 +30,46 @@ def rand_element(rng, ngens, maxterms=4):
         )
         d[w] = d.get(w, 0) + rng.randrange(-3, 4)
     return GroupRingElement.from_dict(d)
+
+
+def dense_push(x, q):
+    """Right multiplication by x through the multiplication table."""
+    n = q.order
+    m = [[0] * n for _ in range(n)]
+    for w, c in x.terms:
+        g = q.project_word(w)
+        for h in range(n):
+            m[h][q.mult[h][g]] += c
+    return m
+
+
+def block_transpose_boundaries(p, q):
+    """d1, d2 pasted block by block from transposed dense pushes."""
+    n, e1, e2 = q.order, p.num_generators, p.num_relators
+
+    def paste(blocks, row_blocks, col_blocks):
+        d = [[0] * (col_blocks * n) for _ in range(row_blocks * n)]
+        for (i, j), x in blocks.items():
+            push = dense_push(x, q)
+            for a in range(n):
+                for b in range(n):
+                    d[i * n + a][j * n + b] = push[b][a]
+        return d
+
+    gens = [GroupRingElement.of_word(Word(((i, 1),))) for i in range(e1)]
+    d1 = paste({(0, i): x - GroupRingElement.one() for i, x in enumerate(gens)}, 1, e1)
+    d2 = paste({(i, j): fox_derivative(r, i) for j, r in enumerate(p.relators)
+                for i in range(e1)}, e1, e2)
+    return d1, d2
+
+
+def test_boundaries_equal_block_transpose_of_dense_push(corpus_core_quotients):
+    for name, p, _, q in corpus_core_quotients:
+        c = presentation_chain_complex(p, q)
+        assert c.boundaries == block_transpose_boundaries(p, q), name
+        for r in p.relators:
+            der = fox_derivative(r, 0)
+            assert push_to_quotient(der, q) == dense_push(der, q), name
 
 
 def test_push_units():

@@ -1,4 +1,5 @@
-"""Modules share code through public names only and import no numpy."""
+"""Modules share code through public names only, import no numpy and define
+nothing that the package itself never uses."""
 
 import ast
 from pathlib import Path
@@ -83,4 +84,63 @@ def test_checker_flags_numpy_imports(tmp_path):
         "bad.py:1 imports numpy",
         "bad.py:2 imports numpy.linalg",
         "bad.py:4 imports numpy",
+    ]
+
+
+def unreferenced_definitions(paths):
+    """Module-level functions and classes that no other code in paths names.
+
+    A name counts as referenced when it appears as a name, an attribute or an
+    imported name anywhere outside its own definition, so re-exports from
+    __init__ count and recursion does not.
+    """
+    defined, used = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            if own:
+                defined.append((f"{path.name}:{stmt.lineno}", own))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    return [f"{where} {name}" for where, name in defined if name not in used]
+
+
+def test_every_definition_is_used_by_the_package():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 10
+    assert unreferenced_definitions(modules) == []
+
+
+def test_checker_flags_unreferenced_definitions(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def exported():\n"
+        "    return helper()\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else 0\n"
+        "class Orphan:\n"
+        "    def method(self):\n"
+        "        return Orphan\n"
+        "def via_attribute():\n"
+        "    pass\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import exported\n"
+        "from . import a\n"
+        "x = a.via_attribute\n"
+    )
+    assert unreferenced_definitions(sorted(tmp_path.glob("*.py"))) == [
+        "a.py:5 recursive",
+        "a.py:7 Orphan",
     ]

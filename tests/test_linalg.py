@@ -18,7 +18,6 @@ from deflab.errors import (
 from deflab.linalg import (
     SNFResult,
     betti_numbers,
-    identity_matrix,
     is_prime,
     mat_mul,
     morse_check,
@@ -28,6 +27,40 @@ from deflab.linalg import (
     smith_normal_form,
 )
 from deflab.quotient import FiniteGroup
+
+
+def identity_matrix(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def det(a):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    m = [list(row) for row in a]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * prev
+
+
+def assert_unimodular(snf):
+    assert det(snf.left) in (1, -1) and det(snf.right) in (1, -1)
+
+
+def test_det_helper():
+    assert det([]) == 1 and det([[0]]) == 0 and det([[-3]]) == -3
+    assert det([[0, 1], [1, 0]]) == -1 and det([[2, 0], [0, 3]]) == 6
+    assert det([[1, 2, 3], [4, 5, 6], [7, 8, 10]]) == -3
+    assert det([[0, 2, 1], [1, 1, 1], [2, 2, 2]]) == 0
 
 
 def rand_matrix(rng, max_dim=12, bound=9):
@@ -63,6 +96,7 @@ def test_snf_random_self_verification():
         assert mat_mul(mat_mul(snf.left, a), snf.right) == snf.diagonal_matrix()
         for x, y in zip(snf.diagonal, snf.diagonal[1:]):
             assert x > 0 and y % x == 0
+        assert_unimodular(snf)
 
 
 def test_rank_mod_p_examples():
@@ -203,6 +237,18 @@ def corpus_matrices():
     return mats
 
 
+def test_snf_transforms_are_unimodular_on_corpus_complexes(corpus_core_quotients):
+    mats = corpus_matrices()
+    largest = {}  # per corpus entry, the complex over its largest core quotient
+    for name, p, _, q in corpus_core_quotients:
+        if q.order > largest.get(name, (0,))[0]:
+            largest[name] = (q.order, p, q)
+    for _, p, q in largest.values():
+        mats += [b for b in presentation_chain_complex(p, q).boundaries if b and b[0]]
+    for a in mats:
+        assert_unimodular(smith_normal_form(a))
+
+
 def test_rank_agreement_on_corpus_matrices():
     for a in corpus_matrices():
         snf = smith_normal_form(a)
@@ -306,20 +352,64 @@ def test_chain_complex_checks_large_entries_exactly():
 
 
 CHECKS_UNDER_O = """
+from deflab import modp
 from deflab.chain import ChainComplex
+from deflab.coset import CosetTable, subgroup_record
 from deflab.errors import InternalCheckFailed
-from deflab.linalg import SNFResult
+from deflab.linalg import SNFResult, mat_mul
+from deflab.presentation import parse_presentation, parse_word
+from deflab.quotient import FiniteGroup
 
 assert False, "python -O must strip assert statements"
+c4 = parse_presentation("< a | a^4 >")
+half = subgroup_record(c4, [parse_word("a^2", c4)])  # normal; N = C2, H^1(N; F_2) = F_2
+
+
+def dual_with(name, fake):
+    real = getattr(modp, name)
+    setattr(modp, name, fake)
+    try:
+        modp.dual_complex_dims(c4, half, 2)
+    finally:
+        setattr(modp, name, real)
+
+
+def bar_reporting(dims):
+    return lambda group, p, max_order: modp.CohomologyDims(p, dims, group.order)
+
+
 for check in (
     lambda: ChainComplex(ranks=(1, 1, 1), boundaries=([[1]], [[1]]), quotient_order=1),
     lambda: SNFResult(diagonal=[2], rank=1, left=[[1]], right=[[1]], shape=(1, 1)).verify([[1]]),
+    lambda: mat_mul([[1, 2]], [[1]]),
+    lambda: ChainComplex(ranks=(1, 1), boundaries=([[1, 2, 3]],), quotient_order=1),
+    lambda: CosetTable(index=2, action=((1, 0),), origin=parse_presentation("< a | a >")).verify(),
+    lambda: CosetTable(index=2, action=((0, 1),), origin=parse_presentation("< a | >")).verify(),
+    lambda: CosetTable.from_rows([[0, 0], [1, 1]], parse_presentation("< a | >")),
+    lambda: dual_with("core_quotient", lambda rec, max_order: (None, FiniteGroup.trivial(1))),
+    lambda: dual_with("bar_cohomology_dims", bar_reporting((1, 0, 1))),
+    lambda: dual_with("bar_cohomology_dims", bar_reporting((1, 1, 10**6))),
 ):
     try:
         check()
-    except InternalCheckFailed as exc:
-        print(type(exc).__name__)
+    except (InternalCheckFailed, ValueError) as exc:
+        print(f"{type(exc).__name__}: {exc}")
+    else:
+        print("no error")
 """
+
+UNDER_O_EXPECTED = [
+    ("InternalCheckFailed", "boundary composition is nonzero"),
+    ("InternalCheckFailed", "is not the Smith diagonal"),
+    ("ValueError", "shape mismatch 2 != 1"),
+    ("ValueError", "boundary 0 has shape (1, 3), not (1, 1)"),
+    ("InternalCheckFailed", "relator does not act trivially"),
+    ("InternalCheckFailed", "action is not transitive"),
+    ("InternalCheckFailed", "table not transitive"),
+    ("InternalCheckFailed", "normal subgroup must equal its core"),
+    ("InternalCheckFailed", "disagrees with the bar oracle in low degrees"),
+    ("InternalCheckFailed", "bar oracle H^2 exceeds the truncated h2"),
+]
 
 
 def test_internal_checks_survive_python_O():
@@ -329,7 +419,10 @@ def test_internal_checks_survive_python_O():
         [sys.executable, "-O", "-c", CHECKS_UNDER_O], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["InternalCheckFailed"] * 2
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(UNDER_O_EXPECTED), proc.stdout
+    for line, (kind, message) in zip(lines, UNDER_O_EXPECTED):
+        assert line.startswith(f"{kind}: ") and message in line, line
     with pytest.raises(InternalCheckFailed):
         SNFResult(diagonal=[2], rank=1, left=[[1]], right=[[1]], shape=(1, 1)).verify([[1]])
     not_a_chain = SNFResult(diagonal=[2, 3], rank=2, left=identity_matrix(2),

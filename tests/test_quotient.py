@@ -1,10 +1,73 @@
+import random
+
 import pytest
 
+from deflab.chain import presentation_chain_complex
 from deflab.coset import subgroup_record
 from deflab.corpus import corpus_presentation
 from deflab.errors import LimitExceeded
+from deflab.linalg import betti_numbers
 from deflab.presentation import parse_presentation, parse_word
 from deflab.quotient import FiniteGroup, core_quotient, core_record
+from deflab.words import Word
+
+
+def assert_group_axioms(q):
+    m, n, inv = q.mult, q.order, q.inverse
+    assert all(m[0][j] == j and m[j][0] == j for j in range(n)), "0 is not the identity"
+    assert all(m[e][inv[e]] == 0 == m[inv[e]][e] for e in range(n))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                assert m[m[i][j]][k] == m[i][m[j][k]], "multiplication is not associative"
+
+
+def compose(a, b):
+    """a then b: permutations act on the right, (a * b)(x) = b(a(x))."""
+    return tuple(b[x] for x in a)
+
+
+def invert(a):
+    inv = [0] * len(a)
+    for x, y in enumerate(a):
+        inv[y] = x
+    return tuple(inv)
+
+
+def closure(gens):
+    """The group generated by gens, BFS from the identity by right products."""
+    elements = [tuple(range(len(gens[0])))]
+    seen = set(elements)
+    for e in elements:
+        for g in gens:
+            f = compose(e, g)
+            if f not in seen:
+                seen.add(f)
+                elements.append(f)
+    return elements
+
+
+def assert_matches_composition(q, gens, words):
+    elements = closure(gens)
+    index = {e: i for i, e in enumerate(elements)}
+    assert q.order == len(elements)
+    for a, pa in enumerate(elements):
+        assert q.inverse[a] == index[invert(pa)]
+        for b, pb in enumerate(elements):
+            assert q.mult[a][b] == index[compose(pa, pb)]
+    for w in words:
+        perm = elements[0]
+        for g, s in w:
+            perm = compose(perm, gens[g] if s == 1 else invert(gens[g]))
+        assert q.project_word(w) == index[perm]
+
+
+def rand_words(rng, ngens, count=20, max_len=8):
+    return [
+        Word(tuple((rng.randrange(ngens), rng.choice((1, -1)))
+                   for _ in range(rng.randrange(max_len + 1))))
+        for _ in range(count)
+    ]
 
 
 def test_normal_subgroup_is_its_own_core():
@@ -35,7 +98,7 @@ def test_quotient_is_a_group():
     s3 = parse_presentation("< a, b | a^2, b^3, a b a b >")
     rec = subgroup_record(s3, [parse_word("a", s3)])
     _, q = core_quotient(rec)
-    q.verify_group_axioms()
+    assert_group_axioms(q)
     assert q.mult[0] == tuple(range(q.order))  # identity row
     for e in range(q.order):
         assert q.mult[e][q.inverse[e]] == 0
@@ -59,5 +122,56 @@ def test_core_record_budget():
 
 def test_cyclic_constructor():
     q = FiniteGroup.cyclic(6)
-    q.verify_group_axioms()
+    assert_group_axioms(q)
     assert q.order == 6 and q.inverse[1] == 5
+
+
+def test_random_permutation_groups_match_composition():
+    rng = random.Random(71)
+    for _ in range(40):
+        degree = rng.randrange(1, 6)
+        gens = [tuple(rng.sample(range(degree), degree)) for _ in range(rng.randrange(1, 4))]
+        q = FiniteGroup.from_permutations(gens)
+        assert len(q.right) == len(gens)
+        assert_matches_composition(q, gens, rand_words(rng, len(gens)))
+
+
+def test_corpus_core_quotients_match_composition(corpus_core_quotients):
+    rng = random.Random(73)
+    assert len(corpus_core_quotients) > 3000
+    for name, p, gens, q in corpus_core_quotients:
+        words = list(p.relators) + rand_words(rng, p.num_generators, count=5)
+        assert_matches_composition(q, gens, words)
+        assert all(q.project_word(r) == 0 for r in p.relators), name
+
+
+def test_trivial_and_cyclic_match_composition():
+    rng = random.Random(79)
+    for ngens in range(4):
+        assert_matches_composition(FiniteGroup.trivial(ngens), [(0,)] * max(ngens, 1),
+                                   rand_words(rng, ngens) if ngens else [Word()])
+    for n in range(1, 8):
+        shift = tuple((x + 1) % n for x in range(n))
+        assert_matches_composition(FiniteGroup.cyclic(n, ngens=2), [shift, shift],
+                                   rand_words(rng, 2))
+
+
+def test_chain_and_betti_build_no_multiplication_table():
+    s3 = parse_presentation("< a, b | a^2, b^3, a b a b >")
+    q = FiniteGroup.from_permutations([(1, 0, 2), (1, 2, 0)])
+    c = presentation_chain_complex(s3, q)
+    # Euler characteristic 6 * (1 - 2 + 3) = 12
+    assert betti_numbers(c, 3).b == betti_numbers(c, "Q").b == [1, 0, 11]
+    _, core = core_record(subgroup_record(s3, [parse_word("a", s3)]))
+    for group in (q, core):
+        assert group.order == 6
+        assert "mult" not in group.__dict__ and "inverse" not in group.__dict__
+    assert q.mult == core.mult and "mult" in q.__dict__  # built on first use
+
+
+def test_non_regular_action_is_rejected():
+    with pytest.raises(ValueError):
+        FiniteGroup(right=((0, 0, 1),))
+    # S3 acting on 3 points: a group, but not its own right-regular action
+    with pytest.raises(LimitExceeded):
+        FiniteGroup(right=((1, 0, 2), (1, 2, 0))).mult
