@@ -3,8 +3,8 @@
 Inputs are presentation files in the angle-bracket grammar; `corpus:NAME`
 anywhere a file is expected loads a built-in presentation.  All commands
 emit deterministic JSON on stdout (or --out).  Exit codes: 0 when every
-report row is certified-holds or consistent, 2 when a violation row is
-present (violated-upper or inconclusive), 1 for operational errors.
+report row is certified-holds or consistent, 2 when an inconclusive row is
+present, 1 for operational errors, 3 when a self-check fails (a bug).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from . import __version__
 from .chain import presentation_chain_complex
 from .corpus import CORPUS, corpus_presentation
-from .errors import DeflabError
+from .errors import DeflabError, InternalCheckFailed
 from .groupring import GroupRingElement
 from .intervals import deficiency_interval
 from .linalg import betti_numbers
@@ -281,6 +281,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except InternalCheckFailed as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 3
     except (DeflabError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,10 +1,18 @@
 """Exact integer and mod-p linear algebra.
 
 All arithmetic uses Python ints (arbitrary precision), so nothing can
-overflow.  Ranks over Q and over F_p come from one sparse elimination,
-`_rank`; primes are certified by deterministic Miller-Rabin, which is exact
-below 2^64.  Smith normal form tracks unimodular transforms and
-self-verifies on every call.
+overflow.  Matrices come in and go out as dense lists of lists; the
+eliminations work on sparse {col: value} rows with a column -> rows index
+(`_sparse_rows`).  Ranks over Q and over F_p come from one sparse
+elimination, `_rank`; primes are certified by deterministic Miller-Rabin,
+which is exact below 2^64.
+
+`smith_normal_form` runs in two phases.  Phase 1 clears every +-1 pivot it
+can find with sparse unimodular row and column operations, recording L and
+R sparsely; phase 2 runs the dense min-abs elimination `_dense_snf` only on
+the leftover core, which has no +-1 entry (cf. Dumas, Saunders and Villard,
+J. Symbolic Comput. 32, 2001).  The composed transforms are checked on the
+whole input, L @ A @ R = diag and d_i | d_{i+1}, on every call.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd
 
 from .errors import InternalCheckFailed, ModulusTooLarge, NonPrimeModulus
@@ -29,23 +38,33 @@ def mat_shape(a):
 
 
 def mat_mul(a, b):
-    """Exact product a @ b; zero entries of a and b are skipped."""
+    """Exact product a @ b; zero entries of a and b are skipped (by `compress`)."""
     n, k = mat_shape(a)
     k2, m = mat_shape(b)
     if k != k2:
         raise ValueError(f"shape mismatch {k} != {k2}")
-    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    b_rows = [list(compress(enumerate(row), row)) for row in b]
     out = zero_matrix(n, m)
     for row, acc in zip(a, out):
-        for x, b_row in zip(row, b_rows):
-            if x:
-                for j, y in b_row:
-                    acc[j] += x * y
+        for x, b_row in compress(zip(row, b_rows), row):
+            for j, y in b_row:
+                acc[j] += x * y
     return out
 
 
 def mat_is_zero(a):
-    return all(all(x == 0 for x in row) for row in a)
+    return not any(map(any, a))
+
+
+def _sparse_rows(a, p):
+    """Rows of `a` as {col: value} dicts (mod p when p) and a column -> rows index."""
+    rows, where = {}, defaultdict(set)
+    for i, dense in enumerate(a):
+        nonzeros = compress(enumerate(dense), dense)
+        rows[i] = row = {j: y for j, x in nonzeros if (y := x % p if p else x)}
+        for j in row:
+            where[j].add(i)
+    return rows, where
 
 
 def _rank(a, p):
@@ -56,11 +75,7 @@ def _rank(a, p):
     clears that column from the other rows by s*row - t*pivot: mod p with the
     pivot scaled to 1 over F_p, divided by the row's content over Q.
     """
-    rows, where = {}, defaultdict(set)
-    for i, dense in enumerate(a):
-        rows[i] = row = {j: y for j, x in enumerate(dense) if (y := x % p if p else x)}
-        for j in row:
-            where[j].add(i)
+    rows, where = _sparse_rows(a, p)
     heap = [(len(row), i) for i, row in rows.items() if row]
     heapify(heap)
     units = (1, p - 1) if p else (1, -1)
@@ -251,19 +266,24 @@ class _SNFWork:
             mrow[j] = -bg * u + ag * v
 
 
-def smith_normal_form(a):
-    """Smith normal form with transforms; deterministic min-abs pivoting."""
+def _dense_snf(a):
+    """Smith normal form of a dense matrix by min-abs pivoting on `_SNFWork`.
+
+    Returns (diagonal, L, R) with L @ a @ R = diag(diagonal).  The pivot is
+    the first entry of least absolute value in row-major order, so the search
+    stops after the row holding the first +-1.
+    """
     w = _SNFWork(a)
     m, rows, cols = w.m, w.rows, w.cols
     t = 0
-    while True:
-        piv = None
-        best = None
+    while t < min(rows, cols):
+        piv = best = None
         for i in range(t, rows):
-            for j in range(t, cols):
-                v = m[i][j]
-                if v != 0 and (best is None or abs(v) < best):
+            for j, v in enumerate(m[i][t:cols], t):
+                if v and (best is None or abs(v) < best):
                     best, piv = abs(v), (i, j)
+            if best == 1:
+                break  # no entry is smaller, and a later one would not win the tie
         if piv is None:
             break
         w.swap_rows(t, piv[0])
@@ -281,8 +301,6 @@ def smith_normal_form(a):
         if m[t][t] < 0:
             w.negate_row(t)
         t += 1
-        if t == min(rows, cols):
-            break
     # enforce the divisibility chain d_i | d_{i+1}
     changed = True
     while changed:
@@ -300,12 +318,109 @@ def smith_normal_form(a):
                     w.negate_row(i)
                 if m[i + 1][i + 1] < 0:
                     w.negate_row(i + 1)
-    diagonal = [m[i][i] for i in range(t)]
+    return [m[i][i] for i in range(t)], w.left, w.right
+
+
+def _add_multiple(dst, src, f):
+    """dst += f * src for sparse {index: value} vectors, dropping zeros."""
+    for j, x in src.items():
+        y = dst.get(j, 0) + f * x
+        if y:
+            dst[j] = y
+        else:
+            del dst[j]
+
+
+def _combination(coeffs, vectors):
+    """sum(c * v) over the non-zero coefficients, as a sparse vector."""
+    out = {}
+    for f, vec in zip(coeffs, vectors):
+        if f:
+            _add_multiple(out, vec, f)
+    return out
+
+
+def smith_normal_form(a):
+    """Smith normal form L @ a @ R = diag with unimodular transforms.
+
+    Phase 1 eliminates +-1 pivots sparsely: rows are {col: value} dicts with
+    a column -> rows index, and each step takes the sparsest row (lazy heap)
+    and its +-1 entry in the shortest column, clears that column with row
+    operations and the pivot row with column operations, which in the matrix
+    touch the pivot row alone.  L is kept as sparse rows, R as sparse
+    columns.  Phase 2 runs the dense `_dense_snf` on the leftover core of
+    un-pivoted rows and columns, which has no +-1 entry, and composes its
+    transforms with L and R; a zero core needs no composition.  The diagonal
+    is one 1 per pivot followed by the core's.  Every result is verified on
+    the whole input before it is returned.
+    """
+    rows, cols = mat_shape(a)
+    m, where = _sparse_rows(a, 0)
+    left = [{i: 1} for i in range(rows)]
+    right = [{j: 1} for j in range(cols)]
+    pivots = []  # (row, column, unit)
+    heap = [(len(row), i) for i, row in m.items() if row]
+    heapify(heap)
+    while heap:
+        n, i = heappop(heap)
+        piv = m.get(i, ())
+        if len(piv) != n:
+            continue  # stale entry: the row was pivoted or changed length
+        units = [j for j, x in piv.items() if x == 1 or x == -1]
+        if not units:
+            continue  # back on the heap only if a row operation changes it
+        c = min(units, key=lambda j: (len(where[j]), j))
+        del m[i]
+        for j in piv:
+            where[j].discard(i)
+        v = piv.pop(c)
+        pivots.append((i, c, v))
+        for k in where.pop(c):  # row k -= w * v * row i, with w = m[k][c]
+            row = m[k]
+            f = row.pop(c) * v
+            for j, x in piv.items():
+                y = row.get(j, 0) - f * x
+                if y:
+                    if j not in row:
+                        where[j].add(k)
+                    row[j] = y
+                else:
+                    del row[j]
+                    where[j].discard(k)
+            _add_multiple(left[k], left[i], -f)
+            if row:
+                heappush(heap, (len(row), k))
+        for j, x in piv.items():  # column j -= x * v * column c
+            _add_multiple(right[j], right[c], -x * v)
+    pivot_cols = {c for _, c, _ in pivots}
+    core_rows = list(m)  # ascending: row dicts are only ever deleted
+    core_cols = [j for j in range(cols) if j not in pivot_cols]
+    lefts = [{j: v * x for j, x in left[i].items()} for i, _, v in pivots]
+    rights = [right[c] for _, c, _ in pivots]
+    core_left = [left[i] for i in core_rows]
+    core_right = [right[j] for j in core_cols]
+    if any(m.values()):
+        core = [[m[i].get(j, 0) for j in core_cols] for i in core_rows]
+        core_diagonal, lc, rc = _dense_snf(core)
+        core_left = [_combination(coeffs, core_left) for coeffs in lc]
+        core_right = [_combination(coeffs, core_right) for coeffs in zip(*rc)]
+    else:
+        core_diagonal = []  # L and R of a zero core are identities
+    lefts += core_left
+    rights += core_right
+    l_dense, r_dense = zero_matrix(rows, rows), zero_matrix(cols, cols)
+    for dense, vec in zip(l_dense, lefts):
+        for j, x in vec.items():
+            dense[j] = x
+    for t, vec in enumerate(rights):
+        for j, x in vec.items():
+            r_dense[j][t] = x
+    diagonal = [1] * len(pivots) + core_diagonal
     result = SNFResult(
         diagonal=diagonal,
-        rank=t,
-        left=w.left,
-        right=w.right,
+        rank=len(diagonal),
+        left=l_dense,
+        right=r_dense,
         shape=(rows, cols),
     )
     result.verify(a)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InternalCheckFailed
 from .presentation import Presentation
 from .words import Word
 
@@ -33,12 +34,13 @@ class SubgroupPresentation:
         k = self.record.index
         e1 = self.parent.num_generators
         e2 = self.parent.num_relators
-        assert self.presentation.num_generators == k * (e1 - 1) + 1
-        assert self.presentation.num_relators == k * e2
+        if self.presentation.num_generators != k * (e1 - 1) + 1:
+            raise InternalCheckFailed("Schreier generator count is not k*(e1-1)+1")
+        if self.presentation.num_relators != k * e2:
+            raise InternalCheckFailed("Schreier relator count is not k*e2")
         for w in self.generator_map:
-            assert self.record.table.trace(0, w) == 0, (
-                "subgroup generator word leaves the subgroup"
-            )
+            if self.record.table.trace(0, w) != 0:
+                raise InternalCheckFailed("subgroup generator word leaves the subgroup")
 
 
 def rewrite_subgroup_presentation(p, record):
@@ -49,7 +51,8 @@ def rewrite_subgroup_presentation(p, record):
     k = table.index
     ngens = p.num_generators
     gens = list(record.schreier_generators())
-    assert len(gens) == k * (ngens - 1) + 1
+    if len(gens) != k * (ngens - 1) + 1:
+        raise InternalCheckFailed("Schreier generator count is not k*(e1-1)+1")
     pair_index = {(c, g): i for i, (c, g, _) in enumerate(gens)}
     inv = table.inverse_action
 
@@ -70,19 +73,22 @@ def rewrite_subgroup_presentation(p, record):
                 if idx is not None:
                     out.append((idx, -1))
                 c = d
-        assert c == coset, "relator trace did not close"
+        if c != coset:
+            raise InternalCheckFailed("relator trace did not close")
         return Word(tuple(out))
 
     relators = []
     for j in range(k):
         for r in p.relators:
             w = rewrite_from(j, r)
-            assert w, "rewritten relator collapsed to the identity"
+            if not w:
+                raise InternalCheckFailed("rewritten relator collapsed to the identity")
             relators.append(w)
 
     generator_map = tuple(w for _, _, w in gens)
     sub = Presentation(names, tuple(relators))
-    assert sub.num_relators == k * p.num_relators
+    if sub.num_relators != k * p.num_relators:
+        raise InternalCheckFailed("Schreier relator count is not k*e2")
     return SubgroupPresentation(
         presentation=sub, parent=p, record=record, generator_map=generator_map
     )

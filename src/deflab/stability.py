@@ -13,7 +13,8 @@ classifies the identity delta(H) - 1 = k * (delta(G) - 1):
 
 Without a certificate all rows are computed from the simplified base
 presentation so the Schreier inequality holds between reported lower bounds
-by construction (asserted).
+by construction; a row that breaks it, or any violated-upper row, raises
+InternalCheckFailed.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import __version__ as _tool_version
+from .errors import InternalCheckFailed
 from .intervals import (
     CERT_NONE,
     DeficiencyInterval,
@@ -144,14 +146,14 @@ def stability_report(
             interval = DeficiencyInterval(
                 lower=lower, upper=upper, certificate=CERT_NONE
             )
-        assert interval.lower - 1 >= k * (base_interval.lower - 1), (
-            "Schreier inequality violated by reported lower bounds"
-        )
+        if interval.lower - 1 < k * (base_interval.lower - 1):
+            raise InternalCheckFailed("Schreier inequality violated by reported lower bounds")
         status = _classify(k, base_interval, interval)
-        assert status != STATUS_VIOLATED, (
-            "violated-upper row: contradicts the Schreier inequality, "
-            "which means a bound above is unsound"
-        )
+        if status == STATUS_VIOLATED:
+            raise InternalCheckFailed(
+                "violated-upper row: contradicts the Schreier inequality, "
+                "which means a bound above is unsound"
+            )
         rows.append(
             StabilityRow(
                 index=k,
@@ -165,9 +167,7 @@ def stability_report(
             )
         )
     statuses = {row.identity_status for row in rows}
-    if STATUS_VIOLATED in statuses:
-        verdict = STATUS_VIOLATED
-    elif STATUS_INCONCLUSIVE in statuses:
+    if STATUS_INCONCLUSIVE in statuses:  # a violated-upper row raised above
         verdict = STATUS_INCONCLUSIVE
     elif statuses == {STATUS_CERTIFIED}:
         verdict = STATUS_CERTIFIED

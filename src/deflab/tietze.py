@@ -76,8 +76,10 @@ def _pass_eliminate_generator(p):
 
 
 def _all_rotations(w):
+    """Letter tuples of every rotation; relators are cyclically reduced, so
+    each rotation is already a reduced word."""
     ls = w.letters
-    return [Word(ls[i:] + ls[:i]) for i in range(len(ls))]
+    return [ls[i:] + ls[:i] for i in range(len(ls))]
 
 
 def _pass_substitute(p):
@@ -88,8 +90,7 @@ def _pass_substitute(p):
             if i == j or len(shortr) > len(longr):
                 continue
             half = len(shortr) // 2
-            for u in _all_rotations(shortr) + _all_rotations(shortr.inverse()):
-                ul = u.letters
+            for ul in _all_rotations(shortr) + _all_rotations(shortr.inverse()):
                 # longest prefix of u appearing inside longr, worth > half
                 for piece_len in range(len(ul), half, -1):
                     piece = ul[:piece_len]

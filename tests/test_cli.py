@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+from deflab import cli, linalg
+
 
 def run_cli(*args):
     proc = subprocess.run(
@@ -71,6 +73,16 @@ def test_homology_rejects_prime_too_large_for_int64():
     proc = run_cli("homology", "corpus:torus", "--field", "4294967311")  # 2^32 + 15
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["betti"] == over_q["betti"] == [1, 2, 1]
+
+
+def test_internal_check_failure_exits_3(monkeypatch, capsys):
+    # a core Smith form that lies about its diagonal; H_1(C5) = Z/5 leaves a
+    # 1 x 1 core, and the verify on the whole matrix catches the lie
+    monkeypatch.setattr(linalg, "_dense_snf", lambda a: ([7], [[1]], [[1]]))
+    assert cli.main(["homology", "corpus:c5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal check failed: L @ A @ R is not the Smith diagonal\n"
 
 
 def test_deficiency():

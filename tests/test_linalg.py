@@ -17,9 +17,11 @@ from deflab.errors import (
 )
 from deflab.linalg import (
     SNFResult,
+    _dense_snf,
     betti_numbers,
     is_prime,
     mat_mul,
+    mat_shape,
     morse_check,
     partial_euler_mu,
     rank_mod_p,
@@ -45,10 +47,12 @@ def det(a):
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
+        pivot, top = m[k][k], m[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
+            f = m[i][k]
+            if f or pivot != prev:  # else the update leaves row i as it is
+                m[i] = [(x * pivot - f * y) // prev for x, y in zip(m[i], top)]
+        prev = pivot
     return sign * prev
 
 
@@ -249,6 +253,59 @@ def test_snf_transforms_are_unimodular_on_corpus_complexes(corpus_core_quotients
         assert_unimodular(smith_normal_form(a))
 
 
+def assert_matches_dense_route(a):
+    """smith_normal_form against `_dense_snf` (the min-abs dense elimination)
+    run on the whole matrix: same diagonal and rank, and unimodular L, R."""
+    snf = smith_normal_form(a)
+    diagonal, left, right = _dense_snf(a)
+    SNFResult(diagonal, len(diagonal), left, right, mat_shape(a)).verify(a)
+    assert snf.diagonal == diagonal and snf.rank == len(diagonal)
+    assert_unimodular(snf)
+    return snf
+
+
+def test_snf_matches_dense_route_on_corpus_complexes(corpus_core_quotients):
+    psl27 = FiniteGroup.from_permutations([(7, 6, 3, 2, 5, 4, 1, 0), (6, 3, 2, 5, 4, 1, 7, 0)])
+    assert psl27.order == 168
+    complexes = [(p, q) for _, p, _, q in corpus_core_quotients if q.order <= 168]
+    complexes.append((corpus_presentation("trefoil"), psl27))
+    for p, q in complexes:
+        for b in presentation_chain_complex(p, q).boundaries:
+            if b and b[0]:
+                assert_matches_dense_route(b)
+
+
+def test_snf_matches_dense_route_on_random_matrices():
+    rng = random.Random(61)
+    no_units, all_units, mixed = (0, 0, 2, -2, 3, -4, 6, 12), (0, 1, -1), (0, 0, 1, -1, 2, -3, 4)
+    for values in (no_units, all_units, mixed):
+        for _ in range(100):
+            rows, cols = rng.randint(1, 10), rng.randint(1, 10)
+            a = [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
+            assert_matches_dense_route(a)
+
+
+def test_snf_with_torsion_in_the_core():
+    # q8 over its quotient C2 x C2: d2 is 8 x 12 and H_1 has torsion [2];
+    # unit pivots only give 1s, so the 2 comes from the dense core
+    q = FiniteGroup.from_permutations([(1, 0, 3, 2), (2, 3, 0, 1)])
+    d2 = presentation_chain_complex(corpus_presentation("q8"), q).boundaries[1]
+    assert mat_shape(d2) == (8, 12)
+    assert assert_matches_dense_route(d2).diagonal == [1, 1, 1, 1, 2]
+
+
+def test_snf_with_minus_one_pivots_only():
+    for a in (
+        [[-1]],
+        [[-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+        [[0, -1, 0], [0, 0, -1], [-1, 0, 0]],
+        [[-1, -1], [0, -1]],
+        [[-1, 0, 4], [0, -1, 6]],
+    ):
+        snf = assert_matches_dense_route(a)
+        assert snf.diagonal == [1] * len(a)
+
+
 def test_rank_agreement_on_corpus_matrices():
     for a in corpus_matrices():
         snf = smith_normal_form(a)
@@ -352,13 +409,16 @@ def test_chain_complex_checks_large_entries_exactly():
 
 
 CHECKS_UNDER_O = """
-from deflab import modp
+from deflab import modp, stability
 from deflab.chain import ChainComplex
-from deflab.coset import CosetTable, subgroup_record
+from deflab.coset import CosetTable, SubgroupRecord, subgroup_record
 from deflab.errors import InternalCheckFailed
+from deflab.intervals import CERT_NONE, DeficiencyInterval
 from deflab.linalg import SNFResult, mat_mul
 from deflab.presentation import parse_presentation, parse_word
 from deflab.quotient import FiniteGroup
+from deflab.schreier import SubgroupPresentation, rewrite_subgroup_presentation
+from deflab.words import Word
 
 assert False, "python -O must strip assert statements"
 c4 = parse_presentation("< a | a^4 >")
@@ -378,6 +438,30 @@ def bar_reporting(dims):
     return lambda group, p, max_order: modp.CohomologyDims(p, dims, group.order)
 
 
+torus = parse_presentation("< a, b | [a, b] >")
+double = subgroup_record(torus, [parse_word("a^2", torus), parse_word("b", torus)])
+
+
+def schreier_presentation(text, generator_map=()):
+    # index 2 in a 2-generator, 1-relator group: 3 generators and 2 relators
+    return SubgroupPresentation(parse_presentation(text), torus, double, generator_map)
+
+
+# a table on which the relator a does not close; its tree edge is (0, a)
+a_is_trivial = parse_presentation("< a, b | a >")
+open_table = CosetTable(index=2, action=((1, 0), (0, 1)), origin=a_is_trivial)
+a_word = Word(((0, 1),))
+
+
+def stability_with(name, fake):
+    real = getattr(stability, name)
+    setattr(stability, name, fake)
+    try:
+        stability.stability_report(parse_presentation("< a, b | a^2, b^2 >"), 2)
+    finally:
+        setattr(stability, name, real)
+
+
 for check in (
     lambda: ChainComplex(ranks=(1, 1, 1), boundaries=([[1]], [[1]]), quotient_order=1),
     lambda: SNFResult(diagonal=[2], rank=1, left=[[1]], right=[[1]], shape=(1, 1)).verify([[1]]),
@@ -389,6 +473,13 @@ for check in (
     lambda: dual_with("core_quotient", lambda rec, max_order: (None, FiniteGroup.trivial(1))),
     lambda: dual_with("bar_cohomology_dims", bar_reporting((1, 0, 1))),
     lambda: dual_with("bar_cohomology_dims", bar_reporting((1, 1, 10**6))),
+    lambda: schreier_presentation("< x, y | [x, y] >"),
+    lambda: schreier_presentation("< x, y, z | x >"),
+    lambda: schreier_presentation("< x, y, z | x, y >", (parse_word("a", torus),)),
+    lambda: rewrite_subgroup_presentation(torus, SubgroupRecord(double.table, (Word(), Word()), True)),
+    lambda: rewrite_subgroup_presentation(a_is_trivial, SubgroupRecord(open_table, (Word(), a_word), False)),
+    lambda: stability_with("deficiency_interval", lambda *args, **kw: DeficiencyInterval(5, 5, CERT_NONE)),
+    lambda: stability_with("_classify", lambda k, base, sub: stability.STATUS_VIOLATED),
 ):
     try:
         check()
@@ -409,6 +500,13 @@ UNDER_O_EXPECTED = [
     ("InternalCheckFailed", "normal subgroup must equal its core"),
     ("InternalCheckFailed", "disagrees with the bar oracle in low degrees"),
     ("InternalCheckFailed", "bar oracle H^2 exceeds the truncated h2"),
+    ("InternalCheckFailed", "Schreier generator count is not k*(e1-1)+1"),
+    ("InternalCheckFailed", "Schreier relator count is not k*e2"),
+    ("InternalCheckFailed", "subgroup generator word leaves the subgroup"),
+    ("InternalCheckFailed", "Schreier generator count is not k*(e1-1)+1"),
+    ("InternalCheckFailed", "relator trace did not close"),
+    ("InternalCheckFailed", "Schreier inequality violated by reported lower bounds"),
+    ("InternalCheckFailed", "violated-upper row: contradicts the Schreier inequality"),
 ]
 
 
