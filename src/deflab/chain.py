@@ -8,10 +8,12 @@ Conventions, fixed once and used consistently:
 * Boundary matrices act on column vectors.  The basis of the degree-d module
   (ZQ)^f is (slot, group element) with elements in canonical order, identity
   first; the (slot i, slot j) block of a boundary is the transpose of the
-  push of the corresponding group-ring entry.  It is filled straight from
-  the quotient's right action: a term c*w puts c at row h*w, column h of
-  the block for every element h.  d1 composed after d2 is the zero matrix,
-  verified at construction.
+  push of the corresponding group-ring entry, here the Fox derivative of
+  relator j by generator i.  `relator_boundary` fills it without building
+  the derivatives, by walking each relator from each point of a permutation
+  action; over the quotient's right-regular action that is the boundary
+  above, over a coset action it is d2 of the finite cover.  d1 composed
+  after d2 is the zero matrix, verified at construction.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IncompatibleRestriction, InternalCheckFailed, InvalidQuotient
-from .groupring import GroupRingElement, fox_derivative
 from .linalg import mat_is_zero, mat_mul, mat_shape, zero_matrix
-from .words import Word
 
 
 @dataclass(frozen=True)
@@ -72,31 +72,51 @@ def push_to_quotient(x, q):
     return m
 
 
+def relator_boundary(relators, action, inverse_action, points):
+    """d2 of the cover of a presentation complex over a permutation action.
+
+    action[g][c] is the point reached from c by generator g, inverse_action
+    its inverse.  Rows are (generator g, point c) at g*points + c, columns
+    (relator j, start h) at j*points + h.  Each relator is walked from each
+    start: a positive letter adds +1 at the row of its generator and the
+    current point, then steps; an inverse letter steps back, then adds -1
+    there.  These are the Fox derivatives pushed to the permutation module.
+    A walk that does not return to its start means d1 d2 != 0 on the cover
+    and raises InternalCheckFailed.
+    """
+    d2 = zero_matrix(len(action) * points, len(relators) * points)
+    for j, r in enumerate(relators):
+        for h in range(points):
+            col = j * points + h
+            c = h
+            for g, s in r:
+                if s == 1:
+                    d2[g * points + c][col] += 1
+                    c = action[g][c]
+                else:
+                    c = inverse_action[g][c]
+                    d2[g * points + c][col] -= 1
+            if c != h:
+                raise InternalCheckFailed("relator walk did not close")
+    return d2
+
+
 def presentation_chain_complex(p, q):
     """Degree-2 chain complex (ranks 1, e1, e2) pushed to the quotient q."""
+    e1 = p.num_generators
+    if len(q.right) != e1:
+        raise InvalidQuotient(f"the quotient has {len(q.right)} generator images, not {e1}")
     for r in p.relators:
         if q.project_word(r) != 0:
             raise InvalidQuotient("not a quotient: a relator has nonzero image")
-    e1 = p.num_generators
-    e2 = p.num_relators
     n = q.order
-
-    def fill(d, x, row_block, col_block):
-        # block (row_block, col_block) of d is the transposed push of x
-        for w, c in x.terms:
-            for h in range(n):
-                d[row_block * n + q.trace(h, w)][col_block * n + h] += c
-
-    d1 = zero_matrix(n, e1 * n)
-    for i in range(e1):
-        fill(d1, GroupRingElement.of_word(Word(((i, 1),))) - GroupRingElement.one(), 0, i)
-
-    d2 = zero_matrix(e1 * n, e2 * n)
-    for j, r in enumerate(p.relators):
-        for i in range(e1):
-            fill(d2, fox_derivative(r, i), i, j)
-
-    return ChainComplex(ranks=(1, e1, e2), boundaries=(d1, d2), quotient_order=n)
+    d1 = zero_matrix(n, e1 * n)  # column (i, h) is the edge from h to h*x_i
+    for i, perm in enumerate(q.right):
+        for h in range(n):
+            d1[perm[h]][i * n + h] += 1
+            d1[h][i * n + h] -= 1
+    d2 = relator_boundary(p.relators, q.right, q.inverse_right, n)
+    return ChainComplex(ranks=(1, e1, p.num_relators), boundaries=(d1, d2), quotient_order=n)
 
 
 def restrict_to_subgroup(c, record, quotient):

@@ -92,12 +92,16 @@ class CosetTable:
 
     def __post_init__(self):
         n = self.index
-        assert n >= 1
-        assert len(self.action) == self.origin.num_generators
-        for perm in self.action:
-            assert len(perm) == n and sorted(perm) == list(range(n)), (
-                "generator action is not a bijection"
+        if n < 1:
+            raise ValueError(f"coset table index {n} is not positive")
+        if len(self.action) != self.origin.num_generators:
+            raise ValueError(
+                f"{len(self.action)} generator columns for "
+                f"{self.origin.num_generators} generators"
             )
+        for perm in self.action:
+            if len(perm) != n or sorted(perm) != list(range(n)):
+                raise ValueError("generator action is not a bijection")
 
     @cached_property
     def inverse_action(self):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidCertificate
+from .errors import InternalCheckFailed, InvalidCertificate
 from .linalg import rank_over_Q
 from .tietze import tietze_simplify
 
@@ -28,7 +28,10 @@ class DeficiencyInterval:
     certificate: str
 
     def __post_init__(self):
-        assert self.lower <= self.upper
+        if self.lower > self.upper:
+            raise InternalCheckFailed(
+                f"interval lower bound {self.lower} exceeds its upper bound {self.upper}"
+            )
 
     @property
     def is_point(self):
@@ -88,5 +91,6 @@ def deficiency_interval(p, aspherical=False, effort=50, b2_lower=0):
             )
         return DeficiencyInterval(lower=value, upper=value, certificate=certificate)
     upper = first_betti_number(p) - b2_lower
-    assert lower <= upper, "lower bound exceeded b1-based upper bound"
+    if lower > upper:
+        raise InternalCheckFailed("lower bound exceeded b1-based upper bound")
     return DeficiencyInterval(lower=lower, upper=upper, certificate=certificate)

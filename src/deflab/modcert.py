@@ -13,6 +13,7 @@ from math import gcd
 from .chain import presentation_chain_complex
 from .coset import CosetTable, SubgroupRecord, orbit, schreier_transversal
 from .errors import (
+    InternalCheckFailed,
     LimitExceeded,
     SeparationExhausted,
     WitnessNotInKernel,
@@ -248,20 +249,24 @@ def rank_drop_certificate(p, witness, q, max_index=12):
     for i, a in enumerate(prim.rho):
         for w, c in a.terms:
             coords.append((i, sep.table.trace(0, w), c))
-    assert len({(i, t) for i, t, _ in coords}) == len(coords), (
-        "separation failed: two support words share a coset"
-    )
+    if len({(i, t) for i, t, _ in coords}) != len(coords):
+        raise InternalCheckFailed("separation failed: two support words share a coset")
     g = 0
     for _, _, c in coords:
         g = gcd(g, abs(c))
-    assert g == 1, "primitivized witness must have coprime coefficients"
+    if g != 1:
+        raise InternalCheckFailed("primitivized witness must have coprime coefficients")
     module = ModulePresentation(ambient=p, free_rank=e2, relations=(tuple(prim.rho),))
     coinv = coinvariant_rank_lower_bound(module, sep, field="Q")
-    assert coinv <= u, "coinvariant bound exceeds the certified drop"
+    if coinv > u:
+        raise InternalCheckFailed("coinvariant bound exceeds the certified drop")
     sub = rewrite_subgroup_presentation(p, sep)
     gens = sub.presentation.num_generators
     rels = sub.presentation.num_relators
-    assert rels == e2 * k and u < rels
+    if rels != e2 * k or u >= rels:
+        raise InternalCheckFailed(
+            f"Schreier relator count {rels} is not e2*k = {e2 * k} above the drop bound {u}"
+        )
     return CertificateReport(
         presentation=p,
         witness=prim,

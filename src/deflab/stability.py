@@ -15,6 +15,10 @@ Without a certificate all rows are computed from the simplified base
 presentation so the Schreier inequality holds between reported lower bounds
 by construction; a row that breaks it, or any violated-upper row, raises
 InternalCheckFailed.
+
+b1 and torsion of every row come from d2 of the finite cover, walked over
+the coset action, and the Schreier counts from k*(e1-1)+1 and k*e2; only an
+uncertified row rewrites its Schreier presentation, as input to Tietze.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import __version__ as _tool_version
+from .chain import relator_boundary
 from .errors import InternalCheckFailed
 from .intervals import (
     CERT_NONE,
@@ -102,13 +107,22 @@ def _classify(k, base, sub):
     return STATUS_CONSISTENT
 
 
-def _abelian_data(p):
-    matrix = p.abelianized_relator_matrix()
-    if not matrix:
-        return p.num_generators, []
-    columns = [list(row) for row in zip(*matrix)]
-    free, torsion = cokernel_invariants(columns, p.num_generators)
-    return free, torsion
+def _cover_relation_matrix(p, rec):
+    """Relation matrix of H_1 for the subgroup rec describes, from its cover.
+
+    The cover's d2 with the rows of the k-1 spanning-tree edges deleted (the
+    tree edge into coset d carries the last letter of t_d).  It is the
+    transposed abelianized Schreier relator matrix with rows (generator,
+    coset) and columns (relator, coset), each in that lexicographic order.
+    """
+    table = rec.table
+    k = table.index
+    d2 = relator_boundary(p.relators, table.action, table.inverse_action, k)
+    tree = set()
+    for d, t in enumerate(rec.transversal[1:], 1):
+        g, _ = t.letters[-1]
+        tree.add(g * k + table.inverse_action[g][d])
+    return [row for i, row in enumerate(d2) if i not in tree]
 
 
 def stability_report(
@@ -127,24 +141,25 @@ def stability_report(
     records, complete = low_index_subgroups(
         base_pres, max_index, max_nodes=max_nodes, on_budget="partial"
     )
+    e1, e2 = base_pres.num_generators, base_pres.num_relators
     rows = []
     ordinals = {}
     for rec in records:
         k = rec.index
         ordinals[k] = ordinals.get(k, 0) + 1
-        sub = rewrite_subgroup_presentation(base_pres, rec)
-        sp = sub.presentation
-        b1, torsion = _abelian_data(sp)
+        gens, rels = k * (e1 - 1) + 1, k * e2  # the Schreier presentation's counts
+        relations = _cover_relation_matrix(base_pres, rec)
+        b1, torsion = cokernel_invariants(relations, len(relations))
         if certificate != CERT_NONE:
-            value = sp.deficiency_datum()  # 1 - k*chi, achieved by this presentation
+            value = gens - rels  # 1 - k*chi, achieved by the Schreier presentation
             interval = DeficiencyInterval(
                 lower=value, upper=value, certificate=certificate
             )
         else:
+            sp = rewrite_subgroup_presentation(base_pres, rec).presentation
             lower = tietze_simplify(sp, effort).deficiency_datum()
-            upper = b1
             interval = DeficiencyInterval(
-                lower=lower, upper=upper, certificate=CERT_NONE
+                lower=lower, upper=b1, certificate=CERT_NONE
             )
         if interval.lower - 1 < k * (base_interval.lower - 1):
             raise InternalCheckFailed("Schreier inequality violated by reported lower bounds")
@@ -158,8 +173,8 @@ def stability_report(
             StabilityRow(
                 index=k,
                 ordinal=ordinals[k],
-                schreier_generators=sp.num_generators,
-                schreier_relators=sp.num_relators,
+                schreier_generators=gens,
+                schreier_relators=rels,
                 b1=b1,
                 torsion=tuple(torsion),
                 interval=interval,

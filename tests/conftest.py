@@ -1,10 +1,28 @@
 """Fixtures shared by several test modules."""
 
+import random
+
 import pytest
 
 from deflab.corpus import CORPUS, corpus_presentation
 from deflab.lowindex import low_index_subgroups
+from deflab.presentation import Presentation
 from deflab.quotient import core_record
+from deflab.words import Word
+
+# full-enumeration index caps keeping acceptance criterion 1 inside its
+# minute budget
+ENUM_CAPS = {
+    "free1": 6, "free2": 6, "free3": 3, "torus": 6, "genus2": 3, "genus3": 2,
+    "f2xf2": 2, "trefoil": 5, "dup_relator": 4, "redundant": 3,
+    "c2": 6, "c3": 6, "c4": 6, "c5": 6, "c2xc2": 6, "q8": 6, "d4": 6,
+}
+
+
+@pytest.fixture(scope="session")
+def enum_caps():
+    """ENUM_CAPS: the full-enumeration index cap of every corpus entry."""
+    return ENUM_CAPS
 
 
 @pytest.fixture(scope="session")
@@ -25,3 +43,28 @@ def corpus_core_quotients():
                 seen.add(q.right)
                 found.append((name, p, [tuple(perm) for perm in rec.table.action], q))
     return found
+
+
+def seeded_presentations(seed, count):
+    """count presentations on one or two generators with one or two short
+    relators, drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        ngens = rng.randrange(1, 3)
+        rels = []
+        for _ in range(rng.randrange(1, 3)):
+            w = Word(tuple(
+                (rng.randrange(ngens), rng.choice((1, -1)))
+                for _ in range(rng.randrange(1, 6))
+            ))
+            if w:
+                rels.append(w)
+        out.append(Presentation(tuple("ab"[:ngens]), tuple(rels)))
+    return out
+
+
+@pytest.fixture(scope="session")
+def random_presentations():
+    """The seeded generator random_presentations(seed, count)."""
+    return seeded_presentations

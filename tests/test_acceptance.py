@@ -40,22 +40,16 @@ from deflab.schreier import rewrite_subgroup_presentation
 from deflab.stability import STATUS_CERTIFIED, STATUS_CONSISTENT, stability_report
 from deflab.words import Word
 
-# full-enumeration index caps keeping criterion 1 inside its minute budget
-ENUM_CAPS = {
-    "free1": 6, "free2": 6, "free3": 3, "torus": 6, "genus2": 3, "genus3": 2,
-    "f2xf2": 2, "trefoil": 5, "dup_relator": 4, "redundant": 3,
-    "c2": 6, "c3": 6, "c4": 6, "c5": 6, "c2xc2": 6, "q8": 6, "d4": 6,
-}
 COVER_WEIGHTS = {"trefoil": [3, 2], "q8": [1, 1], "d4": [0, 1]}
 
 
-def test_criterion_1_schreier_counts():
+def test_criterion_1_schreier_counts(enum_caps):
     t0 = time.time()
     checked = 0
     for name in CORPUS:
         p = corpus_presentation(name)
         e1, e2 = p.num_generators, p.num_relators
-        records = list(low_index_subgroups(p, ENUM_CAPS[name]))
+        records = list(low_index_subgroups(p, enum_caps[name]))
         for k in range(1, 7):
             try:
                 records.append(cyclic_cover_record(p, k, COVER_WEIGHTS.get(name)))

@@ -160,6 +160,12 @@ def test_invalid_quotient_rejected():
         presentation_chain_complex(p, FiniteGroup.cyclic(3, ngens=1))
 
 
+def test_quotient_with_another_generator_count_rejected():
+    p = parse_presentation("< a | a^5 >")
+    with pytest.raises(InvalidQuotient, match="2 generator images, not 1"):
+        presentation_chain_complex(p, FiniteGroup.cyclic(5, ngens=2))
+
+
 def test_restriction_bookkeeping_and_homology():
     torus = corpus_presentation("torus")
     rec4 = subgroup_record(torus, [parse_word("a^2", torus), parse_word("b^2", torus)])

@@ -1,9 +1,10 @@
 """Byte-stability of every CLI report on the built-in corpus.
 
 Each case runs the CLI in-process and compares the exit code and the SHA-256
-of stdout with a digest recorded before the coset-table core was unified.  A
-changed digest means a report changed; there is deliberately no way to
-regenerate the table from this file.
+of stdout with a digest recorded before the coset-table core was unified;
+the genus2 index-4 stability digest was recorded before stability rows were
+read from the cover's boundary.  A changed digest means a report changed;
+there is deliberately no way to regenerate the table from this file.
 """
 
 import contextlib
@@ -41,6 +42,7 @@ def case_keys():
             f"modp {spec} -p 2 --normal-index 2",
         ]
     keys += [f"cert corpus:dup_relator --witness {w}" for w in WITNESSES]
+    keys.append("stability corpus:genus2 --max-index 4")  # 5,511 rows, as in cover_sweep
     return keys
 
 
@@ -215,6 +217,7 @@ GOLDEN = {
     'modp corpus:trefoil -p 2 --normal-index 2': (0, 'c15292eeac645aa8f8b1eda64a57ac9f88f9936d236adf45baf2d838942db05b'),
     'cert corpus:dup_relator --witness w_a': (0, '802c8a5938ae1a0ddd686261de0de308d6de938e54edcb95b61a74f4a53cb8fe'),
     'cert corpus:dup_relator --witness w_ab': (0, '6919e35ba955484c13bbdc9f50e1caba106fbeef45b6fad6a7c7b2ae2dd29396'),
+    'stability corpus:genus2 --max-index 4': (0, '64d284120e859655fd892cfbaf15c41d5674c862d636006d66433ef5630a770c'),
 }
 
 

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from deflab.coset import (
@@ -110,26 +108,7 @@ def test_cyclic_cover_records():
         rec.table.verify()
 
 
-def random_presentations(seed, count):
-    from deflab.presentation import Presentation
-
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        ngens = rng.randrange(1, 3)
-        rels = []
-        for _ in range(rng.randrange(1, 3)):
-            w = Word(tuple(
-                (rng.randrange(ngens), rng.choice((1, -1)))
-                for _ in range(rng.randrange(1, 6))
-            ))
-            if w:
-                rels.append(w)
-        out.append(Presentation(tuple("ab"[:ngens]), tuple(rels)))
-    return out
-
-
-def test_todd_coxeter_cross_validates_low_index():
+def test_todd_coxeter_cross_validates_low_index(random_presentations):
     # two independent enumerations: feeding the Schreier generators of each
     # low-index record back through Todd-Coxeter must reproduce its table
     pres = [
@@ -150,7 +129,7 @@ def test_todd_coxeter_cross_validates_low_index():
             assert t.action_key() == rec.table.action_key()
 
 
-def test_is_normal_matches_core_quotient_order():
+def test_is_normal_matches_core_quotient_order(random_presentations):
     # independent route: H is normal iff the core has the same index as H,
     # i.e. iff the permutation image G/core has order [G:H]
     names = ["torus", "trefoil", "dup_relator", "d4", "q8"]

@@ -1,5 +1,5 @@
-"""Modules share code through public names only, import no numpy and define
-nothing that the package itself never uses."""
+"""Modules share code through public names only, import no numpy, define
+nothing that the package itself never uses, and add no assert statements."""
 
 import ast
 from pathlib import Path
@@ -144,3 +144,57 @@ def test_checker_flags_unreferenced_definitions(tmp_path):
         "a.py:5 recursive",
         "a.py:7 Orphan",
     ]
+
+
+# assert statements per module of the package.  python -O strips them, so a
+# load-bearing check raises instead; a count here may fall, never rise.
+ASSERT_CEILINGS = {
+    "chain.py": 3,
+    "coset.py": 2,
+    "linalg.py": 2,
+    "modcert.py": 1,
+    "stability.py": 1,
+    "tietze.py": 1,
+}
+
+
+def assert_counts(paths):
+    """Number of assert statements in each file that has any."""
+    counts = {}
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        n = sum(isinstance(node, ast.Assert) for node in ast.walk(tree))
+        if n:
+            counts[path.name] = n
+    return counts
+
+
+def asserts_over_ceiling(paths, ceilings):
+    return {
+        name: n for name, n in assert_counts(paths).items() if n > ceilings.get(name, 0)
+    }
+
+
+def test_assert_counts_do_not_grow():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 10
+    assert asserts_over_ceiling(modules, ASSERT_CEILINGS) == {}
+
+
+def test_checker_counts_assert_statements(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '"""assert in a docstring is not a statement."""\n'
+        "assert True\n"
+        "def f(x):\n"
+        "    assert x, 'message'  # assert x\n"
+        "    class C:\n"
+        "        def g(self):\n"
+        "            assert self\n"
+        "    return 'assert'\n"
+    )
+    (tmp_path / "b.py").write_text("if __debug__:\n    raise ValueError('checked')\n")
+    (tmp_path / "c.py").write_text("assert 1\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert assert_counts(paths) == {"a.py": 3, "c.py": 1}
+    assert asserts_over_ceiling(paths, {"a.py": 3}) == {"c.py": 1}
+    assert asserts_over_ceiling(paths, {"a.py": 2, "c.py": 1}) == {"a.py": 3}

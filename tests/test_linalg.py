@@ -409,12 +409,14 @@ def test_chain_complex_checks_large_entries_exactly():
 
 
 CHECKS_UNDER_O = """
-from deflab import modp, stability
-from deflab.chain import ChainComplex
+from deflab import modcert, modp, stability
+from deflab.chain import ChainComplex, relator_boundary
 from deflab.coset import CosetTable, SubgroupRecord, subgroup_record
 from deflab.errors import InternalCheckFailed
-from deflab.intervals import CERT_NONE, DeficiencyInterval
+from deflab.groupring import GroupRingElement
+from deflab.intervals import CERT_NONE, DeficiencyInterval, deficiency_interval
 from deflab.linalg import SNFResult, mat_mul
+from deflab.lowindex import low_index_subgroups
 from deflab.presentation import parse_presentation, parse_word
 from deflab.quotient import FiniteGroup
 from deflab.schreier import SubgroupPresentation, rewrite_subgroup_presentation
@@ -462,6 +464,25 @@ def stability_with(name, fake):
         setattr(stability, name, real)
 
 
+dup = parse_presentation("< a, b | b^3, b^3 >")
+one_plus_a = GroupRingElement.one() + GroupRingElement.of_word(parse_word("a", dup))
+whole = subgroup_record(dup, [parse_word("a", dup), parse_word("b", dup)])  # 1 and a share a coset
+half_of_dup = next(r for r in low_index_subgroups(dup, 2) if r.index == 2)  # 4 relators
+
+
+def cert_with(name, fake, x=GroupRingElement.one()):
+    # witness (x, -x) lies in ker d2 because both relators are b^3
+    real = getattr(modcert, name)
+    setattr(modcert, name, fake)
+    try:
+        witness = modcert.KernelWitness(rho=(x, -x))
+        modcert.rank_drop_certificate(dup, witness, FiniteGroup.trivial(2), max_index=4)
+    finally:
+        setattr(modcert, name, real)
+
+
+no_generators = parse_presentation("< a | >")
+
 for check in (
     lambda: ChainComplex(ranks=(1, 1, 1), boundaries=([[1]], [[1]]), quotient_order=1),
     lambda: SNFResult(diagonal=[2], rank=1, left=[[1]], right=[[1]], shape=(1, 1)).verify([[1]]),
@@ -480,6 +501,16 @@ for check in (
     lambda: rewrite_subgroup_presentation(a_is_trivial, SubgroupRecord(open_table, (Word(), a_word), False)),
     lambda: stability_with("deficiency_interval", lambda *args, **kw: DeficiencyInterval(5, 5, CERT_NONE)),
     lambda: stability_with("_classify", lambda k, base, sub: stability.STATUS_VIOLATED),
+    lambda: relator_boundary((a_word,), open_table.action, open_table.inverse_action, 2),
+    lambda: cert_with("separating_subgroup", lambda support, p, max_index: whole, one_plus_a),
+    lambda: cert_with("primitivize", lambda w: w, GroupRingElement.one() * 2),
+    lambda: cert_with("coinvariant_rank_lower_bound", lambda m, rec, field: 10**6),
+    lambda: cert_with("rewrite_subgroup_presentation", lambda p, rec: rewrite_subgroup_presentation(dup, half_of_dup)),
+    lambda: CosetTable(index=0, action=((),), origin=no_generators),
+    lambda: CosetTable(index=1, action=(), origin=no_generators),
+    lambda: CosetTable(index=2, action=((0, 0),), origin=no_generators),
+    lambda: DeficiencyInterval(2, 1, CERT_NONE),
+    lambda: deficiency_interval(parse_presentation("< a, b | a^2, b^2 >"), b2_lower=5),
 ):
     try:
         check()
@@ -507,6 +538,16 @@ UNDER_O_EXPECTED = [
     ("InternalCheckFailed", "relator trace did not close"),
     ("InternalCheckFailed", "Schreier inequality violated by reported lower bounds"),
     ("InternalCheckFailed", "violated-upper row: contradicts the Schreier inequality"),
+    ("InternalCheckFailed", "relator walk did not close"),
+    ("InternalCheckFailed", "separation failed: two support words share a coset"),
+    ("InternalCheckFailed", "primitivized witness must have coprime coefficients"),
+    ("InternalCheckFailed", "coinvariant bound exceeds the certified drop"),
+    ("InternalCheckFailed", "Schreier relator count 4 is not e2*k = 2 above the drop bound 1"),
+    ("ValueError", "coset table index 0 is not positive"),
+    ("ValueError", "0 generator columns for 1 generators"),
+    ("ValueError", "generator action is not a bijection"),
+    ("InternalCheckFailed", "interval lower bound 2 exceeds its upper bound 1"),
+    ("InternalCheckFailed", "lower bound exceeded b1-based upper bound"),
 ]
 
 

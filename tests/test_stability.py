@@ -1,12 +1,22 @@
 import json
 
-from deflab.corpus import corpus_presentation
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from deflab import stability
+from deflab.corpus import CORPUS, corpus_presentation
+from deflab.linalg import cokernel_invariants
+from deflab.lowindex import low_index_subgroups
+from deflab.presentation import Presentation, parse_presentation
+from deflab.schreier import rewrite_subgroup_presentation
 from deflab.stability import (
     STATUS_CERTIFIED,
     STATUS_CONSISTENT,
+    _cover_relation_matrix,
     nu_bookkeeping,
     stability_report,
 )
+from deflab.words import Word
 
 
 def test_torus_all_rows_certified():
@@ -157,3 +167,75 @@ def test_classifier_branches():
     assert _classify(2, point(1), point(4)) == STATUS_INCONCLUSIVE
     # point intervals with inequality inside allowed range stay consistent
     assert _classify(1, wide(1, 3), point(2)) == STATUS_CONSISTENT
+
+
+def schreier_route(p, rec):
+    """The rewritten Schreier presentation, its abelianized relator matrix
+    with the cover's row and column order, and (b1, torsion) from it."""
+    sp = rewrite_subgroup_presentation(p, rec).presentation
+    k, e2 = rec.index, p.num_relators
+    relators = sp.abelianized_relator_matrix()  # row (coset h, relator j) at h*e2 + j
+    gens = [(c, g) for c, g, _ in rec.schreier_generators()]  # (coset, generator) order
+    by_generator = sorted(range(len(gens)), key=lambda i: (gens[i][1], gens[i][0]))
+    matrix = [
+        [relators[h * e2 + j][i] for j in range(e2) for h in range(k)] for i in by_generator
+    ]
+    free, torsion = cokernel_invariants(matrix, sp.num_generators)
+    return sp, matrix, (free, tuple(torsion))
+
+
+def assert_cover_matches_schreier(p, rec, row=None):
+    sp, matrix, homology = schreier_route(p, rec)
+    cover = _cover_relation_matrix(p, rec)
+    assert cover == matrix
+    free, torsion = cokernel_invariants(cover, len(cover))
+    assert (free, tuple(torsion)) == homology
+    k = rec.index
+    counts = (k * (p.num_generators - 1) + 1, k * p.num_relators)
+    assert (sp.num_generators, sp.num_relators) == counts
+    assert len(cover) == counts[0]
+    if row is not None:
+        assert (row.schreier_generators, row.schreier_relators) == counts
+        assert (row.b1, row.torsion) == homology
+
+
+def test_cover_route_matches_schreier_route_on_the_corpus(enum_caps):
+    for name in CORPUS:
+        cap = enum_caps[name]
+        rep = stability_report(corpus_presentation(name), cap, group_name=name)
+        base = parse_presentation(rep.presentation)  # the presentation the rows come from
+        records = low_index_subgroups(base, cap)
+        assert len(records) == len(rep.rows), name
+        for rec, row in zip(records, rep.rows):
+            assert_cover_matches_schreier(base, rec, row)
+
+
+def test_cover_route_matches_schreier_route_on_random_presentations(random_presentations):
+    for p in random_presentations(61, 30):
+        for rec in low_index_subgroups(p, 4, max_nodes=100_000):
+            assert_cover_matches_schreier(p, rec)
+
+
+@st.composite
+def small_presentations(draw):
+    ngens = draw(st.integers(1, 2))
+    letter = st.tuples(st.integers(0, ngens - 1), st.sampled_from((1, -1)))
+    words = draw(st.lists(st.lists(letter, min_size=1, max_size=7), max_size=3))
+    return Presentation(tuple("ab"[:ngens]), tuple(Word(tuple(w)) for w in words))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(small_presentations())
+def test_cover_route_matches_schreier_route_property(p):
+    for rec in low_index_subgroups(p, 3, max_nodes=100_000):
+        assert_cover_matches_schreier(p, rec)
+
+
+def test_certified_rows_need_no_schreier_presentation(monkeypatch):
+    def no_rewrite(p, rec):
+        raise AssertionError("a certified row rewrote its Schreier presentation")
+
+    monkeypatch.setattr(stability, "rewrite_subgroup_presentation", no_rewrite)
+    rep = stability_report(corpus_presentation("genus2"), 3, group_name="genus2")
+    assert rep.verdict == STATUS_CERTIFIED
+    assert [row.b1 for row in rep.rows] == [2 * row.index + 2 for row in rep.rows]
