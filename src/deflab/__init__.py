@@ -57,6 +57,6 @@ from .modp import (
     dual_complex_dims,
 )
 from .intervals import DeficiencyInterval, deficiency_interval, first_betti_number
-from .stability import StabilityReport, stability_report, nu_bookkeeping
+from .stability import StabilityReport, stability_report
 from . import corpus
 from . import errors

@@ -14,6 +14,9 @@ Conventions, fixed once and used consistently:
   action; over the quotient's right-regular action that is the boundary
   above, over a coset action it is d2 of the finite cover.  d1 composed
   after d2 is the zero matrix, verified at construction.
+* Every matrix is deflab's one sparse format (see `linalg`): a list of
+  {col: value} row dicts storing no zero.  A boundary's column count is the
+  dimension of the degree above, so it is never stored.
 """
 
 from __future__ import annotations
@@ -21,15 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IncompatibleRestriction, InternalCheckFailed, InvalidQuotient
-from .linalg import mat_is_zero, mat_mul, mat_shape, zero_matrix
+from .linalg import add_to, mat_mul, sparse_row, to_dense
 
 
 @dataclass(frozen=True)
 class ChainComplex:
     """Free modules of the given ranks over a quotient of order q.
 
-    boundaries[i] is the matrix of the map from degree i+1 to degree i,
-    shape (ranks[i]*q) x (ranks[i+1]*q), integer entries.
+    boundaries[i] is the sparse matrix of the map from degree i+1 to
+    degree i, shape (ranks[i]*q) x (ranks[i+1]*q), integer entries.
     """
 
     ranks: tuple
@@ -42,12 +45,14 @@ class ChainComplex:
             raise ValueError(f"quotient order {q} is not positive")
         if len(self.boundaries) != len(self.ranks) - 1:
             raise ValueError("need one boundary per pair of adjacent ranks")
+        dims = self.dims
         for i, b in enumerate(self.boundaries):
-            want = (self.ranks[i] * q, self.ranks[i + 1] * q)
-            if mat_shape(b) != want:
-                raise ValueError(f"boundary {i} has shape {mat_shape(b)}, not {want}")
+            if len(b) != dims[i] or any(j >= dims[i + 1] for row in b for j in row):
+                raise ValueError(
+                    f"boundary {i} does not fit the shape {(dims[i], dims[i + 1])}"
+                )
         for lower, upper in zip(self.boundaries, self.boundaries[1:]):
-            if not mat_is_zero(mat_mul(lower, upper)):
+            if any(mat_mul(lower, upper)):
                 raise InternalCheckFailed("boundary composition is nonzero")
 
     @property
@@ -58,18 +63,15 @@ class ChainComplex:
         return {
             "ranks": list(self.ranks),
             "quotient_order": self.quotient_order,
-            "boundaries": [[list(row) for row in b] for b in self.boundaries],
+            "boundaries": [
+                to_dense(b, cols) for b, cols in zip(self.boundaries, self.dims[1:])
+            ],
         }
 
 
 def push_to_quotient(x, q):
-    """q x q integer matrix of right multiplication by the image of x."""
-    n = q.order
-    m = zero_matrix(n, n)
-    for w, c in x.terms:
-        for h in range(n):
-            m[h][q.trace(h, w)] += c
-    return m
+    """q x q sparse matrix of right multiplication by the image of x."""
+    return [sparse_row((q.trace(h, w), c) for w, c in x.terms) for h in range(q.order)]
 
 
 def relator_boundary(relators, action, inverse_action, points):
@@ -84,18 +86,18 @@ def relator_boundary(relators, action, inverse_action, points):
     A walk that does not return to its start means d1 d2 != 0 on the cover
     and raises InternalCheckFailed.
     """
-    d2 = zero_matrix(len(action) * points, len(relators) * points)
+    d2 = [{} for _ in range(len(action) * points)]
     for j, r in enumerate(relators):
         for h in range(points):
             col = j * points + h
             c = h
             for g, s in r:
                 if s == 1:
-                    d2[g * points + c][col] += 1
+                    add_to(d2[g * points + c], col, 1)
                     c = action[g][c]
                 else:
                     c = inverse_action[g][c]
-                    d2[g * points + c][col] -= 1
+                    add_to(d2[g * points + c], col, -1)
             if c != h:
                 raise InternalCheckFailed("relator walk did not close")
     return d2
@@ -110,11 +112,12 @@ def presentation_chain_complex(p, q):
         if q.project_word(r) != 0:
             raise InvalidQuotient("not a quotient: a relator has nonzero image")
     n = q.order
-    d1 = zero_matrix(n, e1 * n)  # column (i, h) is the edge from h to h*x_i
+    d1 = [{} for _ in range(n)]  # column (i, h) is the edge from h to h*x_i
     for i, perm in enumerate(q.right):
-        for h in range(n):
-            d1[perm[h]][i * n + h] += 1
-            d1[h][i * n + h] -= 1
+        for h, end in enumerate(perm):
+            if end != h:  # a loop has zero boundary
+                d1[end][i * n + h] = 1
+                d1[h][i * n + h] = -1
     d2 = relator_boundary(p.relators, q.right, q.inverse_right, n)
     return ChainComplex(ranks=(1, e1, p.num_relators), boundaries=(d1, d2), quotient_order=n)
 
@@ -128,7 +131,8 @@ def restrict_to_subgroup(c, record, quotient):
     the old basis), so total sizes and homology are unchanged.
     """
     q = quotient.order
-    assert q == c.quotient_order
+    if q != c.quotient_order:
+        raise ValueError(f"the complex is over order {c.quotient_order}, the quotient has {q}")
     k = record.index
     if k == 1:
         return c
@@ -151,41 +155,30 @@ def restrict_to_subgroup(c, record, quotient):
             reps.append(e)
             for h in sub_elements:
                 covered.add(quotient.mult[h][e])
-    assert len(reps) == k and reps[0] == 0
+    if len(reps) != k or reps[0] != 0:
+        raise InternalCheckFailed(f"{len(reps)} coset representatives for index {k}")
     # old basis position (slot, g) -> new basis position ((slot, t), h)
     # where g = h * t, h in H/N, t in E
     where = [None] * q
     for t_idx, t in enumerate(reps):
         for h in sub_elements:
             g = quotient.mult[h][t]
-            assert where[g] is None
+            if where[g] is not None:
+                raise InternalCheckFailed("transversal basis hits an element twice")
             where[g] = (t_idx, sub_index[h])
     perm = [0] * q  # old element position -> new position within a rank block
     for g in range(q):
         t_idx, h_idx = where[g]
         perm[g] = t_idx * qprime + h_idx
 
-    def reindex(matrix, rank_rows, rank_cols):
-        rows, cols = rank_rows * q, rank_cols * q
-        out = zero_matrix(rows, cols)
-        rmap = [
-            (i // q) * q + perm[i % q] for i in range(rows)
-        ]
-        cmap = [
-            (j // q) * q + perm[j % q] for j in range(cols)
-        ]
-        for i in range(rows):
-            src = matrix[i]
-            dst_i = rmap[i]
-            row_out = out[dst_i]
-            for j in range(cols):
-                row_out[cmap[j]] = src[j]
+    def reindex(matrix):
+        out = [None] * len(matrix)
+        for i, row in enumerate(matrix):
+            out[i - i % q + perm[i % q]] = {j - j % q + perm[j % q]: x for j, x in row.items()}
         return out
 
     new_ranks = tuple(r * k for r in c.ranks)
-    new_boundaries = tuple(
-        reindex(b, c.ranks[i], c.ranks[i + 1]) for i, b in enumerate(c.boundaries)
-    )
+    new_boundaries = tuple(reindex(b) for b in c.boundaries)
     return ChainComplex(
         ranks=new_ranks, boundaries=new_boundaries, quotient_order=qprime
     )
@@ -200,13 +193,12 @@ def collapse_to_point(c):
     """
     q = c.quotient_order
     out_boundaries = []
-    for idx, b in enumerate(c.boundaries):
-        rows = c.ranks[idx]
-        cols = c.ranks[idx + 1]
-        m = zero_matrix(rows, cols)
-        for i in range(rows):
-            for j in range(cols):
-                m[i][j] = sum(b[i * q + a][j * q] for a in range(q))
+    for rows, b in zip(c.ranks, c.boundaries):
+        m = [{} for _ in range(rows)]
+        for i, row in enumerate(b):
+            for j, x in row.items():
+                if j % q == 0:
+                    add_to(m[i // q], j // q, x)
         out_boundaries.append(m)
     return ChainComplex(
         ranks=c.ranks, boundaries=tuple(out_boundaries), quotient_order=1

@@ -47,9 +47,7 @@ class DeficiencyInterval:
 
 def first_betti_number(p):
     """b1 of the presented group: generators minus rational relator rank."""
-    matrix = p.abelianized_relator_matrix()
-    rank = rank_over_Q(matrix) if matrix else 0
-    return p.num_generators - rank
+    return p.num_generators - rank_over_Q(p.abelianized_relator_matrix())
 
 
 def resolve_certificate(p, aspherical):

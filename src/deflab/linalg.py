@@ -1,16 +1,18 @@
 """Exact integer and mod-p linear algebra.
 
 All arithmetic uses Python ints (arbitrary precision), so nothing can
-overflow.  Matrices come in and go out as dense lists of lists; the
-eliminations work on sparse {col: value} rows with a column -> rows index
-(`_sparse_rows`).  Ranks over Q and over F_p come from one sparse
-elimination, `_rank`; primes are certified by deterministic Miller-Rabin,
-which is exact below 2^64.
+overflow.  deflab has one matrix format: a list of {col: value} row dicts
+that store no zero.  The column count is not stored; it is passed where it
+cannot be read off (`smith_normal_form(a, ncols)`, `to_dense`).  The
+eliminations copy the rows and keep a column -> rows index (`_sparse_rows`).
+Ranks over Q and over F_p come from one sparse elimination, `_rank`; primes
+are certified by deterministic Miller-Rabin, which is exact below 2^64.
 
 `smith_normal_form` runs in two phases.  Phase 1 clears every +-1 pivot it
 can find with sparse unimodular row and column operations, recording L and
 R sparsely; phase 2 runs the dense min-abs elimination `_dense_snf` only on
-the leftover core, which has no +-1 entry (cf. Dumas, Saunders and Villard,
+the leftover core, which has no +-1 entry and is the only dense matrix in
+deflab besides the JSON output (cf. Dumas, Saunders and Villard,
 J. Symbolic Comput. 32, 2001).  The composed transforms are checked on the
 whole input, L @ A @ R = diag and d_i | d_{i+1}, on every call.
 """
@@ -20,57 +22,77 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import compress
 from math import gcd
 
 from .errors import InternalCheckFailed, ModulusTooLarge, NonPrimeModulus
 
 
 # ---------------------------------------------------------------------------
-# dense integer matrix helpers (lists of lists of python ints)
+# sparse matrices: lists of {col: value} row dicts that store no zero
 
-def zero_matrix(rows, cols):
-    return [[0] * cols for _ in range(rows)]
+def add_to(row, j, x):
+    """row[j] += x in a sparse row, deleting the entry when it becomes zero."""
+    x += row.pop(j, 0)
+    if x:
+        row[j] = x
 
 
-def mat_shape(a):
-    return (len(a), len(a[0]) if a else 0)
+def sparse_row(terms):
+    """The sparse row holding the sum of the (col, value) terms."""
+    row = {}
+    for j, x in terms:
+        add_to(row, j, x)
+    return row
 
 
-def mat_mul(a, b):
-    """Exact product a @ b; zero entries of a and b are skipped (by `compress`)."""
-    n, k = mat_shape(a)
-    k2, m = mat_shape(b)
-    if k != k2:
-        raise ValueError(f"shape mismatch {k} != {k2}")
-    b_rows = [list(compress(enumerate(row), row)) for row in b]
-    out = zero_matrix(n, m)
-    for row, acc in zip(a, out):
-        for x, b_row in compress(zip(row, b_rows), row):
-            for j, y in b_row:
-                acc[j] += x * y
+def from_dense(a):
+    """The sparse rows of a dense list of lists."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def to_dense(m, ncols):
+    """The dense list of lists of a sparse matrix with ncols columns."""
+    return [[row.get(j, 0) for j in range(ncols)] for row in m]
+
+
+def transpose(m, ncols):
+    """The transpose of the sparse matrix m with ncols columns."""
+    out = [{} for _ in range(ncols)]
+    for i, row in enumerate(m):
+        for j, x in row.items():
+            out[j][i] = x
     return out
 
 
-def mat_is_zero(a):
-    return not any(map(any, a))
+def mat_mul(a, b):
+    """Exact product a @ b of sparse matrices, as sparse rows."""
+    out = []
+    try:
+        for row in a:
+            acc = {}
+            for t, x in row.items():
+                for j, y in b[t].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            out.append({j: v for j, v in acc.items() if v})
+    except IndexError:
+        raise ValueError(f"shape mismatch: a has a column past the {len(b)} rows of b") from None
+    return out
 
 
 def _sparse_rows(a, p):
-    """Rows of `a` as {col: value} dicts (mod p when p) and a column -> rows index."""
+    """Copies of the rows of `a` (mod p when p) and a column -> rows index."""
     rows, where = {}, defaultdict(set)
-    for i, dense in enumerate(a):
-        nonzeros = compress(enumerate(dense), dense)
-        rows[i] = row = {j: y for j, x in nonzeros if (y := x % p if p else x)}
+    for i, row in enumerate(a):
+        rows[i] = row = {j: y for j, x in row.items() if (y := x % p if p else x)}
         for j in row:
             where[j].add(i)
     return rows, where
 
 
 def _rank(a, p):
-    """Rank of a dense integer matrix over F_p, or over Q when p == 0.
+    """Rank of a sparse integer matrix over F_p, or over Q when p == 0.
 
-    Sparse rows {col: value} with a column -> rows index.  Each step pivots on
+    Works on copies of the rows with a column -> rows index.  Each step pivots on
     the sparsest row, at a +-1 entry if any, else in the shortest column, and
     clears that column from the other rows by s*row - t*pivot: mod p with the
     pivot scaled to 1 over F_p, divided by the row's content over Q.
@@ -163,7 +185,7 @@ class SNFResult:
     """Diagonalization L @ A @ R = diag(d1..dr) with unimodular L, R.
 
     The diagonal lists only the nonzero invariant factors, each dividing
-    the next.
+    the next.  L and R are sparse rows, like A.
     """
 
     diagonal: list
@@ -172,23 +194,20 @@ class SNFResult:
     right: list
     shape: tuple
 
-    def diagonal_matrix(self):
-        m = zero_matrix(*self.shape)
-        for i, d in enumerate(self.diagonal):
-            m[i][i] = d
-        return m
-
     def to_json(self):
+        rows, cols = self.shape
         return {
             "diagonal": list(self.diagonal),
             "rank": self.rank,
-            "left": [list(row) for row in self.left],
-            "right": [list(row) for row in self.right],
+            "left": to_dense(self.left, rows),
+            "right": to_dense(self.right, cols),
             "shape": list(self.shape),
         }
 
     def verify(self, a):
-        if mat_mul(mat_mul(self.left, a), self.right) != self.diagonal_matrix():
+        diagonal = [{i: d} for i, d in enumerate(self.diagonal)]
+        diagonal += [{}] * (self.shape[0] - len(diagonal))
+        if mat_mul(mat_mul(self.left, a), self.right) != diagonal:
             raise InternalCheckFailed("L @ A @ R is not the Smith diagonal")
         if any(x <= 0 or y % x for x, y in zip(self.diagonal, self.diagonal[1:])):
             raise InternalCheckFailed(f"divisibility fails: {self.diagonal}")
@@ -203,7 +222,7 @@ class _SNFWork:
     """
 
     def __init__(self, a):
-        self.rows, self.cols = rows, cols = mat_shape(a)
+        self.rows, self.cols = rows, cols = len(a), len(a[0])
         self.m = [list(row) + [0] * rows for row in a]
         self.m += [[0] * (cols + rows) for _ in range(cols)]
         for k in range(rows):
@@ -331,17 +350,8 @@ def _add_multiple(dst, src, f):
             del dst[j]
 
 
-def _combination(coeffs, vectors):
-    """sum(c * v) over the non-zero coefficients, as a sparse vector."""
-    out = {}
-    for f, vec in zip(coeffs, vectors):
-        if f:
-            _add_multiple(out, vec, f)
-    return out
-
-
-def smith_normal_form(a):
-    """Smith normal form L @ a @ R = diag with unimodular transforms.
+def smith_normal_form(a, ncols):
+    """Smith normal form L @ a @ R = diag of a sparse matrix with ncols columns.
 
     Phase 1 eliminates +-1 pivots sparsely: rows are {col: value} dicts with
     a column -> rows index, and each step takes the sparsest row (lazy heap)
@@ -354,10 +364,9 @@ def smith_normal_form(a):
     is one 1 per pivot followed by the core's.  Every result is verified on
     the whole input before it is returned.
     """
-    rows, cols = mat_shape(a)
     m, where = _sparse_rows(a, 0)
-    left = [{i: 1} for i in range(rows)]
-    right = [{j: 1} for j in range(cols)]
+    left = [{i: 1} for i in range(len(a))]
+    right = [{j: 1} for j in range(ncols)]
     pivots = []  # (row, column, unit)
     heap = [(len(row), i) for i, row in m.items() if row]
     heapify(heap)
@@ -394,7 +403,7 @@ def smith_normal_form(a):
             _add_multiple(right[j], right[c], -x * v)
     pivot_cols = {c for _, c, _ in pivots}
     core_rows = list(m)  # ascending: row dicts are only ever deleted
-    core_cols = [j for j in range(cols) if j not in pivot_cols]
+    core_cols = [j for j in range(ncols) if j not in pivot_cols]
     lefts = [{j: v * x for j, x in left[i].items()} for i, _, v in pivots]
     rights = [right[c] for _, c, _ in pivots]
     core_left = [left[i] for i in core_rows]
@@ -402,41 +411,31 @@ def smith_normal_form(a):
     if any(m.values()):
         core = [[m[i].get(j, 0) for j in core_cols] for i in core_rows]
         core_diagonal, lc, rc = _dense_snf(core)
-        core_left = [_combination(coeffs, core_left) for coeffs in lc]
-        core_right = [_combination(coeffs, core_right) for coeffs in zip(*rc)]
+        core_left = mat_mul(from_dense(lc), core_left)
+        core_right = mat_mul(from_dense(zip(*rc)), core_right)
     else:
         core_diagonal = []  # L and R of a zero core are identities
-    lefts += core_left
-    rights += core_right
-    l_dense, r_dense = zero_matrix(rows, rows), zero_matrix(cols, cols)
-    for dense, vec in zip(l_dense, lefts):
-        for j, x in vec.items():
-            dense[j] = x
-    for t, vec in enumerate(rights):
-        for j, x in vec.items():
-            r_dense[j][t] = x
     diagonal = [1] * len(pivots) + core_diagonal
     result = SNFResult(
         diagonal=diagonal,
         rank=len(diagonal),
-        left=l_dense,
-        right=r_dense,
-        shape=(rows, cols),
+        left=lefts + core_left,
+        right=transpose(rights + core_right, ncols),
+        shape=(len(a), ncols),
     )
     result.verify(a)
     return result
 
 
-def cokernel_invariants(a, ambient_rank):
-    """Invariant factors of Z^ambient / column span of A (rows = ambient).
+def cokernel_invariants(a, ncols):
+    """Invariant factors of Z^len(a) / column span of A, with ncols columns.
 
     Returns (free_rank, torsion) where torsion lists the factors > 1.
     """
-    if not a or not a[0]:
-        return ambient_rank, []
-    snf = smith_normal_form(a)
-    torsion = [d for d in snf.diagonal if d > 1]
-    return ambient_rank - snf.rank, torsion
+    if not any(a):
+        return len(a), []
+    snf = smith_normal_form(a, ncols)
+    return len(a) - snf.rank, [d for d in snf.diagonal if d > 1]
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +468,13 @@ def betti_numbers(c, fieldspec="Q"):
 
     fieldspec is "Q" or a prime integer.
     """
-    dims = [r * c.quotient_order for r in c.ranks]
+    dims = c.dims
     n = len(dims) - 1
     if fieldspec == "Q":
-        snfs = [smith_normal_form(b) if b and b[0] else None for b in c.boundaries]
+        snfs = [
+            smith_normal_form(b, dims[i + 1]) if any(b) else None
+            for i, b in enumerate(c.boundaries)
+        ]
         ranks = [s.rank if s else 0 for s in snfs]
         torsion = []
         for i in range(n + 1):
@@ -483,7 +485,7 @@ def betti_numbers(c, fieldspec="Q"):
         field = "Q"
     else:
         p = int(fieldspec)
-        ranks = [rank_mod_p(b, p) if b and b[0] else 0 for b in c.boundaries]
+        ranks = [rank_mod_p(b, p) for b in c.boundaries]
         torsion = [[] for _ in range(n + 1)]
         field = f"F{p}"
     b = []
@@ -497,7 +499,8 @@ def betti_numbers(c, fieldspec="Q"):
 def partial_euler_mu(ranks, n):
     """Alternating sums of free-module ranks f_0..f_n."""
     ranks = list(ranks)
-    assert len(ranks) == n + 1, "need exactly n+1 ranks"
+    if len(ranks) != n + 1:
+        raise ValueError(f"need exactly n+1 = {n + 1} ranks, not {len(ranks)}")
     mu = sum((-1) ** (n - i) * f for i, f in enumerate(ranks))
     chi = sum((-1) ** i * f for i, f in enumerate(ranks))
     return EulerData(n=n, ranks=ranks, mu=mu, chi=chi, nu2=mu if n == 2 else None)
@@ -506,7 +509,8 @@ def partial_euler_mu(ranks, n):
 def morse_check(b, e):
     """Morse inequality sum_i (-1)^(n-i) b_i <= mu_n; returns (holds, slack)."""
     n = e.n
-    assert len(b.b) >= n + 1, "Betti vector too short for this degree"
+    if len(b.b) < n + 1:
+        raise ValueError(f"Betti vector of length {len(b.b)} too short for degree {n}")
     lhs = sum((-1) ** (n - i) * b.b[i] for i in range(n + 1))
     slack = e.mu - lhs
     return slack >= 0, slack

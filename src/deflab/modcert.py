@@ -20,7 +20,7 @@ from .errors import (
     ZeroWitness,
 )
 from .groupring import GroupRingElement
-from .linalg import cokernel_invariants, rank_mod_p, rank_over_Q
+from .linalg import add_to, cokernel_invariants, rank_mod_p, rank_over_Q, sparse_row
 from .lowindex import low_index_subgroups
 from .quotient import core_record
 from .schreier import rewrite_subgroup_presentation
@@ -36,7 +36,10 @@ class ModulePresentation:
 
     def __post_init__(self):
         for rel in self.relations:
-            assert len(rel) == self.free_rank, "relation tuple has wrong arity"
+            if len(rel) != self.free_rank:
+                raise ValueError(
+                    f"relation tuple of arity {len(rel)}, not the free rank {self.free_rank}"
+                )
 
 
 @dataclass(frozen=True)
@@ -88,25 +91,21 @@ def coinvariant_rank_lower_bound(m, record, field="Q"):
     """
     table = record.table
     k = table.index
-    r = m.free_rank
-    columns = []
+    n = m.free_rank * k
+    matrix = [{} for _ in range(n)]  # row (slot i, coset), column (t, relation)
+    col = 0
     for t in range(k):
         for rel in m.relations:
-            vec = [0] * (r * k)
             for i, a in enumerate(rel):
                 for w, c in a.terms:
-                    coset = table.trace(t, w)
-                    vec[i * k + coset] += c
-            columns.append(vec)
-    if not columns:
-        return r * k
-    matrix = [list(row) for row in zip(*columns)]  # (r*k) x (#columns)
+                    add_to(matrix[i * k + table.trace(t, w)], col, c)
+            col += 1
     if field == "Q":
-        return r * k - rank_over_Q(matrix)
+        return n - rank_over_Q(matrix)
     if field == "Z":
-        free, torsion = cokernel_invariants(matrix, r * k)
+        free, torsion = cokernel_invariants(matrix, col)
         return free + len(torsion)
-    return r * k - rank_mod_p(matrix, int(field))
+    return n - rank_mod_p(matrix, int(field))
 
 
 def separating_subgroup(support, p, max_index):
@@ -230,13 +229,11 @@ def rank_drop_certificate(p, witness, q, max_index=12):
         raise ValueError("witness arity must match the relator count")
     complex_ = presentation_chain_complex(p, q)
     n = q.order
-    vec = [0] * (e2 * n)
-    for j, a in enumerate(witness.rho):
-        for w, c in a.terms:
-            vec[j * n + q.project_word(w)] += c
-    d2 = complex_.boundaries[1]
-    for row in d2:
-        if sum(x * y for x, y in zip(row, vec)):
+    vec = sparse_row(
+        (j * n + q.project_word(w), c) for j, a in enumerate(witness.rho) for w, c in a.terms
+    )
+    for row in complex_.boundaries[1]:
+        if sum(x * vec.get(j, 0) for j, x in row.items()):
             raise WitnessNotInKernel(
                 "boundary image of the witness is nonzero in this quotient"
             )

@@ -22,7 +22,7 @@ from .errors import (
     NonPrimeModulus,
     OrderCapExceeded,
 )
-from .linalg import is_prime, rank_mod_p
+from .linalg import is_prime, rank_mod_p, sparse_row
 from .quotient import FiniteGroup, core_quotient
 
 
@@ -51,25 +51,18 @@ def bar_cohomology_dims(group, p, max_order=64):
         raise OrderCapExceeded(f"group order {n} exceeds the cap {max_order}")
     mult = group.mult
     # d1: C^1 -> C^2, (d1 f)(g, h) = f(h) - f(gh) + f(g)
-    d1 = []
-    for g in range(n):
-        for h in range(n):
-            row = [0] * n
-            row[h] += 1
-            row[mult[g][h]] -= 1
-            row[g] += 1
-            d1.append(row)
+    d1 = [
+        sparse_row(((h, 1), (mult[g][h], -1), (g, 1))) for g in range(n) for h in range(n)
+    ]
     # d2: C^2 -> C^3, (d2 f)(g,h,l) = f(h,l) - f(gh,l) + f(g,hl) - f(g,h)
-    d2 = []
-    for g in range(n):
-        for h in range(n):
-            for l in range(n):
-                row = [0] * (n * n)
-                row[h * n + l] += 1
-                row[mult[g][h] * n + l] -= 1
-                row[g * n + mult[h][l]] += 1
-                row[g * n + h] -= 1
-                d2.append(row)
+    d2 = [
+        sparse_row((
+            (h * n + l, 1), (mult[g][h] * n + l, -1), (g * n + mult[h][l], 1), (g * n + h, -1)
+        ))
+        for g in range(n)
+        for h in range(n)
+        for l in range(n)
+    ]
     r1 = rank_mod_p(d1, p)
     r2 = rank_mod_p(d2, p)
     h0 = 1  # d0 vanishes for trivial coefficients

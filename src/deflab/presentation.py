@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import GrammarError
+from .linalg import sparse_row
 from .words import Word, commutator
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -78,11 +79,8 @@ class Presentation:
         return " ".join(parts)
 
     def abelianized_relator_matrix(self):
-        """Exponent-sum matrix: one row per relator, one column per generator."""
-        return [
-            [r.exponent_sum(g) for g in range(len(self.generators))]
-            for r in self.relators
-        ]
+        """Sparse exponent-sum matrix: one row per relator, one column per generator."""
+        return [sparse_row(r) for r in self.relators]
 
 
 def serialize_presentation(p):

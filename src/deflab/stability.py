@@ -34,7 +34,7 @@ from .intervals import (
     deficiency_interval,
     resolve_certificate,
 )
-from .linalg import cokernel_invariants, partial_euler_mu
+from .linalg import cokernel_invariants
 from .lowindex import low_index_subgroups
 from .presentation import serialize_presentation
 from .schreier import rewrite_subgroup_presentation
@@ -149,7 +149,7 @@ def stability_report(
         ordinals[k] = ordinals.get(k, 0) + 1
         gens, rels = k * (e1 - 1) + 1, k * e2  # the Schreier presentation's counts
         relations = _cover_relation_matrix(base_pres, rec)
-        b1, torsion = cokernel_invariants(relations, len(relations))
+        b1, torsion = cokernel_invariants(relations, rels)
         if certificate != CERT_NONE:
             value = gens - rels  # 1 - k*chi, achieved by the Schreier presentation
             interval = DeficiencyInterval(
@@ -195,45 +195,4 @@ def stability_report(
         rows=tuple(rows),
         verdict=verdict,
         enumeration_complete=complete,
-    )
-
-
-@dataclass(frozen=True)
-class NuReport:
-    base: object
-    cover: object
-    multiplicative: bool
-
-    def to_json(self):
-        return {
-            "base": {
-                "n": self.base.n,
-                "ranks": self.base.ranks,
-                "chi": self.base.chi,
-                "nu_candidate": (-1) ** self.base.n * self.base.chi,
-            },
-            "cover": {
-                "n": self.cover.n,
-                "ranks": self.cover.ranks,
-                "chi": self.cover.chi,
-                "nu_candidate": (-1) ** self.cover.n * self.cover.chi,
-            },
-            "multiplicative": self.multiplicative,
-        }
-
-
-def nu_bookkeeping(cell_counts, n, cover_index):
-    """(-1)^n chi for base cell counts and for the index-k cover counts.
-
-    The cover of an n-complex with f_i cells has k*f_i cells, so its signed
-    Euler characteristic is exactly k times the base value; the verdict
-    records that the multiplicativity holds at the cell-count level.
-    """
-    assert n >= 1
-    base = partial_euler_mu(list(cell_counts), n)
-    cover = partial_euler_mu([cover_index * f for f in cell_counts], n)
-    nu_base = (-1) ** n * base.chi
-    nu_cover = (-1) ** n * cover.chi
-    return NuReport(
-        base=base, cover=cover, multiplicative=nu_cover == cover_index * nu_base
     )

@@ -25,11 +25,13 @@ from deflab.intervals import deficiency_interval
 from deflab.linalg import (
     betti_numbers,
     cokernel_invariants,
+    from_dense,
     mat_mul,
-    mat_is_zero,
     morse_check,
     partial_euler_mu,
     smith_normal_form,
+    to_dense,
+    transpose,
 )
 from deflab.lowindex import low_index_subgroups
 from deflab.modcert import KernelWitness, primitivize, rank_drop_certificate, separating_subgroup
@@ -155,7 +157,7 @@ def test_criterion_4_fox_chain_soundness():
             pass
         for q in quotients:
             c = presentation_chain_complex(p, q)  # verifies d1 @ d2 == 0
-            assert mat_is_zero(mat_mul(c.boundaries[0], c.boundaries[1]))
+            assert not any(mat_mul(c.boundaries[0], c.boundaries[1]))
             built += 1
             if built >= 100:
                 break
@@ -222,8 +224,12 @@ def test_criterion_6_snf_self_verification():
         rows = rng.randrange(1, 13)
         cols = rng.randrange(1, 13)
         a = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
-        snf = smith_normal_form(a)  # verify() runs at construction
-        assert mat_mul(mat_mul(snf.left, a), snf.right) == snf.diagonal_matrix()
+        snf = smith_normal_form(from_dense(a), cols)  # verify() runs at construction
+        product = mat_mul(mat_mul(snf.left, from_dense(a)), snf.right)
+        assert to_dense(product, cols) == [
+            [snf.diagonal[i] if i == j < snf.rank else 0 for j in range(cols)]
+            for i in range(rows)
+        ]
         for x, y in zip(snf.diagonal, snf.diagonal[1:]):
             assert x > 0 and y % x == 0
     print("ACCEPTANCE 6 (SNF transforms and divisibility on 500 random "
@@ -233,10 +239,7 @@ def test_criterion_6_snf_self_verification():
 def _h1_dim_mod_p(sub_presentation, prime):
     matrix = sub_presentation.abelianized_relator_matrix()
     n = sub_presentation.num_generators
-    if not matrix:
-        return n
-    columns = [list(row) for row in zip(*matrix)]
-    free, torsion = cokernel_invariants(columns, n)
+    free, torsion = cokernel_invariants(transpose(matrix, n), len(matrix))
     return free + sum(1 for t in torsion if t % prime == 0)
 
 

@@ -12,7 +12,7 @@ from deflab.corpus import corpus_presentation
 from deflab.coset import subgroup_record
 from deflab.errors import InvalidQuotient
 from deflab.groupring import GroupRingElement, fox_derivative
-from deflab.linalg import betti_numbers, mat_mul, mat_is_zero
+from deflab.linalg import betti_numbers, mat_mul, to_dense
 from deflab.lowindex import low_index_subgroups
 from deflab.presentation import Presentation, parse_presentation, parse_word
 from deflab.quotient import FiniteGroup, core_record
@@ -66,23 +66,24 @@ def block_transpose_boundaries(p, q):
 def test_boundaries_equal_block_transpose_of_dense_push(corpus_core_quotients):
     for name, p, _, q in corpus_core_quotients:
         c = presentation_chain_complex(p, q)
-        assert c.boundaries == block_transpose_boundaries(p, q), name
+        dense = tuple(to_dense(b, cols) for b, cols in zip(c.boundaries, c.dims[1:]))
+        assert dense == block_transpose_boundaries(p, q), name
         for r in p.relators:
             der = fox_derivative(r, 0)
-            assert push_to_quotient(der, q) == dense_push(der, q), name
+            assert to_dense(push_to_quotient(der, q), q.order) == dense_push(der, q), name
 
 
 def test_push_units():
     q = FiniteGroup.cyclic(3)
     ident = push_to_quotient(GroupRingElement.one(), q)
-    assert ident == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert push_to_quotient(GroupRingElement.zero(), q) == [[0] * 3] * 3
+    assert ident == [{0: 1}, {1: 1}, {2: 1}]
+    assert push_to_quotient(GroupRingElement.zero(), q) == [{}, {}, {}]
 
 
 def test_push_c2_example():
     q = FiniteGroup.cyclic(2)
     x = GroupRingElement.one() - GroupRingElement.of_word(Word(((0, 1),)))
-    assert push_to_quotient(x, q) == [[1, -1], [-1, 1]]
+    assert push_to_quotient(x, q) == [{0: 1, 1: -1}, {0: -1, 1: 1}]
 
 
 def test_push_is_ring_homomorphism():
@@ -95,8 +96,8 @@ def test_push_is_ring_homomorphism():
         x = rand_element(rng, 2)
         y = rand_element(rng, 2)
         px, py = push_to_quotient(x, q), push_to_quotient(y, q)
-        assert push_to_quotient(x + y, q) == [
-            [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(px, py)
+        assert to_dense(push_to_quotient(x + y, q), 6) == [
+            [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(to_dense(px, 6), to_dense(py, 6))
         ]
         assert push_to_quotient(x * y, q) == mat_mul(px, py)
 
@@ -105,14 +106,14 @@ def test_torus_over_trivial():
     p = corpus_presentation("torus")
     c = presentation_chain_complex(p, FiniteGroup.trivial(2))
     assert c.ranks == (1, 2, 1)
-    assert c.boundaries[1] == [[0], [0]]
-    assert c.boundaries[0] == [[0, 0]]
+    assert c.boundaries[1] == [{}, {}]  # each commutator letter cancels its inverse
+    assert c.boundaries[0] == [{}]
 
 
 def test_a5_over_trivial():
     p = parse_presentation("< a | a^5 >")
     c = presentation_chain_complex(p, FiniteGroup.trivial(1))
-    assert c.boundaries[1] == [[5]]
+    assert c.boundaries[1] == [{0: 5}]
 
 
 def test_composition_zero_is_construction_invariant():
@@ -147,8 +148,8 @@ def test_composition_zero_is_construction_invariant():
                 continue
             quotients.append(q)
         for q in quotients:
-            c = presentation_chain_complex(p, q)  # asserts d1 @ d2 == 0
-            assert mat_is_zero(mat_mul(c.boundaries[0], c.boundaries[1]))
+            c = presentation_chain_complex(p, q)  # checks d1 @ d2 == 0
+            assert not any(mat_mul(c.boundaries[0], c.boundaries[1]))
             built += 1
             if built >= 100:
                 break
@@ -179,9 +180,11 @@ def test_restriction_bookkeeping_and_homology():
     h = subgroup_record(torus, [parse_word("a", torus), parse_word("b^2", torus)])
     rc = restrict_to_subgroup(c, h, q4)
     assert rc.ranks == (2, 4, 2) and rc.quotient_order == 2
-    assert sum(len(b) * len(b[0]) for b in rc.boundaries) == sum(
-        len(b) * len(b[0]) for b in c.boundaries
-    )
+    assert rc.dims == c.dims
+    # a permutation of the basis moves the entries and keeps their values
+    assert [sorted(x for row in b for x in row.values()) for b in rc.boundaries] == [
+        sorted(x for row in b for x in row.values()) for b in c.boundaries
+    ]
     assert betti_numbers(c, "Q").b == betti_numbers(rc, "Q").b
 
 

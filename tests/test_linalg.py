@@ -19,20 +19,46 @@ from deflab.linalg import (
     SNFResult,
     _dense_snf,
     betti_numbers,
+    from_dense,
     is_prime,
     mat_mul,
-    mat_shape,
     morse_check,
     partial_euler_mu,
     rank_mod_p,
     rank_over_Q,
     smith_normal_form,
+    to_dense,
 )
 from deflab.quotient import FiniteGroup
+
+# The tests build dense lists of lists, convert them with `from_dense` for
+# deflab, and check its sparse results against dense definitions.
 
 
 def identity_matrix(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def dense_product(a, b):
+    """a @ b for dense lists of lists, by the definition."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def dense_snf(a):
+    """smith_normal_form of a dense matrix."""
+    return smith_normal_form(from_dense(a), len(a[0]))
+
+
+def assert_smith_form_of(snf, a):
+    """L @ a @ R, multiplied densely, is diag(snf.diagonal); d_i | d_{i+1}."""
+    rows, cols = len(a), len(a[0])
+    product = dense_product(dense_product(to_dense(snf.left, rows), a), to_dense(snf.right, cols))
+    diagonal = [[0] * cols for _ in range(rows)]
+    for i, d in enumerate(snf.diagonal):
+        diagonal[i][i] = d
+    assert product == diagonal
+    for x, y in zip(snf.diagonal, snf.diagonal[1:]):
+        assert x > 0 and y % x == 0
 
 
 def det(a):
@@ -57,7 +83,9 @@ def det(a):
 
 
 def assert_unimodular(snf):
-    assert det(snf.left) in (1, -1) and det(snf.right) in (1, -1)
+    rows, cols = snf.shape
+    assert det(to_dense(snf.left, rows)) in (1, -1)
+    assert det(to_dense(snf.right, cols)) in (1, -1)
 
 
 def test_det_helper():
@@ -76,19 +104,21 @@ def rand_matrix(rng, max_dim=12, bound=9):
 
 
 def test_snf_identity():
-    snf = smith_normal_form(identity_matrix(4))
+    snf = dense_snf(identity_matrix(4))
     assert snf.diagonal == [1, 1, 1, 1] and snf.rank == 4
 
 
 def test_snf_zero():
-    snf = smith_normal_form([[0, 0], [0, 0]])
+    snf = smith_normal_form([{}, {}], 2)
     assert snf.diagonal == [] and snf.rank == 0
+    assert snf.left == snf.right == [{0: 1}, {1: 1}]
 
 
 def test_snf_diag_2_3():
-    snf = smith_normal_form([[2, 0], [0, 3]])
+    snf = smith_normal_form([{0: 2}, {1: 3}], 2)
     assert snf.diagonal == [1, 6]
-    snf.verify([[2, 0], [0, 3]])
+    snf.verify([{0: 2}, {1: 3}])
+    assert_smith_form_of(snf, [[2, 0], [0, 3]])
 
 
 def test_snf_random_self_verification():
@@ -96,20 +126,18 @@ def test_snf_random_self_verification():
     rng = random.Random(31)
     for _ in range(500):
         a = rand_matrix(rng)
-        snf = smith_normal_form(a)
-        assert mat_mul(mat_mul(snf.left, a), snf.right) == snf.diagonal_matrix()
-        for x, y in zip(snf.diagonal, snf.diagonal[1:]):
-            assert x > 0 and y % x == 0
+        snf = dense_snf(a)
+        assert_smith_form_of(snf, a)
         assert_unimodular(snf)
 
 
 def test_rank_mod_p_examples():
-    assert rank_mod_p([[2]], 2) == 0
-    assert rank_mod_p([[2]], 3) == 1
+    assert rank_mod_p([{0: 2}], 2) == 0
+    assert rank_mod_p([{0: 2}], 3) == 1
     for p in (2, 3, 5, 7):
-        assert rank_mod_p([[1, 1], [1, 1]], p) == 1
+        assert rank_mod_p([{0: 1, 1: 1}, {0: 1, 1: 1}], p) == 1
     with pytest.raises(NonPrimeModulus):
-        rank_mod_p([[1]], 6)
+        rank_mod_p([{0: 1}], 6)
 
 
 def exact_rank_mod_p(a, p):
@@ -134,17 +162,17 @@ def exact_rank_mod_p(a, p):
 def test_rank_mod_p_rejects_primes_beyond_int64_products():
     # primality is certified only below 2^64; 2^64 + 13 is the first prime above
     with pytest.raises(ModulusTooLarge):
-        rank_mod_p([[1, 2], [3, 4]], 2**64 + 13)
+        rank_mod_p([{0: 1, 1: 2}, {0: 3, 1: 4}], 2**64 + 13)
     assert issubclass(ModulusTooLarge, DeflabError)
     rng = random.Random(43)
     for p in (2**31 - 1, 2**32 + 15, 2**61 - 1):
         for _ in range(100):
             u = [[rng.randrange(p) for _ in range(3)] for _ in range(4)]
             v = [[rng.randrange(p) for _ in range(4)] for _ in range(3)]
-            a = mat_mul(u, v)
-            assert rank_mod_p(a, p) == exact_rank_mod_p(a, p)
+            a = dense_product(u, v)
+            assert rank_mod_p(from_dense(a), p) == exact_rank_mod_p(a, p)
         a = [[1, 1], [1, 1 + p]]
-        assert rank_mod_p(a, p) == exact_rank_mod_p(a, p) == 1
+        assert rank_mod_p(from_dense(a), p) == exact_rank_mod_p(a, p) == 1
 
 
 def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
@@ -169,12 +197,12 @@ def test_rank_agreement_away_from_torsion():
     rng = random.Random(37)
     for _ in range(100):
         a = rand_matrix(rng, max_dim=8, bound=5)
-        snf = smith_normal_form(a)
-        rq = rank_over_Q(a)
+        snf = dense_snf(a)
+        rq = rank_over_Q(from_dense(a))
         assert rq == snf.rank
         for p in (2, 3, 5, 7, 11):
             if all(d % p for d in snf.diagonal):
-                assert rank_mod_p(a, p) == rq
+                assert rank_mod_p(from_dense(a), p) == rq
 
 
 def test_betti_examples():
@@ -225,18 +253,22 @@ def test_morse_check():
     assert not holds and slack == -6
 
 
+def boundaries_with_columns(c):
+    """(boundary, column count) for each boundary of c with a nonempty shape."""
+    return [(b, cols) for b, cols in zip(c.boundaries, c.dims[1:]) if b and cols]
+
+
 def corpus_matrices():
-    """Corpus-derived integer matrices: abelianized relators, chain boundaries."""
+    """Corpus-derived sparse integer matrices, each with its column count:
+    abelianized relators and chain boundaries."""
     mats = []
     for name in CORPUS:
         p = corpus_presentation(name)
         m = p.abelianized_relator_matrix()
         if m:
-            mats.append(m)
+            mats.append((m, p.num_generators))
         c = presentation_chain_complex(p, FiniteGroup.trivial(p.num_generators))
-        for b in c.boundaries:
-            if b and b[0]:
-                mats.append(b)
+        mats += boundaries_with_columns(c)
     assert mats
     return mats
 
@@ -248,17 +280,17 @@ def test_snf_transforms_are_unimodular_on_corpus_complexes(corpus_core_quotients
         if q.order > largest.get(name, (0,))[0]:
             largest[name] = (q.order, p, q)
     for _, p, q in largest.values():
-        mats += [b for b in presentation_chain_complex(p, q).boundaries if b and b[0]]
-    for a in mats:
-        assert_unimodular(smith_normal_form(a))
+        mats += boundaries_with_columns(presentation_chain_complex(p, q))
+    for a, cols in mats:
+        assert_unimodular(smith_normal_form(a, cols))
 
 
-def assert_matches_dense_route(a):
+def assert_matches_dense_route(a, cols):
     """smith_normal_form against `_dense_snf` (the min-abs dense elimination)
     run on the whole matrix: same diagonal and rank, and unimodular L, R."""
-    snf = smith_normal_form(a)
-    diagonal, left, right = _dense_snf(a)
-    SNFResult(diagonal, len(diagonal), left, right, mat_shape(a)).verify(a)
+    snf = smith_normal_form(a, cols)
+    diagonal, left, right = _dense_snf(to_dense(a, cols))
+    SNFResult(diagonal, len(diagonal), from_dense(left), from_dense(right), (len(a), cols)).verify(a)
     assert snf.diagonal == diagonal and snf.rank == len(diagonal)
     assert_unimodular(snf)
     return snf
@@ -270,9 +302,8 @@ def test_snf_matches_dense_route_on_corpus_complexes(corpus_core_quotients):
     complexes = [(p, q) for _, p, _, q in corpus_core_quotients if q.order <= 168]
     complexes.append((corpus_presentation("trefoil"), psl27))
     for p, q in complexes:
-        for b in presentation_chain_complex(p, q).boundaries:
-            if b and b[0]:
-                assert_matches_dense_route(b)
+        for b, cols in boundaries_with_columns(presentation_chain_complex(p, q)):
+            assert_matches_dense_route(b, cols)
 
 
 def test_snf_matches_dense_route_on_random_matrices():
@@ -282,16 +313,16 @@ def test_snf_matches_dense_route_on_random_matrices():
         for _ in range(100):
             rows, cols = rng.randint(1, 10), rng.randint(1, 10)
             a = [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
-            assert_matches_dense_route(a)
+            assert_matches_dense_route(from_dense(a), cols)
 
 
 def test_snf_with_torsion_in_the_core():
     # q8 over its quotient C2 x C2: d2 is 8 x 12 and H_1 has torsion [2];
     # unit pivots only give 1s, so the 2 comes from the dense core
     q = FiniteGroup.from_permutations([(1, 0, 3, 2), (2, 3, 0, 1)])
-    d2 = presentation_chain_complex(corpus_presentation("q8"), q).boundaries[1]
-    assert mat_shape(d2) == (8, 12)
-    assert assert_matches_dense_route(d2).diagonal == [1, 1, 1, 1, 2]
+    c = presentation_chain_complex(corpus_presentation("q8"), q)
+    assert c.dims == [4, 8, 12]
+    assert assert_matches_dense_route(c.boundaries[1], 12).diagonal == [1, 1, 1, 1, 2]
 
 
 def test_snf_with_minus_one_pivots_only():
@@ -302,13 +333,13 @@ def test_snf_with_minus_one_pivots_only():
         [[-1, -1], [0, -1]],
         [[-1, 0, 4], [0, -1, 6]],
     ):
-        snf = assert_matches_dense_route(a)
+        snf = assert_matches_dense_route(from_dense(a), len(a[0]))
         assert snf.diagonal == [1] * len(a)
 
 
 def test_rank_agreement_on_corpus_matrices():
-    for a in corpus_matrices():
-        snf = smith_normal_form(a)
+    for a, cols in corpus_matrices():
+        snf = smith_normal_form(a, cols)
         for p_ in (2, 3, 5, 7):
             if all(d % p_ for d in snf.diagonal):
                 assert rank_mod_p(a, p_) == snf.rank
@@ -324,9 +355,12 @@ def test_b0_is_one_on_connected_corpus_complexes():
 def test_snf_serializable():
     import json
 
-    snf = smith_normal_form([[2, 0], [0, 3]])
+    snf = smith_normal_form([{0: 2}, {1: 3}], 2)
     data = json.loads(json.dumps(snf.to_json()))
     assert data["diagonal"] == [1, 6] and data["rank"] == 2
+    assert dense_product(dense_product(data["left"], [[2, 0], [0, 3]]), data["right"]) == [
+        [1, 0], [0, 6]
+    ]
 
 
 ORACLE_PRIMES = (2, 3, 5, 2**31 - 1)
@@ -343,7 +377,7 @@ def rand_oracle_matrix(rng, max_dim=12):
         [rng.choice((0, 0, 1, -1, 5, BIG, -BIG)) for _ in range(cols)]
         for _ in range(inner)
     ]
-    a = mat_mul(u, v)
+    a = dense_product(u, v)
     for _ in range(rng.randint(0, 3)):
         a[rng.randrange(rows)][rng.randrange(cols)] = rng.choice((BIG, -BIG))
     if rng.random() < 0.5:
@@ -357,36 +391,38 @@ def rand_oracle_matrix(rng, max_dim=12):
     return a
 
 
-def assert_ranks_match_oracles(a, primes=ORACLE_PRIMES, q_rank=None):
-    before = [row[:] for row in a]
+def assert_ranks_match_oracles(a, cols, primes=ORACLE_PRIMES, q_rank=None):
+    before = [dict(row) for row in a]
     if q_rank is None:
-        q_rank = smith_normal_form(a).rank
+        q_rank = smith_normal_form(a, cols).rank
     assert rank_over_Q(a) == q_rank
+    dense = to_dense(a, cols)
     for p in primes:
-        assert rank_mod_p(a, p) == exact_rank_mod_p(a, p), p
+        assert rank_mod_p(a, p) == exact_rank_mod_p(dense, p), p
     assert a == before, "rank routines must not modify their input"
 
 
 def test_sparse_ranks_match_oracles_on_random_matrices():
     rng = random.Random(53)
     for _ in range(200):
-        assert_ranks_match_oracles(rand_oracle_matrix(rng))
+        a = rand_oracle_matrix(rng)
+        assert_ranks_match_oracles(from_dense(a), len(a[0]))
 
 
 def test_sparse_ranks_match_oracles_on_corpus_and_bar_matrices(monkeypatch):
-    for a in corpus_matrices():
-        assert_ranks_match_oracles(a)
+    for a, cols in corpus_matrices():
+        assert_ranks_match_oracles(a, cols)
     bar = []  # the bar complex's d1 and d2, as bar_cohomology_dims ranks them
     monkeypatch.setattr(modp, "rank_mod_p", lambda a, p: bar.append(a) or rank_mod_p(a, p))
     d16 = FiniteGroup.from_permutations([(1, 2, 3, 4, 5, 6, 7, 0), (0, 7, 6, 5, 4, 3, 2, 1)])
     assert modp.bar_cohomology_dims(d16, 2).dims == (1, 2, 3)
     d1, d2 = bar
-    assert_ranks_match_oracles(d1)
+    assert_ranks_match_oracles(d1, 16)
     # dense SNF of the 4096 x 256 d2 needs a 4096 x 4096 transform; over Q
     # H^1 = H^2 = 0 for a finite group, so rank d2 = 16^2 - rank d1 = 240.
     # The dense oracle takes seconds per prime here, so only p = 2 is run:
     # the prime where the rank drops (H^2(D16; F_2) has dimension 3).
-    assert_ranks_match_oracles(d2, primes=(2,), q_rank=240)
+    assert_ranks_match_oracles(d2, 256, primes=(2,), q_rank=240)
 
 
 def test_mat_mul_matches_the_definition():
@@ -396,26 +432,29 @@ def test_mat_mul_matches_the_definition():
         b = (b * len(a[0]))[: len(a[0])]  # len(a[0]) rows
         n, k, m = len(a), len(b), len(b[0])
         expected = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-        assert mat_mul(a, b) == expected
-    assert mat_mul([[1, 2]], [[0], [0]]) == [[0]]
-    assert mat_mul([[], []], []) == [[], []]
+        assert mat_mul(from_dense(a), from_dense(b)) == from_dense(expected)
+    assert mat_mul([{0: 1, 1: 2}], [{}, {}]) == [{}]
+    assert mat_mul([{0: 1, 1: 1}], [{0: 1}, {0: -1}]) == [{}]  # a cancelled sum is not stored
+    assert mat_mul([{}, {}], []) == [{}, {}]
 
 
 def test_chain_complex_checks_large_entries_exactly():
     x = 2**40
-    ChainComplex(ranks=(1, 2, 1), boundaries=([[x, x]], [[x], [-x]]), quotient_order=1)
+    ChainComplex(ranks=(1, 2, 1), boundaries=([{0: x, 1: x}], [{0: x}, {0: -x}]), quotient_order=1)
     with pytest.raises(InternalCheckFailed):
-        ChainComplex(ranks=(1, 1, 1), boundaries=([[x]], [[x]]), quotient_order=1)
+        ChainComplex(ranks=(1, 1, 1), boundaries=([{0: x}], [{0: x}]), quotient_order=1)
 
 
 CHECKS_UNDER_O = """
+from types import SimpleNamespace
+
 from deflab import modcert, modp, stability
-from deflab.chain import ChainComplex, relator_boundary
+from deflab.chain import ChainComplex, relator_boundary, restrict_to_subgroup
 from deflab.coset import CosetTable, SubgroupRecord, subgroup_record
 from deflab.errors import InternalCheckFailed
 from deflab.groupring import GroupRingElement
 from deflab.intervals import CERT_NONE, DeficiencyInterval, deficiency_interval
-from deflab.linalg import SNFResult, mat_mul
+from deflab.linalg import BettiVector, SNFResult, mat_mul, morse_check, partial_euler_mu
 from deflab.lowindex import low_index_subgroups
 from deflab.presentation import parse_presentation, parse_word
 from deflab.quotient import FiniteGroup
@@ -482,12 +521,22 @@ def cert_with(name, fake, x=GroupRingElement.one()):
 
 
 no_generators = parse_presentation("< a | >")
+# a complex over a group of order 4 with no boundaries, and stand-ins for C4
+# whose "subgroup" [0, 0] repeats the identity and whose [1, 2] omits it
+over_order_4 = ChainComplex(ranks=(1,), boundaries=(), quotient_order=4)
+c4_mult = [[(x + y) % 4 for y in range(4)] for x in range(4)]
+
+
+def fake_c4(closure):
+    return SimpleNamespace(order=4, mult=c4_mult, project_word=lambda w: 0,
+                           subgroup_closure=lambda seeds: closure)
+
 
 for check in (
-    lambda: ChainComplex(ranks=(1, 1, 1), boundaries=([[1]], [[1]]), quotient_order=1),
-    lambda: SNFResult(diagonal=[2], rank=1, left=[[1]], right=[[1]], shape=(1, 1)).verify([[1]]),
-    lambda: mat_mul([[1, 2]], [[1]]),
-    lambda: ChainComplex(ranks=(1, 1), boundaries=([[1, 2, 3]],), quotient_order=1),
+    lambda: ChainComplex(ranks=(1, 1, 1), boundaries=([{0: 1}], [{0: 1}]), quotient_order=1),
+    lambda: SNFResult(diagonal=[2], rank=1, left=[{0: 1}], right=[{0: 1}], shape=(1, 1)).verify([{0: 1}]),
+    lambda: mat_mul([{0: 1, 1: 2}], [{0: 1}]),
+    lambda: ChainComplex(ranks=(1, 1), boundaries=([{0: 1, 1: 2, 2: 3}],), quotient_order=1),
     lambda: CosetTable(index=2, action=((1, 0),), origin=parse_presentation("< a | a >")).verify(),
     lambda: CosetTable(index=2, action=((0, 1),), origin=parse_presentation("< a | >")).verify(),
     lambda: CosetTable.from_rows([[0, 0], [1, 1]], parse_presentation("< a | >")),
@@ -511,6 +560,12 @@ for check in (
     lambda: CosetTable(index=2, action=((0, 0),), origin=no_generators),
     lambda: DeficiencyInterval(2, 1, CERT_NONE),
     lambda: deficiency_interval(parse_presentation("< a, b | a^2, b^2 >"), b2_lower=5),
+    lambda: restrict_to_subgroup(over_order_4, double, FiniteGroup.cyclic(2, ngens=2)),
+    lambda: restrict_to_subgroup(over_order_4, double, fake_c4([0, 0])),
+    lambda: restrict_to_subgroup(over_order_4, double, fake_c4([1, 2])),
+    lambda: partial_euler_mu([1, 2], 2),
+    lambda: morse_check(BettiVector(b=[1, 2], torsion=[[], []], field="Q"), partial_euler_mu([1, 2, 1], 2)),
+    lambda: modcert.ModulePresentation(ambient=dup, free_rank=2, relations=((one_plus_a,),)),
 ):
     try:
         check()
@@ -523,8 +578,8 @@ for check in (
 UNDER_O_EXPECTED = [
     ("InternalCheckFailed", "boundary composition is nonzero"),
     ("InternalCheckFailed", "is not the Smith diagonal"),
-    ("ValueError", "shape mismatch 2 != 1"),
-    ("ValueError", "boundary 0 has shape (1, 3), not (1, 1)"),
+    ("ValueError", "shape mismatch: a has a column past the 1 rows of b"),
+    ("ValueError", "boundary 0 does not fit the shape (1, 1)"),
     ("InternalCheckFailed", "relator does not act trivially"),
     ("InternalCheckFailed", "action is not transitive"),
     ("InternalCheckFailed", "table not transitive"),
@@ -548,6 +603,12 @@ UNDER_O_EXPECTED = [
     ("ValueError", "generator action is not a bijection"),
     ("InternalCheckFailed", "interval lower bound 2 exceeds its upper bound 1"),
     ("InternalCheckFailed", "lower bound exceeded b1-based upper bound"),
+    ("ValueError", "the complex is over order 4, the quotient has 2"),
+    ("InternalCheckFailed", "4 coset representatives for index 2"),
+    ("InternalCheckFailed", "transversal basis hits an element twice"),
+    ("ValueError", "need exactly n+1 = 3 ranks, not 2"),
+    ("ValueError", "Betti vector of length 2 too short for degree 2"),
+    ("ValueError", "relation tuple of arity 1, not the free rank 2"),
 ]
 
 
@@ -563,8 +624,8 @@ def test_internal_checks_survive_python_O():
     for line, (kind, message) in zip(lines, UNDER_O_EXPECTED):
         assert line.startswith(f"{kind}: ") and message in line, line
     with pytest.raises(InternalCheckFailed):
-        SNFResult(diagonal=[2], rank=1, left=[[1]], right=[[1]], shape=(1, 1)).verify([[1]])
-    not_a_chain = SNFResult(diagonal=[2, 3], rank=2, left=identity_matrix(2),
-                            right=identity_matrix(2), shape=(2, 2))
+        SNFResult(diagonal=[2], rank=1, left=[{0: 1}], right=[{0: 1}], shape=(1, 1)).verify([{0: 1}])
+    identity = from_dense(identity_matrix(2))
+    not_a_chain = SNFResult(diagonal=[2, 3], rank=2, left=identity, right=identity, shape=(2, 2))
     with pytest.raises(InternalCheckFailed, match="divisibility"):
-        not_a_chain.verify([[2, 0], [0, 3]])
+        not_a_chain.verify([{0: 2}, {1: 3}])

@@ -3,7 +3,7 @@ import pytest
 from deflab.corpus import corpus_presentation
 from deflab.coset import subgroup_record
 from deflab.errors import NonNormalSubgroup, OrderCapExceeded
-from deflab.linalg import cokernel_invariants
+from deflab.linalg import cokernel_invariants, transpose
 from deflab.lowindex import low_index_subgroups
 from deflab.modp import bar_cohomology_dims, dual_complex_dims
 from deflab.presentation import parse_presentation, parse_word
@@ -15,10 +15,7 @@ def h1_dim_mod_p(sub_presentation, p):
     """dim Hom(H1(N), F_p) from the abelianized Schreier presentation."""
     matrix = sub_presentation.abelianized_relator_matrix()
     n = sub_presentation.num_generators
-    if not matrix:
-        return n
-    columns = [list(row) for row in zip(*matrix)]
-    free, torsion = cokernel_invariants(columns, n)
+    free, torsion = cokernel_invariants(transpose(matrix, n), len(matrix))
     return free + sum(1 for t in torsion if t % p == 0)
 
 

@@ -93,6 +93,6 @@ def test_parse_word():
 def test_deficiency_datum_and_abelianized_matrix():
     p = corpus_presentation("genus2")
     assert p.deficiency_datum() == 3
-    assert p.abelianized_relator_matrix() == [[0, 0, 0, 0]]
+    assert p.abelianized_relator_matrix() == [{}]  # exponent sums all zero
     t = corpus_presentation("trefoil")
-    assert t.abelianized_relator_matrix() == [[2, -3]]
+    assert t.abelianized_relator_matrix() == [{0: 2, 1: -3}]

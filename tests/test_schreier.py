@@ -1,7 +1,7 @@
 from deflab.chain import collapse_to_point, presentation_chain_complex, restrict_to_subgroup
 from deflab.corpus import corpus_presentation
 from deflab.coset import cyclic_cover_record
-from deflab.linalg import betti_numbers, cokernel_invariants
+from deflab.linalg import betti_numbers, cokernel_invariants, transpose
 from deflab.lowindex import low_index_subgroups
 from deflab.quotient import core_record
 from deflab.schreier import rewrite_subgroup_presentation
@@ -10,10 +10,7 @@ from deflab.tietze import tietze_simplify
 
 def abelian_invariants(p):
     matrix = p.abelianized_relator_matrix()
-    if not matrix:
-        return p.num_generators, []
-    columns = [list(row) for row in zip(*matrix)]
-    return cokernel_invariants(columns, p.num_generators)
+    return cokernel_invariants(transpose(matrix, p.num_generators), len(matrix))
 
 
 def test_torus_index_two_counts():

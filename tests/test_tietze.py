@@ -1,7 +1,7 @@
 import random
 
 from deflab.corpus import CORPUS, corpus_presentation
-from deflab.linalg import cokernel_invariants
+from deflab.linalg import cokernel_invariants, transpose
 from deflab.presentation import Presentation, parse_presentation
 from deflab.tietze import deficiency_lower_bound, tietze_simplify
 from deflab.words import Word
@@ -9,10 +9,7 @@ from deflab.words import Word
 
 def abelian_invariants(p):
     matrix = p.abelianized_relator_matrix()
-    if not matrix:
-        return p.num_generators, []
-    columns = [list(row) for row in zip(*matrix)]
-    return cokernel_invariants(columns, p.num_generators)
+    return cokernel_invariants(transpose(matrix, p.num_generators), len(matrix))
 
 
 def test_duplicate_removal():
