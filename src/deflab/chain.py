@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IncompatibleRestriction, InternalCheckFailed, InvalidQuotient
+from .coset import product_orbit
+from .errors import IncompatibleRestriction, InternalCheckFailed, InvalidQuotient, LimitExceeded
 from .linalg import add_to, mat_mul, sparse_row, to_dense
 
 
@@ -126,26 +127,28 @@ def restrict_to_subgroup(c, record, quotient):
     """View a complex over G/N as a complex over H/N for N <= H <= G.
 
     quotient is the FiniteGroup the complex was built over; record describes
-    H inside the same presentation.  Ranks multiply by [G:H], the underlying
-    matrices are re-blocked through a transversal basis (a permutation of
-    the old basis), so total sizes and homology are unchanged.
+    H inside the same presentation.  H/N is the set of elements paired with
+    coset 0 in `product_orbit` of the two actions.  Ranks multiply by [G:H],
+    the underlying matrices are re-blocked through a transversal basis (a
+    permutation of the old basis), so total sizes and homology are unchanged.
     """
     q = quotient.order
     if q != c.quotient_order:
         raise ValueError(f"the complex is over order {c.quotient_order}, the quotient has {q}")
+    images, gens = len(quotient.right), len(record.table.action)
+    if images != gens:
+        raise InvalidQuotient(f"the quotient has {images} generator images, not {gens}")
     k = record.index
     if k == 1:
         return c
     if q % k:
         raise IncompatibleRestriction("index does not divide the quotient order")
-    # image of H in the quotient, via its Schreier generator words
-    seeds = [quotient.project_word(w) for _, _, w in record.schreier_generators()]
-    sub_elements = quotient.subgroup_closure(seeds)
+    try:
+        pairs, _ = product_orbit(quotient.right, record.table.action, limit=q)
+    except LimitExceeded:
+        raise IncompatibleRestriction("quotient kernel is not contained in the subgroup") from None
+    sub_elements = [e for e, coset in pairs if coset == 0]
     qprime = q // k
-    if len(sub_elements) != qprime:
-        raise IncompatibleRestriction(
-            "quotient kernel is not contained in the subgroup"
-        )
     sub_index = {e: i for i, e in enumerate(sub_elements)}
     # right-coset transversal: E with Q = union of (H/N) t, identity first
     reps = []

@@ -6,7 +6,9 @@ and Schreier rewriting all go through it.  Tables use 0-based cosets
 internally (coset 0 is the subgroup); the JSON serialization is 1-based.
 Canonical numbering everywhere: cosets are renumbered by first appearance
 when scanning rows in order over the positive generator columns, which makes
-every downstream report byte-stable.
+every downstream report byte-stable.  A subgroup record stores its BFS
+spanning tree: Schreier words are spelled only for output and rewriting, and
+subgroup membership in a regular action is read from one `product_orbit`.
 
 Partial tables are rows of letter codes: column 2*g is generator g, column
 2*g+1 its inverse, and UNDEF marks an entry not yet defined.
@@ -46,6 +48,16 @@ def orbit(start, successors, limit=None):
                 index[nxt] = len(order)
                 order.append(nxt)
     return order, index
+
+
+def product_orbit(first, second, limit=None):
+    """`orbit` of (0, 0) with generator g acting as (first[g], second[g]).
+
+    For the regular action of G/N and the coset action of H it has one pair
+    per element exactly when N lies in H; H/N is then the pairs (e, 0).
+    """
+    actions = tuple(zip(first, second))
+    return orbit((0, 0), lambda pair: [(a[pair[0]], b[pair[1]]) for a, b in actions], limit)
 
 
 def inverse_permutations(perms):
@@ -136,29 +148,30 @@ class CosetTable:
 
 @dataclass(frozen=True)
 class SubgroupRecord:
-    """Coset table plus Schreier transversal and normality flag."""
+    """Coset table plus its BFS spanning tree and normality flag."""
 
     table: CosetTable
-    transversal: tuple  # Words; entry 0 is the empty word
+    tree: tuple  # tree[d] = (c, g) with c < d and c.g = d; tree[0] is None
     is_normal: bool
 
     @property
     def index(self):
         return self.table.index
 
-    def schreier_generators(self):
-        """Yield (c, g, t_c g t_{c.g}^-1) for every pair off the spanning tree.
+    @cached_property
+    def transversal(self):
+        """Words t_d with t_0 = 1 and t_d = t_c g along the tree edge (c, g)."""
+        words = [Word()]
+        for c, g in self.tree[1:]:
+            words.append(words[c] * Word(((g, 1),)))
+        return tuple(words)
 
-        The tree edge into coset d carries the last letter of t_d, so (c, g)
-        is a tree edge exactly when t_{c.g} ends in g.  Pairs come in
-        (coset, generator) order.
-        """
-        t = self.transversal
+    def schreier_generators(self):
+        """Pairs (c, g) off the tree, naming t_c g t_{c.g}^-1, in that order."""
         for c in range(self.index):
             for g, perm in enumerate(self.table.action):
-                d = perm[c]
-                if not t[d] or t[d].letters[-1] != (g, 1):
-                    yield c, g, t[c] * Word(((g, 1),)) * t[d].inverse()
+                if self.tree[perm[c]] != (c, g):
+                    yield c, g
 
     def to_json(self):
         p = self.table.origin
@@ -238,7 +251,8 @@ class _Enumerator:
             row = []
             for l in range(2 * self.ngens):
                 d = self.rows[c][l]
-                assert d != UNDEF, "table incomplete after enumeration"
+                if d == UNDEF:
+                    raise InternalCheckFailed("table incomplete after enumeration")
                 row.append(rename[self.find(d)])
             rows.append(row)
         return rows
@@ -271,11 +285,11 @@ def todd_coxeter(p, subgens=(), limit=100_000):
 
 
 def schreier_transversal(t):
-    """Prefix-closed BFS transversal over positive generator letters.
+    """Record of the BFS spanning tree over positive generator letters.
 
     With canonical table numbering the BFS discovers cosets in numeric order,
-    so transversal[i] maps coset 0 to coset i and prefixes are transversal
-    entries themselves.
+    so each tree edge comes from a lower coset and the transversal spelled
+    from the tree is prefix-closed.
 
     The same walk decides normality on permutations.  For each generator x,
     images[x] extends H -> Hx along the spanning tree; it commutes with every
@@ -283,23 +297,21 @@ def schreier_transversal(t):
     finite index that inclusion is an equality.
     """
     n = t.index
-    transversal = [None] * n
-    transversal[0] = Word()
+    tree = [None] * n
     images = [[perm[0]] + [None] * (n - 1) for perm in t.action]
     is_normal = True
     for c in range(n):
-        assert transversal[c] is not None, "table numbering is not canonical"
+        if c and tree[c] is None:
+            raise InternalCheckFailed("table numbering is not canonical")
         for g, perm in enumerate(t.action):
             d = perm[c]
-            if transversal[d] is None:
-                transversal[d] = transversal[c] * Word(((g, 1),))
+            if d and tree[d] is None:
+                tree[d] = (c, g)
                 for img in images:
                     img[d] = perm[img[c]]
             elif is_normal:
                 is_normal = all(img[d] == perm[img[c]] for img in images)
-    return SubgroupRecord(
-        table=t, transversal=tuple(transversal), is_normal=is_normal
-    )
+    return SubgroupRecord(table=t, tree=tuple(tree), is_normal=is_normal)
 
 
 def subgroup_record(p, subgens=(), limit=100_000):
@@ -319,10 +331,9 @@ def cyclic_cover_record(p, k, weights=None):
     ngens = p.num_generators
     if weights is None:
         weights = [1] + [0] * (ngens - 1)
-    g = k
-    for wgt in weights:
-        g = gcd(g, wgt)
-    if g != 1:
+    elif len(weights) != ngens:
+        raise ValueError(f"{len(weights)} weights for {ngens} generators")
+    if gcd(k, *weights) != 1:
         raise ValueError("weights do not generate Z/k")
     for r in p.relators:
         if sum(r.exponent_sum(i) * weights[i] for i in range(ngens)) % k:
@@ -330,8 +341,8 @@ def cyclic_cover_record(p, k, weights=None):
     rows = []
     for c in range(k):
         row = []
-        for g_ in range(ngens):
-            row.append((c + weights[g_]) % k)
-            row.append((c - weights[g_]) % k)
+        for g in range(ngens):
+            row.append((c + weights[g]) % k)
+            row.append((c - weights[g]) % k)
         rows.append(row)
     return schreier_transversal(CosetTable.from_rows(rows, p))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .chain import presentation_chain_complex
-from .coset import CosetTable, SubgroupRecord, orbit, schreier_transversal
+from .coset import CosetTable, SubgroupRecord, product_orbit, schreier_transversal
 from .errors import (
     InternalCheckFailed,
     LimitExceeded,
@@ -155,24 +155,16 @@ def separating_subgroup(support, p, max_index):
 
 
 def _intersect(r1, r2, max_index):
-    """Orbit of the pair (0, 0) in the product action, as a coset table."""
-    t1, t2 = r1.table, r2.table
-    inv1, inv2 = t1.inverse_action, t2.inverse_action
-
-    def row(pair):
-        """Images of pair under each letter, in letter-code column order."""
-        out = []
-        for g in range(len(t1.action)):
-            out.append((t1.action[g][pair[0]], t2.action[g][pair[1]]))
-            out.append((inv1[g][pair[0]], inv2[g][pair[1]]))
-        return out
-
+    """The canonically numbered `product_orbit` of two records, as a table."""
+    a1, a2 = r1.table.action, r2.table.action
     try:
-        order, index = orbit((0, 0), row, limit=max_index)
+        pairs, index = product_orbit(a1, a2, limit=max_index)
     except LimitExceeded:
         return None
-    rows = [[index[q] for q in row(pair)] for pair in order]
-    return schreier_transversal(CosetTable.from_rows(rows, t1.origin))
+    action = tuple(tuple(index[a[x], b[y]] for x, y in pairs) for a, b in zip(a1, a2))
+    table = CosetTable(index=len(pairs), action=action, origin=r1.table.origin)
+    table.verify()
+    return schreier_transversal(table)
 
 
 @dataclass(frozen=True)

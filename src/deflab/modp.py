@@ -6,7 +6,7 @@ chain complex pushed to a finite quotient by a normal subgroup.  Positions 0
 and 1 of the dual complex give dim H^0 and dim H^1 of the subgroup; the
 position-2 homology of the truncated complex is reported as-is, since it
 contains an extra summand beyond dim H^2 that finite-level data cannot
-split off in general.
+split off in general; the bar oracle's subgroup comes from `product_orbit`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chain import presentation_chain_complex
-from .coset import subgroup_record
+from .coset import product_orbit, todd_coxeter
 from .errors import (
     InternalCheckFailed,
     LimitExceeded,
@@ -152,19 +152,17 @@ def _finite_subgroup_realization(p, record, cap):
     and small enough to realize regularly: the closure of its members'
     right-regular permutations of one another."""
     try:
-        regular = subgroup_record(p, (), limit=4 * cap + 8)
+        regular = todd_coxeter(p, (), limit=4 * cap + 8)
     except LimitExceeded:
         return None
     order = regular.index
     if order > cap * record.index:
         return None
-    members = [
-        e for e in range(order) if record.table.trace(0, regular.transversal[e]) == 0
-    ]
+    pairs, _ = product_orbit(regular.action, record.table.action, limit=order)
+    members = [e for e, coset in pairs if coset == 0]
     if len(members) * record.index != order:
         return None
+    mult = FiniteGroup(right=regular.action).mult
     pos = {e: i for i, e in enumerate(members)}
-    return FiniteGroup.from_permutations([
-        tuple(pos[regular.table.trace(x, regular.transversal[m])] for x in members)
-        for m in members
-    ])
+    perms = [tuple(pos[mult[x][m]] for x in members) for m in members]
+    return FiniteGroup.from_permutations(perms)

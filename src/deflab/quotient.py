@@ -3,10 +3,10 @@ projections used for group-ring pushforwards.
 
 A FiniteGroup keeps only the generator columns of its right-regular action,
 O(order * generators) entries; products are computed by tracing words.  The
-order x order multiplication table and the inverses are derived on first
-use.  Element 0 is always the identity and elements are numbered in BFS
-order of right multiplication by the generator images, matching the
-canonical coset numbering of the underlying tables.
+order x order multiplication table is derived on first use.  Element 0 is
+always the identity and elements are numbered in BFS order of right
+multiplication by the generator images, matching the canonical coset
+numbering of the underlying tables.  Subgroups come from coset actions.
 """
 
 from __future__ import annotations
@@ -67,10 +67,6 @@ class FiniteGroup:
         )
         return tuple(zip(*sorted(columns)))  # column b starts with 0 * b = b
 
-    @cached_property
-    def inverse(self):
-        return tuple(row.index(0) for row in self.mult)
-
     @staticmethod
     def trivial(ngens):
         return FiniteGroup(right=((0,),) * ngens)
@@ -84,24 +80,22 @@ class FiniteGroup:
     def from_permutations(gen_perms, max_order=20_000):
         """Closure of permutations under composition, BFS from the identity.
 
-        Permutations act on the right: (p * q)(x) = q(p(x)).
+        Permutations act on the right: (p * q)(x) = q(p(x)).  Every input
+        must permute one common range(n), else ValueError.
         """
         if not gen_perms:
             raise ValueError("need at least one generator permutation")
+        points = list(range(len(gen_perms[0])))
+        if any(sorted(gp) != points for gp in gen_perms):
+            raise ValueError("generators are not permutations of one common range(n)")
         elements, index = orbit(
-            tuple(range(len(gen_perms[0]))),
+            tuple(points),
             lambda e: [tuple(gp[x] for x in e) for gp in gen_perms],
             limit=max_order,
         )
         return FiniteGroup(right=tuple(
             tuple(index[tuple(gp[x] for x in e)] for e in elements) for gp in gen_perms
         ))
-
-    def subgroup_closure(self, seeds):
-        """Element set of the subgroup generated by seeds, in BFS order."""
-        steps = [t for s in seeds for t in (s, self.inverse[s])]
-        elements, _ = orbit(0, lambda e: [self.mult[e][t] for t in steps])
-        return elements
 
 
 def core_quotient(record, max_order=20_000):

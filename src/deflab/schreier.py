@@ -53,10 +53,10 @@ def rewrite_subgroup_presentation(p, record):
     gens = list(record.schreier_generators())
     if len(gens) != k * (ngens - 1) + 1:
         raise InternalCheckFailed("Schreier generator count is not k*(e1-1)+1")
-    pair_index = {(c, g): i for i, (c, g, _) in enumerate(gens)}
+    pair_index = {pair: i for i, pair in enumerate(gens)}
     inv = table.inverse_action
 
-    names = tuple(f"g{c + 1}_{p.generators[g]}" for c, g, _ in gens)
+    names = tuple(f"g{c + 1}_{p.generators[g]}" for c, g in gens)
 
     def rewrite_from(coset, word):
         out = []
@@ -85,7 +85,10 @@ def rewrite_subgroup_presentation(p, record):
                 raise InternalCheckFailed("rewritten relator collapsed to the identity")
             relators.append(w)
 
-    generator_map = tuple(w for _, _, w in gens)
+    t = record.transversal  # the words are spelled here, for output only
+    generator_map = tuple(
+        t[c] * Word(((g, 1),)) * t[table.action[g][c]].inverse() for c, g in gens
+    )
     sub = Presentation(names, tuple(relators))
     if sub.num_relators != k * p.num_relators:
         raise InternalCheckFailed("Schreier relator count is not k*e2")

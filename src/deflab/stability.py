@@ -110,18 +110,15 @@ def _classify(k, base, sub):
 def _cover_relation_matrix(p, rec):
     """Relation matrix of H_1 for the subgroup rec describes, from its cover.
 
-    The cover's d2 with the rows of the k-1 spanning-tree edges deleted (the
-    tree edge into coset d carries the last letter of t_d).  It is the
-    transposed abelianized Schreier relator matrix with rows (generator,
-    coset) and columns (relator, coset), each in that lexicographic order.
+    The cover's d2 with the rows of the k-1 spanning-tree edges (c, g)
+    deleted.  It is the transposed abelianized Schreier relator matrix with
+    rows (generator, coset) and columns (relator, coset), each in that
+    lexicographic order.
     """
     table = rec.table
     k = table.index
     d2 = relator_boundary(p.relators, table.action, table.inverse_action, k)
-    tree = set()
-    for d, t in enumerate(rec.transversal[1:], 1):
-        g, _ = t.letters[-1]
-        tree.add(g * k + table.inverse_action[g][d])
+    tree = {g * k + c for c, g in rec.tree[1:]}
     return [row for i, row in enumerate(d2) if i not in tree]
 
 

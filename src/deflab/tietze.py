@@ -9,6 +9,7 @@ keeping every move deterministic.
 
 from __future__ import annotations
 
+from .errors import InternalCheckFailed
 from .presentation import Presentation
 from .words import Word
 
@@ -50,7 +51,8 @@ def _pass_eliminate_generator(p):
             if s == -1:
                 rot = rot.inverse()
                 rot = Word(rot.letters[-1:] + rot.letters[:-1])
-            assert rot.letters[0] == (g, 1)
+            if rot.letters[0] != (g, 1):
+                raise InternalCheckFailed("rotated relator does not start with the generator")
             replacement = Word(rot.letters[1:]).inverse()  # g = replacement
             new_gens = tuple(nm for i, nm in enumerate(p.generators) if i != g)
             index_map = {}

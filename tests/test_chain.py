@@ -3,14 +3,16 @@ import random
 import pytest
 
 from deflab.chain import (
+    ChainComplex,
     collapse_to_point,
     presentation_chain_complex,
     push_to_quotient,
+    relator_boundary,
     restrict_to_subgroup,
 )
-from deflab.corpus import corpus_presentation
-from deflab.coset import subgroup_record
-from deflab.errors import InvalidQuotient
+from deflab.corpus import CORPUS, corpus_presentation
+from deflab.coset import product_orbit, subgroup_record
+from deflab.errors import IncompatibleRestriction, InvalidQuotient, LimitExceeded
 from deflab.groupring import GroupRingElement, fox_derivative
 from deflab.linalg import betti_numbers, mat_mul, to_dense
 from deflab.lowindex import low_index_subgroups
@@ -189,8 +191,6 @@ def test_restriction_bookkeeping_and_homology():
 
 
 def test_restriction_incompatible_pair():
-    from deflab.errors import IncompatibleRestriction
-
     torus = corpus_presentation("torus")
     rec2 = subgroup_record(torus, [parse_word("a^2", torus), parse_word("b", torus)])
     _, q2 = core_record(rec2)
@@ -198,6 +198,87 @@ def test_restriction_incompatible_pair():
     other = subgroup_record(torus, [parse_word("a", torus), parse_word("b^2", torus)])
     with pytest.raises(IncompatibleRestriction):
         restrict_to_subgroup(presentation_chain_complex(torus, q2), other, q2)
+
+
+def test_restriction_rejects_another_generator_count():
+    torus = corpus_presentation("torus")
+    h = subgroup_record(torus, [parse_word("a", torus), parse_word("b^2", torus)])
+    q = FiniteGroup.cyclic(4, ngens=3)
+    c = ChainComplex(ranks=(1,), boundaries=(), quotient_order=4)
+    with pytest.raises(InvalidQuotient, match="3 generator images, not 2"):
+        restrict_to_subgroup(c, h, q)
+
+
+def schreier_closure(rec, q):
+    """H/N by the Schreier-word route: project the Schreier generator words
+    of rec into q and close the images under products."""
+    t = rec.transversal
+    seeds = [
+        q.project_word(t[c] * Word(((g, 1),)) * t[rec.table.action[g][c]].inverse())
+        for c, g in rec.schreier_generators()
+    ]
+    elements = [0]
+    seen = {0}
+    for e in elements:
+        for s in seeds:
+            if q.mult[e][s] not in seen:
+                seen.add(q.mult[e][s])
+                elements.append(q.mult[e][s])
+    return seen
+
+
+def cover_homology(p, rec):
+    """Integral homology of the finite cover of the presentation complex
+    that rec describes, from its coset action."""
+    action, k = rec.table.action, rec.index
+    d1 = [{} for _ in range(k)]  # column (g, c) is the edge from c to c.g
+    for g, perm in enumerate(action):
+        for c, end in enumerate(perm):
+            if end != c:
+                d1[end][g * k + c] = 1
+                d1[c][g * k + c] = -1
+    d2 = relator_boundary(p.relators, action, rec.table.inverse_action, k)
+    cover = ChainComplex(
+        ranks=(k, k * p.num_generators, k * p.num_relators), boundaries=(d1, d2), quotient_order=1
+    )
+    b = betti_numbers(cover, "Q")
+    return b.b, b.torsion
+
+
+def test_restriction_matches_the_schreier_closure():
+    # per corpus entry, at most 40 of its records of index <= 3 (the whole
+    # group first) against the core quotient of each of them
+    counts = {"compatible": 0, "incompatible": 0}
+    for name in CORPUS:
+        p = corpus_presentation(name)
+        records = low_index_subgroups(p, 3)
+        records = records[:: -(-len(records) // 40)]
+        quotients = {}
+        for rec in records:
+            _, q = core_record(rec)
+            quotients.setdefault(q.right, q)
+        for q in quotients.values():
+            c = presentation_chain_complex(p, q)
+            for rec in records:
+                old = schreier_closure(rec, q)
+                compatible = len(old) * rec.index == q.order
+                try:
+                    pairs, _ = product_orbit(q.right, rec.table.action, limit=q.order)
+                except LimitExceeded:
+                    assert not compatible
+                else:
+                    assert compatible and {e for e, coset in pairs if coset == 0} == old
+                try:
+                    rc = restrict_to_subgroup(c, rec, q)
+                except IncompatibleRestriction:
+                    assert not compatible
+                    counts["incompatible"] += 1
+                    continue
+                assert compatible and rc.quotient_order * rec.index == q.order
+                collapsed = betti_numbers(collapse_to_point(rc), "Q")
+                assert (collapsed.b, collapsed.torsion) == cover_homology(p, rec), name
+                counts["compatible"] += 1
+    assert counts["compatible"] > 400 and counts["incompatible"] > 5000, counts
 
 
 def test_collapse_recovers_group_level_homology():

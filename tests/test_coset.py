@@ -1,6 +1,8 @@
 import pytest
 
+from deflab.chain import presentation_chain_complex, restrict_to_subgroup
 from deflab.coset import (
+    SubgroupRecord,
     cyclic_cover_record,
     schreier_transversal,
     subgroup_record,
@@ -9,8 +11,11 @@ from deflab.coset import (
 from deflab.corpus import corpus_presentation
 from deflab.errors import LimitExceeded
 from deflab.lowindex import low_index_subgroups
+from deflab.modcert import separating_subgroup
+from deflab.modp import dual_complex_dims
 from deflab.presentation import parse_presentation, parse_word
-from deflab.quotient import core_quotient
+from deflab.quotient import core_quotient, core_record
+from deflab.stability import stability_report
 from deflab.words import Word
 
 
@@ -108,6 +113,47 @@ def test_cyclic_cover_records():
         rec.table.verify()
 
 
+def test_cyclic_cover_weights_must_match_the_generators():
+    free1 = parse_presentation("< a | >")
+    with pytest.raises(ValueError, match="2 weights for 1 generators"):
+        cyclic_cover_record(free1, 2, weights=[2, 1])
+    with pytest.raises(ValueError, match="0 weights for 1 generators"):
+        cyclic_cover_record(free1, 2, weights=[])
+    assert cyclic_cover_record(free1, 2, weights=[1]).index == 2
+
+
+def test_records_store_the_spanning_tree():
+    c5 = parse_presentation("< a | a^5 >")
+    assert subgroup_record(c5, []).tree == (None, (0, 0), (1, 0), (2, 0), (3, 0))
+    s3 = parse_presentation("< a, b | a^2, b^3, a b a b >")
+    rec = subgroup_record(s3, [parse_word("a", s3)])
+    # H b a = H a b^-1 = H b^2: the tree reaches coset 2 by a from coset 1
+    assert rec.tree == (None, (0, 1), (1, 0))
+    assert [s3.word_to_text(w) for w in rec.transversal] == ["1", "b", "b a"]
+    assert list(rec.schreier_generators()) == [(0, 0), (1, 1), (2, 0), (2, 1)]
+
+
+def test_hot_paths_spell_no_transversal_words(monkeypatch):
+    def refuse(rec):
+        raise AssertionError("a Schreier transversal word was spelled")
+
+    monkeypatch.setattr(SubgroupRecord, "transversal", property(refuse))
+    genus2 = corpus_presentation("genus2")
+    records = low_index_subgroups(genus2, 3)
+    with pytest.raises(AssertionError, match="spelled"):
+        records[1].transversal
+    assert len(stability_report(genus2, 3).rows) == len(records)
+    core, q = core_record(records[-1])
+    assert restrict_to_subgroup(presentation_chain_complex(genus2, q), core, q).quotient_order == 1
+    d4 = corpus_presentation("d4")
+    normal = [r for r in low_index_subgroups(d4, 2) if r.index == 2 and r.is_normal]
+    assert len(normal) == 3
+    for rec in normal:
+        assert dual_complex_dims(d4, rec, 2, bar_crosscheck=True).jbar_dim is not None
+    words = [parse_word(w, d4) for w in ("1", "r", "s", "r s")]
+    assert separating_subgroup(words, d4, 4).index == 4
+
+
 def test_todd_coxeter_cross_validates_low_index(random_presentations):
     # two independent enumerations: feeding the Schreier generators of each
     # low-index record back through Todd-Coxeter must reproduce its table
@@ -119,11 +165,17 @@ def test_todd_coxeter_cross_validates_low_index(random_presentations):
     ] + random_presentations(41, 10)
     for p in pres:
         for rec in low_index_subgroups(p, 4, max_nodes=100_000):
+            # a pair is off the tree exactly when its Schreier word is not trivial
+            off_tree = list(rec.schreier_generators())
+            words = rec.transversal
             gens = []
-            for c, g, w in rec.schreier_generators():
-                d = rec.table.action[g][c]
-                assert w == rec.transversal[c] * Word(((g, 1),)) * rec.transversal[d].inverse()
-                gens.append(w)
+            for c in range(rec.index):
+                for g, perm in enumerate(rec.table.action):
+                    w = words[c] * Word(((g, 1),)) * words[perm[c]].inverse()
+                    assert ((c, g) in off_tree) == bool(w)
+                    if w:
+                        gens.append(w)
+            assert len(gens) == len(off_tree)
             t = todd_coxeter(p, gens, limit=50_000)
             assert t.index == rec.index
             assert t.action_key() == rec.table.action_key()

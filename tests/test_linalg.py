@@ -450,7 +450,7 @@ from types import SimpleNamespace
 
 from deflab import modcert, modp, stability
 from deflab.chain import ChainComplex, relator_boundary, restrict_to_subgroup
-from deflab.coset import CosetTable, SubgroupRecord, subgroup_record
+from deflab.coset import CosetTable, SubgroupRecord, _Enumerator, schreier_transversal, subgroup_record
 from deflab.errors import InternalCheckFailed
 from deflab.groupring import GroupRingElement
 from deflab.intervals import CERT_NONE, DeficiencyInterval, deficiency_interval
@@ -522,14 +522,15 @@ def cert_with(name, fake, x=GroupRingElement.one()):
 
 no_generators = parse_presentation("< a | >")
 # a complex over a group of order 4 with no boundaries, and stand-ins for C4
-# whose "subgroup" [0, 0] repeats the identity and whose [1, 2] omits it
+# with a -> 1 and b -> 2: their action pairs the even elements with coset 0
+# of `double`, and their broken products either make every element its own
+# right coset or reach element 3 from two (element, representative) pairs
 over_order_4 = ChainComplex(ranks=(1,), boundaries=(), quotient_order=4)
 c4_mult = [[(x + y) % 4 for y in range(4)] for x in range(4)]
 
 
-def fake_c4(closure):
-    return SimpleNamespace(order=4, mult=c4_mult, project_word=lambda w: 0,
-                           subgroup_closure=lambda seeds: closure)
+def fake_c4(mult):
+    return SimpleNamespace(order=4, right=((1, 2, 3, 0), (2, 3, 0, 1)), mult=mult)
 
 
 for check in (
@@ -546,8 +547,8 @@ for check in (
     lambda: schreier_presentation("< x, y | [x, y] >"),
     lambda: schreier_presentation("< x, y, z | x >"),
     lambda: schreier_presentation("< x, y, z | x, y >", (parse_word("a", torus),)),
-    lambda: rewrite_subgroup_presentation(torus, SubgroupRecord(double.table, (Word(), Word()), True)),
-    lambda: rewrite_subgroup_presentation(a_is_trivial, SubgroupRecord(open_table, (Word(), a_word), False)),
+    lambda: rewrite_subgroup_presentation(torus, SubgroupRecord(double.table, (None, None), True)),
+    lambda: rewrite_subgroup_presentation(a_is_trivial, SubgroupRecord(open_table, (None, (0, 0)), False)),
     lambda: stability_with("deficiency_interval", lambda *args, **kw: DeficiencyInterval(5, 5, CERT_NONE)),
     lambda: stability_with("_classify", lambda k, base, sub: stability.STATUS_VIOLATED),
     lambda: relator_boundary((a_word,), open_table.action, open_table.inverse_action, 2),
@@ -561,11 +562,13 @@ for check in (
     lambda: DeficiencyInterval(2, 1, CERT_NONE),
     lambda: deficiency_interval(parse_presentation("< a, b | a^2, b^2 >"), b2_lower=5),
     lambda: restrict_to_subgroup(over_order_4, double, FiniteGroup.cyclic(2, ngens=2)),
-    lambda: restrict_to_subgroup(over_order_4, double, fake_c4([0, 0])),
-    lambda: restrict_to_subgroup(over_order_4, double, fake_c4([1, 2])),
+    lambda: restrict_to_subgroup(over_order_4, double, fake_c4([c4_mult[0]] * 4)),
+    lambda: restrict_to_subgroup(over_order_4, double, fake_c4(c4_mult[1:] + c4_mult[:1])),
     lambda: partial_euler_mu([1, 2], 2),
     lambda: morse_check(BettiVector(b=[1, 2], torsion=[[], []], field="Q"), partial_euler_mu([1, 2, 1], 2)),
     lambda: modcert.ModulePresentation(ambient=dup, free_rank=2, relations=((one_plus_a,),)),
+    lambda: schreier_transversal(CosetTable(index=3, action=((2, 0, 1),), origin=parse_presentation("< a | a^3 >"))),
+    lambda: _Enumerator(1, 1).live_rows(),  # no todd_coxeter input leaves a row incomplete
 ):
     try:
         check()
@@ -609,6 +612,8 @@ UNDER_O_EXPECTED = [
     ("ValueError", "need exactly n+1 = 3 ranks, not 2"),
     ("ValueError", "Betti vector of length 2 too short for degree 2"),
     ("ValueError", "relation tuple of arity 1, not the free rank 2"),
+    ("InternalCheckFailed", "table numbering is not canonical"),
+    ("InternalCheckFailed", "table incomplete after enumeration"),
 ]
 
 

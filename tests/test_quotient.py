@@ -12,8 +12,13 @@ from deflab.quotient import FiniteGroup, core_quotient, core_record
 from deflab.words import Word
 
 
+def inverses(q):
+    """Inverse of each element, read off the multiplication table."""
+    return tuple(row.index(0) for row in q.mult)
+
+
 def assert_group_axioms(q):
-    m, n, inv = q.mult, q.order, q.inverse
+    m, n, inv = q.mult, q.order, inverses(q)
     assert all(m[0][j] == j and m[j][0] == j for j in range(n)), "0 is not the identity"
     assert all(m[e][inv[e]] == 0 == m[inv[e]][e] for e in range(n))
     for i in range(n):
@@ -51,8 +56,9 @@ def assert_matches_composition(q, gens, words):
     elements = closure(gens)
     index = {e: i for i, e in enumerate(elements)}
     assert q.order == len(elements)
+    inv = inverses(q)
     for a, pa in enumerate(elements):
-        assert q.inverse[a] == index[invert(pa)]
+        assert inv[a] == index[invert(pa)]
         for b, pb in enumerate(elements):
             assert q.mult[a][b] == index[compose(pa, pb)]
     for w in words:
@@ -100,8 +106,9 @@ def test_quotient_is_a_group():
     _, q = core_quotient(rec)
     assert_group_axioms(q)
     assert q.mult[0] == tuple(range(q.order))  # identity row
+    inv = inverses(q)
     for e in range(q.order):
-        assert q.mult[e][q.inverse[e]] == 0
+        assert q.mult[e][inv[e]] == 0
 
 
 def test_projection_respects_relators():
@@ -123,7 +130,7 @@ def test_core_record_budget():
 def test_cyclic_constructor():
     q = FiniteGroup.cyclic(6)
     assert_group_axioms(q)
-    assert q.order == 6 and q.inverse[1] == 5
+    assert q.order == 6 and inverses(q)[1] == 5
 
 
 def test_random_permutation_groups_match_composition():
@@ -165,8 +172,15 @@ def test_chain_and_betti_build_no_multiplication_table():
     _, core = core_record(subgroup_record(s3, [parse_word("a", s3)]))
     for group in (q, core):
         assert group.order == 6
-        assert "mult" not in group.__dict__ and "inverse" not in group.__dict__
+        assert "mult" not in group.__dict__
     assert q.mult == core.mult and "mult" in q.__dict__  # built on first use
+
+
+def test_from_permutations_needs_one_common_point_set():
+    for gens in ([(1, 0), (0, 1, 2)], [(1, 2, 0), (1, 0)], [(0, 0)], [(1, 2)]):
+        with pytest.raises(ValueError, match="one common range"):
+            FiniteGroup.from_permutations(gens)
+    assert FiniteGroup.from_permutations([(1, 0, 2), (0, 2, 1)]).order == 6
 
 
 def test_non_regular_action_is_rejected():

@@ -163,7 +163,7 @@ def schreier_route(p, rec):
     sp = rewrite_subgroup_presentation(p, rec).presentation
     k, e2 = rec.index, p.num_relators
     relators = sp.abelianized_relator_matrix()  # row (coset h, relator j) at h*e2 + j
-    gens = [(c, g) for c, g, _ in rec.schreier_generators()]  # (coset, generator) order
+    gens = list(rec.schreier_generators())  # (coset, generator) order
     by_generator = sorted(range(len(gens)), key=lambda i: (gens[i][1], gens[i][0]))
     matrix = from_dense(
         [relators[h * e2 + j].get(i, 0) for j in range(e2) for h in range(k)] for i in by_generator
