@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coset import product_orbit
+from .coset import right_coset_positions
 from .errors import IncompatibleRestriction, InternalCheckFailed, InvalidQuotient, LimitExceeded
 from .linalg import add_to, mat_mul, sparse_row, to_dense
 
@@ -127,10 +127,10 @@ def restrict_to_subgroup(c, record, quotient):
     """View a complex over G/N as a complex over H/N for N <= H <= G.
 
     quotient is the FiniteGroup the complex was built over; record describes
-    H inside the same presentation.  H/N is the set of elements paired with
-    coset 0 in `product_orbit` of the two actions.  Ranks multiply by [G:H],
-    the underlying matrices are re-blocked through a transversal basis (a
-    permutation of the old basis), so total sizes and homology are unchanged.
+    H inside the same presentation.  The basis element g = h_i t_d moves to
+    position d*|H/N| + i of `right_coset_positions`, whose transversal t_d
+    is spelled along the record's spanning tree.  Ranks multiply by [G:H];
+    the matrices are only permuted, so total sizes and homology are unchanged.
     """
     q = quotient.order
     if q != c.quotient_order:
@@ -144,35 +144,9 @@ def restrict_to_subgroup(c, record, quotient):
     if q % k:
         raise IncompatibleRestriction("index does not divide the quotient order")
     try:
-        pairs, _ = product_orbit(quotient.right, record.table.action, limit=q)
+        perm = right_coset_positions(quotient.right, record)
     except LimitExceeded:
         raise IncompatibleRestriction("quotient kernel is not contained in the subgroup") from None
-    sub_elements = [e for e, coset in pairs if coset == 0]
-    qprime = q // k
-    sub_index = {e: i for i, e in enumerate(sub_elements)}
-    # right-coset transversal: E with Q = union of (H/N) t, identity first
-    reps = []
-    covered = set()
-    for e in range(q):
-        if e not in covered:
-            reps.append(e)
-            for h in sub_elements:
-                covered.add(quotient.mult[h][e])
-    if len(reps) != k or reps[0] != 0:
-        raise InternalCheckFailed(f"{len(reps)} coset representatives for index {k}")
-    # old basis position (slot, g) -> new basis position ((slot, t), h)
-    # where g = h * t, h in H/N, t in E
-    where = [None] * q
-    for t_idx, t in enumerate(reps):
-        for h in sub_elements:
-            g = quotient.mult[h][t]
-            if where[g] is not None:
-                raise InternalCheckFailed("transversal basis hits an element twice")
-            where[g] = (t_idx, sub_index[h])
-    perm = [0] * q  # old element position -> new position within a rank block
-    for g in range(q):
-        t_idx, h_idx = where[g]
-        perm[g] = t_idx * qprime + h_idx
 
     def reindex(matrix):
         out = [None] * len(matrix)
@@ -180,10 +154,10 @@ def restrict_to_subgroup(c, record, quotient):
             out[i - i % q + perm[i % q]] = {j - j % q + perm[j % q]: x for j, x in row.items()}
         return out
 
-    new_ranks = tuple(r * k for r in c.ranks)
-    new_boundaries = tuple(reindex(b) for b in c.boundaries)
     return ChainComplex(
-        ranks=new_ranks, boundaries=new_boundaries, quotient_order=qprime
+        ranks=tuple(r * k for r in c.ranks),
+        boundaries=tuple(reindex(b) for b in c.boundaries),
+        quotient_order=q // k,
     )
 
 

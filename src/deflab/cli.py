@@ -193,21 +193,37 @@ def cmd_stability(args):
     return 0 if ok else 2
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)  # JSON true is not a number
+
+
 def cmd_cert(args):
     p, _ = _load_presentation(args.presentation)
     with open(args.witness) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict) or not isinstance(data.get("rho"), list):
+        raise DeflabError("the witness file must be a JSON object with a list 'rho'")
+    spec = data.get("quotient", args.quotient)
+    max_index = data.get("max_index", args.max_index)
+    if not isinstance(spec, str):
+        raise DeflabError(f"witness 'quotient' must be a string, not {spec!r}")
+    if not _is_int(max_index):
+        raise DeflabError(f"witness 'max_index' must be an integer, not {max_index!r}")
     rho = []
     for coordinate in data["rho"]:
+        if not isinstance(coordinate, list):
+            raise DeflabError(f"witness coordinate {coordinate!r} is not a list of terms")
         terms = {}
-        for word_text, coeff in coordinate:
-            w = parse_word(word_text, p)
-            terms[w] = terms.get(w, 0) + int(coeff)
+        for term in coordinate:
+            if not (isinstance(term, list) and len(term) == 2
+                    and isinstance(term[0], str) and _is_int(term[1])):
+                raise DeflabError(f"witness term {term!r} is not a [word, integer] pair")
+            w = parse_word(term[0], p)
+            terms[w] = terms.get(w, 0) + term[1]
         rho.append(GroupRingElement.from_dict(terms))
     witness = KernelWitness(rho=tuple(rho))
-    quotient = _resolve_quotient(p, data.get("quotient", args.quotient))
     report = rank_drop_certificate(
-        p, witness, quotient, max_index=data.get("max_index", args.max_index)
+        p, witness, _resolve_quotient(p, spec), max_index=max_index
     )
     _dump(report.to_json(), args.out)
     return 0

@@ -60,6 +60,34 @@ def product_orbit(first, second, limit=None):
     return orbit((0, 0), lambda pair: [(a[pair[0]], b[pair[1]]) for a, b in actions], limit)
 
 
+def right_coset_positions(right, record):
+    """Position d*|H/N| + i of each element of G/N, for N <= H <= G.
+
+    right is the regular action of G/N and record describes H.  Block 0 is
+    H/N in `product_orbit` order; the tree edge (c, g) into coset d gives
+    block d = (block c) g, so its i-th element is h_i t_d.  LimitExceeded
+    from `product_orbit` passes on (N does not lie in H); InternalCheckFailed
+    unless the blocks split the elements exactly.
+    """
+    order = len(right[0]) if right else 1
+    pairs, _ = product_orbit(right, record.table.action, limit=order)
+    blocks, position = [], [None] * order
+    for d, edge in enumerate(record.tree):
+        if edge is None:
+            block = [e for e, coset in pairs if coset == 0]
+        else:
+            c, g = edge
+            block = [right[g][e] for e in blocks[c]]
+        blocks.append(block)
+        for i, e in enumerate(block, d * len(block)):
+            if position[e] is not None:
+                raise InternalCheckFailed("element placed in two right-coset blocks")
+            position[e] = i
+    if None in position:
+        raise InternalCheckFailed("element placed in no right-coset block")
+    return position
+
+
 def inverse_permutations(perms):
     """The inverse of each permutation of range(n) in perms."""
     inv = []

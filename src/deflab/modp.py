@@ -6,7 +6,8 @@ chain complex pushed to a finite quotient by a normal subgroup.  Positions 0
 and 1 of the dual complex give dim H^0 and dim H^1 of the subgroup; the
 position-2 homology of the truncated complex is reported as-is, since it
 contains an extra summand beyond dim H^2 that finite-level data cannot
-split off in general; the bar oracle's subgroup comes from `product_orbit`.
+split off in general.  The bar oracle reads the subgroup's multiplication
+table, which nothing else in the package builds.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chain import presentation_chain_complex
-from .coset import product_orbit, todd_coxeter
+from .coset import inverse_permutations, right_coset_positions, todd_coxeter
 from .errors import (
     InternalCheckFailed,
     LimitExceeded,
@@ -99,7 +100,7 @@ class DualComplexReport:
         }
 
 
-def dual_complex_dims(p, record, prime, cap=64, bar_crosscheck=True):
+def dual_complex_dims(p, record, prime, cap=64):
     """Dualized presentation complex over F_p[G/N] for a normal subgroup N.
 
     Builds the degree-2 chain complex pushed to the quotient by N, transposes
@@ -127,17 +128,14 @@ def dual_complex_dims(p, record, prime, cap=64, bar_crosscheck=True):
     h2t = e2 * k - r2
     residual = (h0 - h1 + h2t) - k * (1 - e1 + e2)
     jbar = None
-    if bar_crosscheck:
-        finite = _finite_subgroup_realization(p, record, cap)
-        if finite is not None:
-            ref = bar_cohomology_dims(finite, prime, max_order=cap)
-            if ref.dims[:2] != (h0, h1):
-                raise InternalCheckFailed(
-                    "dual complex disagrees with the bar oracle in low degrees"
-                )
-            jbar = h2t - ref.dims[2]
-            if jbar < 0:
-                raise InternalCheckFailed(f"bar oracle H^2 exceeds the truncated h2 by {-jbar}")
+    finite = _finite_subgroup_realization(p, record, cap)
+    if finite is not None:
+        ref = bar_cohomology_dims(finite, prime, max_order=cap)
+        if ref.dims[:2] != (h0, h1):
+            raise InternalCheckFailed("dual complex disagrees with the bar oracle in low degrees")
+        jbar = h2t - ref.dims[2]
+        if jbar < 0:
+            raise InternalCheckFailed(f"bar oracle H^2 exceeds the truncated h2 by {-jbar}")
     return DualComplexReport(
         p=prime,
         index=k,
@@ -148,21 +146,21 @@ def dual_complex_dims(p, record, prime, cap=64, bar_crosscheck=True):
 
 
 def _finite_subgroup_realization(p, record, cap):
-    """The subgroup itself as a FiniteGroup, when the whole group is finite
-    and small enough to realize regularly: the closure of its members'
-    right-regular permutations of one another."""
+    """The subgroup H itself as a FiniteGroup, when the whole group is finite
+    and small enough to realize regularly.  Its elements are the positions of
+    block 0 of `right_coset_positions`; the Schreier generator (c, g) sends
+    h_i to h_j where h_i t_c g = h_j t_{c.g}."""
     try:
         regular = todd_coxeter(p, (), limit=4 * cap + 8)
     except LimitExceeded:
         return None
-    order = regular.index
-    if order > cap * record.index:
+    if regular.index > cap * record.index:
         return None
-    pairs, _ = product_orbit(regular.action, record.table.action, limit=order)
-    members = [e for e, coset in pairs if coset == 0]
-    if len(members) * record.index != order:
-        return None
-    mult = FiniteGroup(right=regular.action).mult
-    pos = {e: i for i, e in enumerate(members)}
-    perms = [tuple(pos[mult[x][m]] for x in members) for m in members]
+    position = right_coset_positions(regular.action, record)
+    (at,) = inverse_permutations((position,))
+    m = regular.index // record.index
+    perms = []
+    for c, g in record.schreier_generators():
+        start, end = c * m, record.table.action[g][c] * m
+        perms.append(tuple(position[regular.action[g][x]] - end for x in at[start:start + m]))
     return FiniteGroup.from_permutations(perms)

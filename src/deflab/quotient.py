@@ -3,10 +3,10 @@ projections used for group-ring pushforwards.
 
 A FiniteGroup keeps only the generator columns of its right-regular action,
 O(order * generators) entries; products are computed by tracing words.  The
-order x order multiplication table is derived on first use.  Element 0 is
-always the identity and elements are numbered in BFS order of right
-multiplication by the generator images, matching the canonical coset
-numbering of the underlying tables.  Subgroups come from coset actions.
+order x order multiplication table is built on first read, and only the bar
+oracle reads it.  Element 0 is always the identity and elements are numbered
+in BFS order of right multiplication by the generator images, which is the
+canonical coset numbering, so the regular action is the core's coset table.
 """
 
 from __future__ import annotations
@@ -103,16 +103,14 @@ def core_quotient(record, max_order=20_000):
 
     The core is the kernel of the permutation representation on cosets; the
     quotient is realized as the closure of the generator images.  Returns
-    (CosetTable of the core, FiniteGroup of G/core).
+    (CosetTable of the core, FiniteGroup of G/core): the core's coset table
+    is the regular action of G/core, already in canonical BFS numbering.
     """
     table = record.table
-    group = FiniteGroup.from_permutations(
-        [tuple(perm) for perm in table.action], max_order=max_order
-    )
-    # the core's coset table is the regular action of G/core on itself
-    pairs = list(zip(group.right, group.inverse_right))
-    rows = [[perm[e] for pair in pairs for perm in pair] for e in range(group.order)]
-    return CosetTable.from_rows(rows, table.origin), group
+    group = FiniteGroup.from_permutations(table.action, max_order=max_order)
+    core_table = CosetTable(index=group.order, action=group.right, origin=table.origin)
+    core_table.verify()
+    return core_table, group
 
 
 def core_record(record, max_order=20_000):

@@ -123,6 +123,20 @@ def test_cert(tmp_path):
     assert data["subgroup_index"] == 1
 
 
+def test_cert_rejects_malformed_witness_files(tmp_path):
+    rho = [[["1", 1]], [["1", -1]]]
+    malformed = (
+        [rho], {"rho": rho, "max_index": "6"}, {"rho": rho, "quotient": 5},
+        {"rho": [5]}, {"rho": [[[1, 1]], [["1", -1]]]}, {"rho": [[["1", 1.5]], [["1", -1.5]]]},
+    )
+    for i, data in enumerate(malformed):
+        witness = tmp_path / f"w{i}.json"
+        witness.write_text(json.dumps(data))
+        proc = run_cli("cert", "corpus:dup_relator", "--witness", str(witness))
+        assert proc.returncode == 1, proc.stderr
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_modp():
     proc = run_cli("modp", "corpus:free1", "-p", "2", "--normal-index", "2")
     data = json.loads(proc.stdout)

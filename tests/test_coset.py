@@ -149,7 +149,7 @@ def test_hot_paths_spell_no_transversal_words(monkeypatch):
     normal = [r for r in low_index_subgroups(d4, 2) if r.index == 2 and r.is_normal]
     assert len(normal) == 3
     for rec in normal:
-        assert dual_complex_dims(d4, rec, 2, bar_crosscheck=True).jbar_dim is not None
+        assert dual_complex_dims(d4, rec, 2).jbar_dim is not None
     words = [parse_word(w, d4) for w in ("1", "r", "s", "r s")]
     assert separating_subgroup(words, d4, 4).index == 4
 

@@ -1,5 +1,6 @@
 """Modules share code through public names only, import no numpy, define
-nothing that the package itself never uses, and add no assert statements."""
+nothing that the package itself never uses, add no assert statements, and
+leave the multiplication table to the bar oracle."""
 
 import ast
 from pathlib import Path
@@ -191,3 +192,42 @@ def test_checker_counts_assert_statements(tmp_path):
     assert assert_counts(paths) == {"a.py": 3, "c.py": 1}
     assert asserts_over_ceiling(paths, {"a.py": 3}) == {"c.py": 1}
     assert asserts_over_ceiling(paths, {"a.py": 2, "c.py": 1}) == {"a.py": 3}
+
+
+# the order x order multiplication table serves only the bar oracle in
+# modp.py; quotient.py defines it
+MULT_READERS = ("modp.py", "quotient.py")
+
+
+def mult_reads(paths, allowed=MULT_READERS):
+    """Each `.mult` attribute read in a file outside allowed."""
+    found = []
+    for path in paths:
+        if path.name in allowed:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "mult":
+                found.append(f"{path.name}:{node.lineno} reads mult")
+    return found
+
+
+def test_only_the_bar_oracle_reads_the_multiplication_table():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 10
+    assert mult_reads(modules) == []
+
+
+def test_checker_flags_mult_reads(tmp_path):
+    (tmp_path / "chain.py").write_text(
+        '"""q.mult in a docstring is not a read."""\n'
+        "def f(q, mult):\n"
+        "    table = q.mult\n"
+        "    return mult, q.multiply, getattr(q, 'mult_')\n"
+        "x = f(1, 2).mult[0][1]\n"
+    )
+    (tmp_path / "modp.py").write_text("def bar(group):\n    return group.mult\n")
+    assert mult_reads(sorted(tmp_path.glob("*.py"))) == [
+        "chain.py:3 reads mult",
+        "chain.py:5 reads mult",
+    ]

@@ -446,8 +446,6 @@ def test_chain_complex_checks_large_entries_exactly():
 
 
 CHECKS_UNDER_O = """
-from types import SimpleNamespace
-
 from deflab import modcert, modp, stability
 from deflab.chain import ChainComplex, relator_boundary, restrict_to_subgroup
 from deflab.coset import CosetTable, SubgroupRecord, _Enumerator, schreier_transversal, subgroup_record
@@ -521,16 +519,14 @@ def cert_with(name, fake, x=GroupRingElement.one()):
 
 
 no_generators = parse_presentation("< a | >")
-# a complex over a group of order 4 with no boundaries, and stand-ins for C4
-# with a -> 1 and b -> 2: their action pairs the even elements with coset 0
-# of `double`, and their broken products either make every element its own
-# right coset or reach element 3 from two (element, representative) pairs
+# a complex over a group of order 4 with no boundaries; C4 with a -> 1 and
+# b -> 2 pairs the even elements with coset 0 of `double`, so a tree edge
+# along b (which fixes that coset) places them twice; a non-regular action
+# with a swapping 0 and 1 and fixing 2 and 3 never places 2 or 3
 over_order_4 = ChainComplex(ranks=(1,), boundaries=(), quotient_order=4)
-c4_mult = [[(x + y) % 4 for y in range(4)] for x in range(4)]
-
-
-def fake_c4(mult):
-    return SimpleNamespace(order=4, right=((1, 2, 3, 0), (2, 3, 0, 1)), mult=mult)
+shift_c4 = FiniteGroup(right=((1, 2, 3, 0), (2, 3, 0, 1)))
+b_edge = SubgroupRecord(double.table, (None, (0, 1)), True)
+swap_01 = FiniteGroup(right=((1, 0, 2, 3), (0, 1, 2, 3)))
 
 
 for check in (
@@ -562,8 +558,8 @@ for check in (
     lambda: DeficiencyInterval(2, 1, CERT_NONE),
     lambda: deficiency_interval(parse_presentation("< a, b | a^2, b^2 >"), b2_lower=5),
     lambda: restrict_to_subgroup(over_order_4, double, FiniteGroup.cyclic(2, ngens=2)),
-    lambda: restrict_to_subgroup(over_order_4, double, fake_c4([c4_mult[0]] * 4)),
-    lambda: restrict_to_subgroup(over_order_4, double, fake_c4(c4_mult[1:] + c4_mult[:1])),
+    lambda: restrict_to_subgroup(over_order_4, b_edge, shift_c4),
+    lambda: restrict_to_subgroup(over_order_4, double, swap_01),
     lambda: partial_euler_mu([1, 2], 2),
     lambda: morse_check(BettiVector(b=[1, 2], torsion=[[], []], field="Q"), partial_euler_mu([1, 2, 1], 2)),
     lambda: modcert.ModulePresentation(ambient=dup, free_rank=2, relations=((one_plus_a,),)),
@@ -607,8 +603,8 @@ UNDER_O_EXPECTED = [
     ("InternalCheckFailed", "interval lower bound 2 exceeds its upper bound 1"),
     ("InternalCheckFailed", "lower bound exceeded b1-based upper bound"),
     ("ValueError", "the complex is over order 4, the quotient has 2"),
-    ("InternalCheckFailed", "4 coset representatives for index 2"),
-    ("InternalCheckFailed", "transversal basis hits an element twice"),
+    ("InternalCheckFailed", "element placed in two right-coset blocks"),
+    ("InternalCheckFailed", "element placed in no right-coset block"),
     ("ValueError", "need exactly n+1 = 3 ranks, not 2"),
     ("ValueError", "Betti vector of length 2 too short for degree 2"),
     ("ValueError", "relation tuple of arity 1, not the free rank 2"),

@@ -2,11 +2,15 @@ import random
 
 import pytest
 
-from deflab.chain import presentation_chain_complex
+from deflab import modp
+from deflab.chain import presentation_chain_complex, restrict_to_subgroup
 from deflab.coset import subgroup_record
 from deflab.corpus import corpus_presentation
 from deflab.errors import LimitExceeded
 from deflab.linalg import betti_numbers
+from deflab.lowindex import low_index_subgroups
+from deflab.modcert import separating_subgroup
+from deflab.modp import dual_complex_dims
 from deflab.presentation import parse_presentation, parse_word
 from deflab.quotient import FiniteGroup, core_quotient, core_record
 from deflab.words import Word
@@ -163,13 +167,39 @@ def test_trivial_and_cyclic_match_composition():
                                    rand_words(rng, 2))
 
 
-def test_chain_and_betti_build_no_multiplication_table():
+def test_chain_and_betti_build_no_multiplication_table(monkeypatch):
     s3 = parse_presentation("< a, b | a^2, b^3, a b a b >")
     q = FiniteGroup.from_permutations([(1, 0, 2), (1, 2, 0)])
-    c = presentation_chain_complex(s3, q)
-    # Euler characteristic 6 * (1 - 2 + 3) = 12
-    assert betti_numbers(c, 3).b == betti_numbers(c, "Q").b == [1, 0, 11]
-    _, core = core_record(subgroup_record(s3, [parse_word("a", s3)]))
+    real_mult, real_bar = FiniteGroup.mult, modp.bar_cohomology_dims
+    bar_orders = []
+
+    def refuse(group):
+        raise AssertionError("a multiplication table was read")
+
+    def bar_reading_mult(group, *args, **kwargs):
+        bar_orders.append(group.order)
+        with monkeypatch.context() as inner:
+            inner.setattr(FiniteGroup, "mult", real_mult)
+            return real_bar(group, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(FiniteGroup, "mult", property(refuse))
+        m.setattr(modp, "bar_cohomology_dims", bar_reading_mult)
+        with pytest.raises(AssertionError, match="was read"):
+            q.mult
+        c = presentation_chain_complex(s3, q)
+        # Euler characteristic 6 * (1 - 2 + 3) = 12
+        assert betti_numbers(c, 3).b == betti_numbers(c, "Q").b == [1, 0, 11]
+        _, core = core_record(subgroup_record(s3, [parse_word("a", s3)]))
+        for gens, k in ((["b"], 2), (["a"], 3)):
+            rc = restrict_to_subgroup(c, subgroup_record(s3, [parse_word(w, s3) for w in gens]), q)
+            assert rc.quotient_order == 6 // k and betti_numbers(rc, "Q").b == [1, 0, 11]
+        d4 = corpus_presentation("d4")
+        normal = [r for r in low_index_subgroups(d4, 2) if r.index == 2 and r.is_normal]
+        assert all(dual_complex_dims(d4, rec, 2).jbar_dim is not None for rec in normal)
+        assert len(normal) == 3 and bar_orders == [4, 4, 4]  # H itself, not all of D4
+        words = [parse_word(w, d4) for w in ("1", "r", "s", "r s")]
+        assert separating_subgroup(words, d4, 4).index == 4
     for group in (q, core):
         assert group.order == 6
         assert "mult" not in group.__dict__
