@@ -25,7 +25,7 @@ from .lowindex import low_index_subgroups
 from .modcert import KernelWitness, rank_drop_certificate
 from .modp import dual_complex_dims
 from .presentation import parse_presentation, parse_word, serialize_presentation
-from .quotient import FiniteGroup, core_record
+from .quotient import FiniteGroup, core_quotient
 from .schreier import rewrite_subgroup_presentation
 from .stability import STATUS_CERTIFIED, STATUS_CONSISTENT, stability_report
 
@@ -57,6 +57,8 @@ def _parse_index_spec(spec):
             out.update(range(int(lo), int(hi) + 1))
         else:
             out.add(int(part))
+    if not out:
+        raise DeflabError(f"index spec {spec!r} names no index")
     return out
 
 
@@ -72,7 +74,7 @@ def _resolve_quotient(p, spec):
             raise DeflabError(
                 f"index-{k} subgroup ordinal {j} out of range (1..{len(records)})"
             )
-        _, group = core_record(records[j - 1])
+        _, group = core_quotient(records[j - 1])
         return group
     raise DeflabError(f"bad quotient spec {spec!r}")
 

@@ -1,9 +1,9 @@
 """Coset tables: Todd-Coxeter enumeration, numbering, orbits and Schreier data.
 
 This module owns everything about how a coset table is built, numbered,
-walked and packaged; the low-index search, core quotients, intersections
-and Schreier rewriting all go through it.  Tables use 0-based cosets
-internally (coset 0 is the subgroup); the JSON serialization is 1-based.
+walked and packaged; the low-index search, core quotients and Schreier
+rewriting all go through it.  Tables use 0-based cosets internally (coset 0
+is the subgroup); the JSON serialization is 1-based.
 Canonical numbering everywhere: cosets are renumbered by first appearance
 when scanning rows in order over the positive generator columns, which makes
 every downstream report byte-stable.  A subgroup record stores its BFS

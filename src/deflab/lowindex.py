@@ -112,10 +112,13 @@ def low_index_subgroups(p, max_index, max_nodes=2_000_000, on_budget="raise"):
     canonically ordered by (index, action).
 
     on_budget: "raise" (default) raises LimitExceeded when the node budget
-    runs out; "partial" returns (records_found_so_far, complete_flag).
+    runs out; "partial" returns (records_found_so_far, complete_flag); any
+    other value raises ValueError before the search starts.
     """
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
+    if on_budget not in ("raise", "partial"):
+        raise ValueError(f"on_budget must be 'raise' or 'partial', not {on_budget!r}")
     search = _Search(p, max_index, max_nodes)
     complete = True
     try:

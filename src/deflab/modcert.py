@@ -11,19 +11,11 @@ from dataclasses import dataclass
 from math import gcd
 
 from .chain import presentation_chain_complex
-from .coset import CosetTable, SubgroupRecord, product_orbit, schreier_transversal
-from .errors import (
-    InternalCheckFailed,
-    LimitExceeded,
-    SeparationExhausted,
-    WitnessNotInKernel,
-    ZeroWitness,
-)
+from .coset import SubgroupRecord
+from .errors import InternalCheckFailed, SeparationExhausted, WitnessNotInKernel, ZeroWitness
 from .groupring import GroupRingElement
 from .linalg import add_to, cokernel_invariants, rank_mod_p, rank_over_Q, sparse_row
 from .lowindex import low_index_subgroups
-from .quotient import core_record
-from .schreier import rewrite_subgroup_presentation
 
 
 @dataclass(frozen=True)
@@ -111,60 +103,25 @@ def coinvariant_rank_lower_bound(m, record, field="Q"):
 def separating_subgroup(support, p, max_index):
     """A normal subgroup of index <= max_index whose cosets separate support.
 
-    Candidates are normal cores of low-index subgroups and pairwise
-    intersections of those cores, searched by increasing index budget; the
-    canonically least separating subgroup at the smallest sufficient budget
-    wins.  Raises SeparationExhausted when nothing within budget works.
+    Every normal core or intersection of low-index subgroups is itself a
+    normal record of `low_index_subgroups`, so those records are the
+    candidates.  For each index k from the number of distinct support words
+    up to max_index, the normal records of index exactly k are scanned in the
+    enumeration's (index, action) order; a smaller index was tried at its own
+    bound or has too few cosets, so the canonically least separating subgroup
+    of the smallest sufficient index wins.  Raises SeparationExhausted when
+    nothing within budget works.
     """
-    words = []
-    for w in support:
-        if w not in words:
-            words.append(w)
-    for bound in range(1, max_index + 1):
-        if bound < len(words):
-            continue  # too few cosets to separate
-        normals = {}
+    words = list(dict.fromkeys(support))
+    for bound in range(max(1, len(words)), max_index + 1):
         for rec in low_index_subgroups(p, bound):
-            if rec.is_normal:
-                normals.setdefault(rec.table.action_key(), rec)
-            else:
-                try:
-                    core, _ = core_record(rec, max_order=bound)
-                except LimitExceeded:
-                    continue
-                normals.setdefault(core.table.action_key(), core)
-        candidates = sorted(
-            normals.values(), key=lambda r: (r.index, r.table.action_key())
-        )
-        for a in range(len(candidates)):
-            for b in range(a + 1, len(candidates)):
-                inter = _intersect(candidates[a], candidates[b], bound)
-                if inter is not None and inter.table.action_key() not in normals:
-                    normals[inter.table.action_key()] = inter
-        candidates = sorted(
-            normals.values(), key=lambda r: (r.index, r.table.action_key())
-        )
-        for rec in candidates:
-            cosets = {rec.table.trace(0, w) for w in words}
-            if len(cosets) == len(words):
-                return rec
+            if rec.index == bound and rec.is_normal:
+                if len({rec.table.trace(0, w) for w in words}) == len(words):
+                    return rec
     raise SeparationExhausted(
         f"no normal subgroup of index <= {max_index} separates the "
         f"{len(words)} support elements"
     )
-
-
-def _intersect(r1, r2, max_index):
-    """The canonically numbered `product_orbit` of two records, as a table."""
-    a1, a2 = r1.table.action, r2.table.action
-    try:
-        pairs, index = product_orbit(a1, a2, limit=max_index)
-    except LimitExceeded:
-        return None
-    action = tuple(tuple(index[a[x], b[y]] for x, y in pairs) for a, b in zip(a1, a2))
-    table = CosetTable(index=len(pairs), action=action, origin=r1.table.origin)
-    table.verify()
-    return schreier_transversal(table)
 
 
 @dataclass(frozen=True)
@@ -213,8 +170,10 @@ def rank_drop_certificate(p, witness, q, max_index=12):
     primitivize; find a normal separating subgroup H for the support; the
     restricted module then needs at most u = e2*[G:H] - 1 generators because
     the separated witness is a primitive vector of the transversal lattice.
-    The amended partial resolution over H (u in degree 2 over the Schreier
-    generator count) gives the mu2 bound 1 + u - generators.
+    The Schreier presentation of H has k*(e1-1)+1 generators and e2*k
+    relators, read off the counts without rewriting it; the amended partial
+    resolution over H (u in degree 2 over those generators) gives the mu2
+    bound 1 + u - generators.
     """
     e2 = p.num_relators
     if len(witness.rho) != e2:
@@ -249,13 +208,7 @@ def rank_drop_certificate(p, witness, q, max_index=12):
     coinv = coinvariant_rank_lower_bound(module, sep, field="Q")
     if coinv > u:
         raise InternalCheckFailed("coinvariant bound exceeds the certified drop")
-    sub = rewrite_subgroup_presentation(p, sep)
-    gens = sub.presentation.num_generators
-    rels = sub.presentation.num_relators
-    if rels != e2 * k or u >= rels:
-        raise InternalCheckFailed(
-            f"Schreier relator count {rels} is not e2*k = {e2 * k} above the drop bound {u}"
-        )
+    gens = k * (p.num_generators - 1) + 1
     return CertificateReport(
         presentation=p,
         witness=prim,
@@ -263,7 +216,7 @@ def rank_drop_certificate(p, witness, q, max_index=12):
         subgroup_index=k,
         subgroup=sep,
         schreier_generators=gens,
-        schreier_relators=rels,
+        schreier_relators=e2 * k,
         drop_bound=u,
         mu2_bound=1 + u - gens,
         coinvariant_lower_bound=coinv,

@@ -29,6 +29,8 @@ class FiniteGroup:
 
     def __post_init__(self):
         n = self.order
+        if n < 1:
+            raise ValueError("a finite group has order >= 1")
         for perm in self.right:
             if sorted(perm) != list(range(n)):
                 raise ValueError("generator action is not a permutation of the elements")

@@ -15,18 +15,15 @@ from .words import Word
 
 
 def _dedupe_key(w):
-    return min(
-        w.canonical_rotation().order_key(),
-        w.inverse().canonical_rotation().order_key(),
-    )
+    """A Presentation stores each relator as its canonical rotation, so only
+    the inverse is rotated here."""
+    return min(w.order_key(), w.inverse().canonical_rotation().order_key())
 
 
 def _pass_dedupe(p):
     seen = set()
     out = []
     for r in p.relators:
-        if not r:
-            continue
         key = _dedupe_key(r)
         if key in seen:
             continue

@@ -151,3 +151,5 @@ def test_unknown_corpus_and_bad_specs():
     assert (
         run_cli("homology", "corpus:torus", "--quotient", "core:2:99").returncode == 1
     )
+    empty = run_cli("schreier", "corpus:torus", "--index-spec", "3-2")
+    assert empty.returncode == 1 and "'3-2' names no index" in empty.stderr

@@ -115,6 +115,9 @@ def test_budget():
     p = parse_presentation("< a, b, c | >")
     with pytest.raises(LimitExceeded):
         low_index_subgroups(p, 6, max_nodes=100)
+    # a misspelt policy must not return a silently truncated list
+    with pytest.raises(ValueError, match="on_budget"):
+        low_index_subgroups(parse_presentation("< a, b | >"), 6, max_nodes=50, on_budget="partal")
 
 
 def test_brute_force_oracle_random_presentations():

@@ -135,6 +135,8 @@ def test_cyclic_constructor():
     q = FiniteGroup.cyclic(6)
     assert_group_axioms(q)
     assert q.order == 6 and inverses(q)[1] == 5
+    with pytest.raises(ValueError, match="order"):
+        FiniteGroup.cyclic(0)
 
 
 def test_random_permutation_groups_match_composition():

@@ -2,8 +2,10 @@ import random
 
 from deflab.corpus import CORPUS, corpus_presentation
 from deflab.linalg import cokernel_invariants, transpose
+from deflab.lowindex import low_index_subgroups
 from deflab.presentation import Presentation, parse_presentation
-from deflab.tietze import deficiency_lower_bound, tietze_simplify
+from deflab.schreier import rewrite_subgroup_presentation
+from deflab.tietze import _pass_dedupe, deficiency_lower_bound, tietze_simplify
 from deflab.words import Word
 
 
@@ -34,6 +36,21 @@ def test_inverse_relator_dedupes():
     p = parse_presentation("< a, b | [a,b], [b,a] >")
     s = tietze_simplify(p)
     assert s.num_relators == 1
+    # the second relator is a rotation of the first one's inverse; the
+    # duplicate pass alone must see it
+    p = parse_presentation("< a, b | a^2 b^3, a^-1 b^-3 a^-1 >")
+    deduped, changed = _pass_dedupe(p)
+    assert p.num_relators == 2 and changed and deduped.num_relators == 1
+
+
+def test_stored_relators_are_canonical_rotations():
+    """Duplicate detection rotates only the inverse of a stored relator."""
+    for name in CORPUS:
+        p = corpus_presentation(name)
+        for rec in low_index_subgroups(p, 2):
+            sub = rewrite_subgroup_presentation(p, rec).presentation
+            for q in (sub, tietze_simplify(sub)):
+                assert all(r.canonical_rotation() == r for r in q.relators), name
 
 
 def test_substitution_shortens():
