@@ -51,12 +51,12 @@ def _load_presentation(spec):
 
 def _parse_index_spec(spec):
     out = set()
-    for part in spec.split(","):
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            out.update(range(int(lo), int(hi) + 1))
-        else:
-            out.add(int(part))
+    try:
+        for part in spec.split(","):
+            lo, _, hi = part.partition("-")
+            out.update(range(int(lo), int(hi or lo) + 1))
+    except ValueError:
+        raise DeflabError(f"index spec {spec!r} is not a list of K or K-L") from None
     if not out:
         raise DeflabError(f"index spec {spec!r} names no index")
     return out
@@ -67,8 +67,11 @@ def _resolve_quotient(p, spec):
     if spec == "trivial":
         return FiniteGroup.trivial(p.num_generators)
     if spec.startswith("core:"):
-        _, k, j = spec.split(":")
-        k, j = int(k), int(j)
+        try:
+            _, k, j = spec.split(":")
+            k, j = int(k), int(j)
+        except ValueError:
+            raise DeflabError(f"quotient spec {spec!r} is not core:K:J") from None
         records = [r for r in low_index_subgroups(p, k) if r.index == k]
         if not 1 <= j <= len(records):
             raise DeflabError(

@@ -8,12 +8,12 @@ eliminations copy the rows and keep a column -> rows index (`_sparse_rows`).
 Ranks over Q and over F_p come from one sparse elimination, `_rank`; primes
 are certified by deterministic Miller-Rabin, which is exact below 2^64.
 
-`smith_normal_form` runs in two phases.  Phase 1 clears every +-1 pivot it
-can find with sparse unimodular row and column operations, recording L and
-R sparsely; phase 2 runs the dense min-abs elimination `_dense_snf` only on
-the leftover core, which has no +-1 entry and is the only dense matrix in
-deflab besides the JSON output (cf. Dumas, Saunders and Villard,
-J. Symbolic Comput. 32, 2001).  The composed transforms are checked on the
+`smith_normal_form` runs in two phases on the same sparse rows.  Phase 1
+clears every +-1 pivot it can find with sparse unimodular row and column
+operations (cf. Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001);
+phase 2 runs a Euclidean elimination on the least entry of the rows that are
+left, and 2x2 unimodular steps then make each invariant factor divide the
+next.  L and R are recorded sparsely throughout.  They are checked on the
 whole input, L @ A @ R = diag and d_i | d_{i+1}, on every call.
 """
 
@@ -43,11 +43,6 @@ def sparse_row(terms):
     for j, x in terms:
         add_to(row, j, x)
     return row
-
-
-def from_dense(a):
-    """The sparse rows of a dense list of lists."""
-    return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
 def to_dense(m, ncols):
@@ -213,133 +208,6 @@ class SNFResult:
             raise InternalCheckFailed(f"divisibility fails: {self.diagonal}")
 
 
-class _SNFWork:
-    """Mutable elimination state on the block matrix [[A, I], [I, 0]].
-
-    Row operations touch only the top rows and column operations only the
-    left columns, so each one moves A together with L (top right block) or
-    R (bottom left block): at every step the blocks hold L @ A @ R, L and R.
-    """
-
-    def __init__(self, a):
-        self.rows, self.cols = rows, cols = len(a), len(a[0])
-        self.m = [list(row) + [0] * rows for row in a]
-        self.m += [[0] * (cols + rows) for _ in range(cols)]
-        for k in range(rows):
-            self.m[k][cols + k] = 1
-        for k in range(cols):
-            self.m[rows + k][k] = 1
-
-    @property
-    def left(self):
-        return [row[self.cols:] for row in self.m[:self.rows]]
-
-    @property
-    def right(self):
-        return [row[:self.cols] for row in self.m[self.rows:]]
-
-    def swap_rows(self, i, j):
-        self.m[i], self.m[j] = self.m[j], self.m[i]
-
-    def swap_cols(self, i, j):
-        if i == j:
-            return
-        for row in self.m:
-            row[i], row[j] = row[j], row[i]
-
-    def negate_row(self, i):
-        self.m[i] = [-x for x in self.m[i]]
-
-    def add_col(self, src, dst, c):
-        for row in self.m:
-            row[dst] += c * row[src]
-
-    def combine_rows(self, i, j, col):
-        """Row-unimodular 2x2 combo putting gcd(m[i][col], m[j][col]) at (i, col)."""
-        a, b = self.m[i][col], self.m[j][col]
-        if b == 0:
-            return
-        mi, mj = self.m[i], self.m[j]
-        if a != 0 and b % a == 0:
-            c = b // a
-            self.m[j] = [v - c * u for u, v in zip(mi, mj)]
-            return
-        g, x, y = _xgcd(a, b)
-        ag, bg = a // g, b // g
-        self.m[i] = [x * u + y * v for u, v in zip(mi, mj)]
-        self.m[j] = [-bg * u + ag * v for u, v in zip(mi, mj)]
-        # determinant of [[x, y], [-bg, ag]] is x*ag + y*bg = 1
-
-    def combine_cols(self, i, j, row):
-        a, b = self.m[row][i], self.m[row][j]
-        if b == 0:
-            return
-        if a != 0 and b % a == 0:
-            self.add_col(i, j, -(b // a))
-            return
-        g, x, y = _xgcd(a, b)
-        ag, bg = a // g, b // g
-        for mrow in self.m:
-            u, v = mrow[i], mrow[j]
-            mrow[i] = x * u + y * v
-            mrow[j] = -bg * u + ag * v
-
-
-def _dense_snf(a):
-    """Smith normal form of a dense matrix by min-abs pivoting on `_SNFWork`.
-
-    Returns (diagonal, L, R) with L @ a @ R = diag(diagonal).  The pivot is
-    the first entry of least absolute value in row-major order, so the search
-    stops after the row holding the first +-1.
-    """
-    w = _SNFWork(a)
-    m, rows, cols = w.m, w.rows, w.cols
-    t = 0
-    while t < min(rows, cols):
-        piv = best = None
-        for i in range(t, rows):
-            for j, v in enumerate(m[i][t:cols], t):
-                if v and (best is None or abs(v) < best):
-                    best, piv = abs(v), (i, j)
-            if best == 1:
-                break  # no entry is smaller, and a later one would not win the tie
-        if piv is None:
-            break
-        w.swap_rows(t, piv[0])
-        w.swap_cols(t, piv[1])
-        while True:
-            for i in range(t + 1, rows):
-                w.combine_rows(t, i, t)
-            if any(m[t][j] for j in range(t + 1, cols)):
-                for j in range(t + 1, cols):
-                    w.combine_cols(t, j, t)
-            if all(m[i][t] == 0 for i in range(t + 1, rows)) and all(
-                m[t][j] == 0 for j in range(t + 1, cols)
-            ):
-                break
-        if m[t][t] < 0:
-            w.negate_row(t)
-        t += 1
-    # enforce the divisibility chain d_i | d_{i+1}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(t - 1):
-            a_, b_ = m[i][i], m[i + 1][i + 1]
-            if b_ % a_ != 0:
-                changed = True
-                w.add_col(i + 1, i, 1)
-                w.combine_rows(i, i + 1, i)
-                while m[i][i + 1] or m[i + 1][i]:
-                    w.combine_cols(i, i + 1, i)
-                    w.combine_rows(i, i + 1, i)
-                if m[i][i] < 0:
-                    w.negate_row(i)
-                if m[i + 1][i + 1] < 0:
-                    w.negate_row(i + 1)
-    return [m[i][i] for i in range(t)], w.left, w.right
-
-
 def _add_multiple(dst, src, f):
     """dst += f * src for sparse {index: value} vectors, dropping zeros."""
     for j, x in src.items():
@@ -350,6 +218,14 @@ def _add_multiple(dst, src, f):
             del dst[j]
 
 
+def _combine(x, u, y, w):
+    """x * u + y * w for sparse {index: value} vectors."""
+    out = sparse_row((j, x * t) for j, t in u.items())
+    for j, t in w.items():
+        add_to(out, j, y * t)
+    return out
+
+
 def smith_normal_form(a, ncols):
     """Smith normal form L @ a @ R = diag of a sparse matrix with ncols columns.
 
@@ -358,16 +234,21 @@ def smith_normal_form(a, ncols):
     and its +-1 entry in the shortest column, clears that column with row
     operations and the pivot row with column operations, which in the matrix
     touch the pivot row alone.  L is kept as sparse rows, R as sparse
-    columns.  Phase 2 runs the dense `_dense_snf` on the leftover core of
-    un-pivoted rows and columns, which has no +-1 entry, and composes its
-    transforms with L and R; a zero core needs no composition.  The diagonal
-    is one 1 per pivot followed by the core's.  Every result is verified on
-    the whole input before it is returned.
+    columns.  Phase 2 works on the rows that are left, which hold no +-1
+    entry: it pivots on the entry of least absolute value (ties by row, then
+    column), reduces the other rows in its column and then its row's other
+    columns by floor division, and starts again at the least remainder until
+    the pivot stands alone.  Each remainder is smaller than the pivot, so
+    entries stay near the input's size instead of growing as in a dense
+    elimination (Kannan and Bachem, SIAM J. Comput. 8, 1979).  The pivots
+    are then sorted and each pair (a, b) with a not dividing b becomes
+    (gcd, lcm) by one 2x2 step of determinant 1 on L and one on R.  Every
+    result is verified on the whole input before it is returned.
     """
     m, where = _sparse_rows(a, 0)
     left = [{i: 1} for i in range(len(a))]
     right = [{j: 1} for j in range(ncols)]
-    pivots = []  # (row, column, unit)
+    pivots = []  # (row, column, value)
     heap = [(len(row), i) for i, row in m.items() if row]
     heapify(heap)
     while heap:
@@ -401,26 +282,55 @@ def smith_normal_form(a, ncols):
                 heappush(heap, (len(row), k))
         for j, x in piv.items():  # column j -= x * v * column c
             _add_multiple(right[j], right[c], -x * v)
+    while any(m.values()):  # phase 2: Euclid on the entry of least |v|
+        _, i, c = min((abs(x), i, j) for i, row in m.items() for j, x in row.items())
+        piv = m[i]
+        v = piv[c]
+        for k, row in m.items():  # row k -= (m[k][c] // v) * row i
+            if k != i and c in row:
+                f = row[c] // v
+                _add_multiple(row, piv, -f)
+                _add_multiple(left[k], left[i], -f)
+        if any(c in row for row in m.values() if row is not piv):
+            continue  # each remainder is smaller than |v|, so the least is next
+        for j, x in list(piv.items()):  # column j -= (x // v) * column c: row i only
+            if j != c:
+                f = x // v
+                add_to(piv, j, -f * v)
+                _add_multiple(right[j], right[c], -f)
+        if len(piv) == 1:
+            del m[i]
+            pivots.append((i, c, v))
+    for i, _, v in pivots:
+        if v < 0:
+            left[i] = {j: -x for j, x in left[i].items()}
+    pivots.sort(key=lambda t: abs(t[2]))  # stable: phase 1's units stay first
+    diagonal = [abs(v) for _, _, v in pivots]
+    for s in range(diagonal.count(1), len(pivots)):  # make d_s divide every later d_t
+        i, c, _ = pivots[s]
+        for t in range(s + 1, len(pivots)):
+            a_, b_ = diagonal[s], diagonal[t]
+            if b_ % a_:  # diag(a, b) -> diag(g, ab/g) by 2x2 steps of determinant 1
+                k, e, _ = pivots[t]
+                g, x, y = _xgcd(a_, b_)
+                left[i], left[k] = (
+                    _combine(x, left[i], y, left[k]),
+                    _combine(-b_ // g, left[i], a_ // g, left[k]),
+                )
+                right[c], right[e] = (
+                    _combine(1, right[c], 1, right[e]),
+                    _combine(-y * b_ // g, right[c], x * a_ // g, right[e]),
+                )
+                diagonal[s], diagonal[t] = g, a_ * b_ // g
     pivot_cols = {c for _, c, _ in pivots}
-    core_rows = list(m)  # ascending: row dicts are only ever deleted
-    core_cols = [j for j in range(ncols) if j not in pivot_cols]
-    lefts = [{j: v * x for j, x in left[i].items()} for i, _, v in pivots]
-    rights = [right[c] for _, c, _ in pivots]
-    core_left = [left[i] for i in core_rows]
-    core_right = [right[j] for j in core_cols]
-    if any(m.values()):
-        core = [[m[i].get(j, 0) for j in core_cols] for i in core_rows]
-        core_diagonal, lc, rc = _dense_snf(core)
-        core_left = mat_mul(from_dense(lc), core_left)
-        core_right = mat_mul(from_dense(zip(*rc)), core_right)
-    else:
-        core_diagonal = []  # L and R of a zero core are identities
-    diagonal = [1] * len(pivots) + core_diagonal
     result = SNFResult(
         diagonal=diagonal,
         rank=len(diagonal),
-        left=lefts + core_left,
-        right=transpose(rights + core_right, ncols),
+        left=[left[i] for i, _, _ in pivots] + [left[i] for i in m],  # m: zero rows, ascending
+        right=transpose(
+            [right[c] for _, c, _ in pivots] + [right[j] for j in range(ncols) if j not in pivot_cols],
+            ncols,
+        ),
         shape=(len(a), ncols),
     )
     result.verify(a)

@@ -76,6 +76,8 @@ class FiniteGroup:
     @staticmethod
     def cyclic(n, ngens=1):
         """Cyclic group of order n with every generator mapping to 1 mod n."""
+        if ngens < 1:
+            raise ValueError(f"a cyclic group needs a generator, not {ngens}; use trivial(0)")
         return FiniteGroup(right=(tuple((e + 1) % n for e in range(n)),) * ngens)
 
     @staticmethod

@@ -1,8 +1,9 @@
-"""Fixtures shared by several test modules."""
+"""Fixtures and helpers shared by several test modules."""
 
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from deflab.corpus import CORPUS, corpus_presentation
 from deflab.lowindex import low_index_subgroups
@@ -68,3 +69,18 @@ def seeded_presentations(seed, count):
 def random_presentations():
     """The seeded generator random_presentations(seed, count)."""
     return seeded_presentations
+
+
+def from_dense(a):
+    """The sparse {col: value} rows of a dense list of lists."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+@st.composite
+def small_presentations(draw):
+    """Presentations on one or two generators with up to three relators of
+    up to seven letters."""
+    ngens = draw(st.integers(1, 2))
+    letter = st.tuples(st.integers(0, ngens - 1), st.sampled_from((1, -1)))
+    words = draw(st.lists(st.lists(letter, min_size=1, max_size=7), max_size=3))
+    return Presentation(tuple("ab"[:ngens]), tuple(Word(tuple(w)) for w in words))

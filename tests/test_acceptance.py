@@ -13,6 +13,8 @@ import time
 from collections import Counter
 from math import factorial
 
+from conftest import from_dense
+
 from deflab.chain import (
     collapse_to_point,
     presentation_chain_complex,
@@ -25,7 +27,6 @@ from deflab.intervals import deficiency_interval
 from deflab.linalg import (
     betti_numbers,
     cokernel_invariants,
-    from_dense,
     mat_mul,
     morse_check,
     partial_euler_mu,

@@ -75,11 +75,16 @@ def test_homology_rejects_prime_too_large_for_int64():
     assert json.loads(proc.stdout)["betti"] == over_q["betti"] == [1, 2, 1]
 
 
-def test_internal_check_failure_exits_3(monkeypatch, capsys):
-    # a core Smith form that lies about its diagonal; H_1(C5) = Z/5 leaves a
-    # 1 x 1 core, and the verify on the whole matrix catches the lie
-    monkeypatch.setattr(linalg, "_dense_snf", lambda a: ([7], [[1]], [[1]]))
-    assert cli.main(["homology", "corpus:c5"]) == 3
+def test_internal_check_failure_exits_3(monkeypatch, capsys, tmp_path):
+    # d2 = diag(2, 3) has no +-1 entry, so phase 2 pivots on 2 and 3 and its
+    # 2x2 step turns them into (1, 6) with Bezout coefficients from _xgcd;
+    # wrong ones leave L @ A @ R = diag(2, 12), which verify catches
+    f = tmp_path / "c6.txt"
+    f.write_text("< a, b | a^2, b^3, [a, b] >")
+    calls = []
+    monkeypatch.setattr(linalg, "_xgcd", lambda a, b: calls.append((a, b)) or (1, 1, 0))
+    assert cli.main(["homology", str(f)]) == 3
+    assert calls == [(2, 3)]
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal check failed: L @ A @ R is not the Smith diagonal\n"
@@ -153,3 +158,15 @@ def test_unknown_corpus_and_bad_specs():
     )
     empty = run_cli("schreier", "corpus:torus", "--index-spec", "3-2")
     assert empty.returncode == 1 and "'3-2' names no index" in empty.stderr
+
+
+def test_malformed_specs_are_named_in_the_error():
+    for command, option, spec in (
+        ("homology", "--quotient", "core:2"),
+        ("homology", "--quotient", "core:a:1"),
+        ("schreier", "--index-spec", "2,"),
+        ("schreier", "--index-spec", "3-x"),
+    ):
+        proc = run_cli(command, "corpus:torus", option, spec)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and repr(spec) in proc.stderr, proc.stderr

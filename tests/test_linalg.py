@@ -2,9 +2,13 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations, permutations
+from math import gcd
 from pathlib import Path
 
 import pytest
+from conftest import from_dense, small_presentations
+from hypothesis import given, settings
 
 from deflab import modp
 from deflab.chain import ChainComplex, presentation_chain_complex
@@ -17,9 +21,7 @@ from deflab.errors import (
 )
 from deflab.linalg import (
     SNFResult,
-    _dense_snf,
     betti_numbers,
-    from_dense,
     is_prime,
     mat_mul,
     morse_check,
@@ -29,10 +31,15 @@ from deflab.linalg import (
     smith_normal_form,
     to_dense,
 )
-from deflab.quotient import FiniteGroup
+from deflab.lowindex import low_index_subgroups
+from deflab.quotient import FiniteGroup, core_quotient
 
-# The tests build dense lists of lists, convert them with `from_dense` for
-# deflab, and check its sparse results against dense definitions.
+# The tests build dense lists of lists, convert them with conftest's
+# `from_dense` for deflab, and check its sparse results against definitions:
+# a Smith form is L @ A @ R = diag(d_1, ..., d_r) with d_i | d_{i+1} and
+# unimodular L and R (`det`, by Bareiss), which fixes the diagonal; the
+# determinantal divisors (gcds of k x k minors, by the Leibniz formula) give
+# it again with no elimination at all.
 
 
 def identity_matrix(n):
@@ -228,6 +235,23 @@ def test_betti_torsion_mod_p():
     assert b3.b == [1, 0, 0]
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(small_presentations())
+def test_universal_coefficients_match_ranks_mod_p(p):
+    # b_i(F_p) = b_i(Q) + t_i(p) + t_(i-1)(p), where t_i(p) counts the
+    # torsion factors of H_i divisible by p: Smith forms on one side,
+    # rank_mod_p on the other
+    quotients = [FiniteGroup.trivial(p.num_generators)]
+    quotients += [core_quotient(rec)[1] for rec in low_index_subgroups(p, 3, max_nodes=100_000)]
+    for q in quotients:
+        c = presentation_chain_complex(p, q)
+        over_q = betti_numbers(c, "Q")
+        for prime in (2, 3, 5):
+            t = [sum(d % prime == 0 for d in factors) for factors in over_q.torsion]
+            expected = [b + t[i] + (t[i - 1] if i else 0) for i, b in enumerate(over_q.b)]
+            assert betti_numbers(c, prime).b == expected, (q.order, prime)
+
+
 def test_partial_euler_mu():
     e = partial_euler_mu([1, 2, 1], 2)
     assert e.mu == 0 and e.chi == 0 and e.nu2 == 0
@@ -285,44 +309,102 @@ def test_snf_transforms_are_unimodular_on_corpus_complexes(corpus_core_quotients
         assert_unimodular(smith_normal_form(a, cols))
 
 
-def assert_matches_dense_route(a, cols):
-    """smith_normal_form against `_dense_snf` (the min-abs dense elimination)
-    run on the whole matrix: same diagonal and rank, and unimodular L, R."""
+def assert_smith_form_by_definition(a, cols):
+    """smith_normal_form of a sparse matrix passes verify (L @ a @ R is the
+    diagonal and each factor divides the next) with unimodular L and R."""
     snf = smith_normal_form(a, cols)
-    diagonal, left, right = _dense_snf(to_dense(a, cols))
-    SNFResult(diagonal, len(diagonal), from_dense(left), from_dense(right), (len(a), cols)).verify(a)
-    assert snf.diagonal == diagonal and snf.rank == len(diagonal)
+    snf.verify(a)
+    assert snf.rank == len(snf.diagonal)
     assert_unimodular(snf)
     return snf
 
 
-def test_snf_matches_dense_route_on_corpus_complexes(corpus_core_quotients):
+def test_snf_is_the_smith_form_on_corpus_complexes(corpus_core_quotients):
     psl27 = FiniteGroup.from_permutations([(7, 6, 3, 2, 5, 4, 1, 0), (6, 3, 2, 5, 4, 1, 7, 0)])
     assert psl27.order == 168
     complexes = [(p, q) for _, p, _, q in corpus_core_quotients if q.order <= 168]
     complexes.append((corpus_presentation("trefoil"), psl27))
     for p, q in complexes:
         for b, cols in boundaries_with_columns(presentation_chain_complex(p, q)):
-            assert_matches_dense_route(b, cols)
+            assert_smith_form_by_definition(b, cols)
 
 
-def test_snf_matches_dense_route_on_random_matrices():
+NO_UNITS, ALL_UNITS, MIXED = (0, 0, 2, -2, 3, -4, 6, 12), (0, 1, -1), (0, 0, 1, -1, 2, -3, 4)
+
+
+def test_snf_is_the_smith_form_on_random_matrices():
     rng = random.Random(61)
-    no_units, all_units, mixed = (0, 0, 2, -2, 3, -4, 6, 12), (0, 1, -1), (0, 0, 1, -1, 2, -3, 4)
-    for values in (no_units, all_units, mixed):
+    for values in (NO_UNITS, ALL_UNITS, MIXED):
         for _ in range(100):
             rows, cols = rng.randint(1, 10), rng.randint(1, 10)
             a = [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
-            assert_matches_dense_route(from_dense(a), cols)
+            assert_smith_form_by_definition(from_dense(a), cols)
+
+
+def leibniz_det(a):
+    """Determinant as the signed sum over permutations, with no elimination."""
+    n = len(a)
+    total = 0
+    for perm in permutations(range(n)):
+        term = (-1) ** sum(perm[s] > perm[t] for s in range(n) for t in range(s + 1, n))
+        for r, c in enumerate(perm):
+            term *= a[r][c]
+        total += term
+    return total
+
+
+def determinantal_invariants(a):
+    """The nonzero invariant factors d_k = D_k / D_(k-1) of a dense matrix,
+    where the determinantal divisor D_k is the gcd of all k x k minors."""
+    rows, cols = len(a), len(a[0])
+    divisors = [1]
+    for k in range(1, min(rows, cols) + 1):
+        g = 0
+        for rs in combinations(range(rows), k):
+            for cs in combinations(range(cols), k):
+                g = gcd(g, leibniz_det([[a[r][c] for c in cs] for r in rs]))
+        if g == 0:
+            break  # every larger minor expands into these, so is 0 as well
+        divisors.append(g)
+    return [d // prev for prev, d in zip(divisors, divisors[1:])]
+
+
+def test_determinantal_invariants_helper():
+    a = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
+    assert leibniz_det(a) == det(a) == -3
+    assert determinantal_invariants([[2, 0], [0, 3]]) == [1, 6]
+    assert determinantal_invariants([[2, 4], [4, 8]]) == [2]
+    assert determinantal_invariants([[0, 0]]) == []
+    assert determinantal_invariants([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == [2, 6, 12]
+
+
+def test_snf_matches_determinantal_divisors():
+    rng = random.Random(67)
+    for values in (NO_UNITS, ALL_UNITS, MIXED):
+        for _ in range(100):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            a = [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
+            assert dense_snf(a).diagonal == determinantal_invariants(a), a
+
+
+def test_snf_of_a_30_by_30_matrix_with_no_unit_entry():
+    # no entry is +-1, so phase 1 pivots nowhere and phase 2 eliminates the
+    # whole matrix; it is the ninth matrix of this seeded draw
+    rng = random.Random(5)
+    draws = [(10, NO_UNITS)] * 3 + [(20, NO_UNITS)] * 3 + [(30, (0, 0, 0, 2, -2, 3, -4, 6, 12))] * 3
+    for n, values in draws:
+        a = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+    snf = assert_smith_form_by_definition(from_dense(a), 30)
+    assert snf.rank == 30
 
 
 def test_snf_with_torsion_in_the_core():
     # q8 over its quotient C2 x C2: d2 is 8 x 12 and H_1 has torsion [2];
-    # unit pivots only give 1s, so the 2 comes from the dense core
+    # unit pivots only give 1s, so the 2 comes from phase 2
     q = FiniteGroup.from_permutations([(1, 0, 3, 2), (2, 3, 0, 1)])
     c = presentation_chain_complex(corpus_presentation("q8"), q)
     assert c.dims == [4, 8, 12]
-    assert assert_matches_dense_route(c.boundaries[1], 12).diagonal == [1, 1, 1, 1, 2]
+    assert assert_smith_form_by_definition(c.boundaries[1], 12).diagonal == [1, 1, 1, 1, 2]
 
 
 def test_snf_with_minus_one_pivots_only():
@@ -333,7 +415,7 @@ def test_snf_with_minus_one_pivots_only():
         [[-1, -1], [0, -1]],
         [[-1, 0, 4], [0, -1, 6]],
     ):
-        snf = assert_matches_dense_route(from_dense(a), len(a[0]))
+        snf = assert_smith_form_by_definition(from_dense(a), len(a[0]))
         assert snf.diagonal == [1] * len(a)
 
 
@@ -541,7 +623,7 @@ for check in (
     lambda: schreier_presentation("< x, y | [x, y] >"),
     lambda: schreier_presentation("< x, y, z | x >"),
     lambda: schreier_presentation("< x, y, z | x, y >", (parse_word("a", torus),)),
-    lambda: rewrite_subgroup_presentation(torus, SubgroupRecord(double.table, (None, None), True)),
+    lambda: rewrite_subgroup_presentation(torus, b_edge),  # four pairs off the bad tree
     lambda: rewrite_subgroup_presentation(a_is_trivial, SubgroupRecord(open_table, (None, (0, 0)), False)),
     lambda: stability_with("deficiency_interval", lambda *args, **kw: DeficiencyInterval(5, 5, CERT_NONE)),
     lambda: stability_with("_classify", lambda k, base, sub: stability.STATUS_VIOLATED),

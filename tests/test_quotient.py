@@ -137,6 +137,8 @@ def test_cyclic_constructor():
     assert q.order == 6 and inverses(q)[1] == 5
     with pytest.raises(ValueError, match="order"):
         FiniteGroup.cyclic(0)
+    with pytest.raises(ValueError, match="needs a generator"):
+        FiniteGroup.cyclic(5, ngens=0)  # trivial(0) is the group with no generators
 
 
 def test_random_permutation_groups_match_composition():

@@ -1,13 +1,13 @@
 import json
 
+from conftest import from_dense, small_presentations
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from deflab import stability
 from deflab.corpus import CORPUS, corpus_presentation
-from deflab.linalg import cokernel_invariants, from_dense
+from deflab.linalg import cokernel_invariants
 from deflab.lowindex import low_index_subgroups
-from deflab.presentation import Presentation, parse_presentation
+from deflab.presentation import parse_presentation
 from deflab.schreier import rewrite_subgroup_presentation
 from deflab.stability import (
     STATUS_CERTIFIED,
@@ -15,7 +15,6 @@ from deflab.stability import (
     _cover_relation_matrix,
     stability_report,
 )
-from deflab.words import Word
 
 
 def test_torus_all_rows_certified():
@@ -202,14 +201,6 @@ def test_cover_route_matches_schreier_route_on_random_presentations(random_prese
     for p in random_presentations(61, 30):
         for rec in low_index_subgroups(p, 4, max_nodes=100_000):
             assert_cover_matches_schreier(p, rec)
-
-
-@st.composite
-def small_presentations(draw):
-    ngens = draw(st.integers(1, 2))
-    letter = st.tuples(st.integers(0, ngens - 1), st.sampled_from((1, -1)))
-    words = draw(st.lists(st.lists(letter, min_size=1, max_size=7), max_size=3))
-    return Presentation(tuple("ab"[:ngens]), tuple(Word(tuple(w)) for w in words))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
