@@ -10,7 +10,7 @@ from .presentation import (
     parse_word,
     serialize_presentation,
 )
-from .tietze import tietze_simplify, deficiency_lower_bound
+from .tietze import tietze_simplify
 from .coset import (
     CosetTable,
     SubgroupRecord,

@@ -127,10 +127,13 @@ def cmd_homology(args):
     p, _ = _load_presentation(args.presentation)
     quotient = _resolve_quotient(p, args.quotient)
     complex_ = presentation_chain_complex(p, quotient)
-    if args.field == "Q":
-        betti = betti_numbers(complex_, "Q")
-    else:
-        betti = betti_numbers(complex_, int(args.field))
+    field = args.field
+    if field != "Q":
+        try:
+            field = int(field)
+        except ValueError:
+            raise DeflabError(f"--field {args.field!r} is neither Q nor a prime") from None
+    betti = betti_numbers(complex_, field)
     _dump(
         {
             "quotient_order": quotient.order,

@@ -1,11 +1,10 @@
 """Certified deficiency intervals.
 
 The lower end is always witnessed by a found presentation; the upper end is
-b1 minus a lower bound for b2 (default 0, nothing better is computable from
-a single non-aspherical presentation).  An asphericity certificate collapses
-the interval to 1 - chi of the certified complex: user-asserted, or granted
-automatically for one-relator presentations whose relator is not a proper
-power.
+b1, which bounds |generators| - |relators| of every presentation of the
+group.  An asphericity certificate collapses the interval to 1 - chi of the
+certified complex: user-asserted, or granted automatically for one-relator
+presentations whose relator is not a proper power.
 """
 
 from __future__ import annotations
@@ -71,12 +70,12 @@ def resolve_certificate(p, aspherical):
     return CERT_NONE
 
 
-def deficiency_interval(p, aspherical=False, effort=50, b2_lower=0):
+def deficiency_interval(p, aspherical=False, effort=50):
     """Certified interval [lower, upper] for the deficiency of the group.
 
     lower: best |generators| - |relators| found by simplification.
-    upper: b1 - b2_lower, replaced by 1 - chi of the given complex when an
-    asphericity certificate applies (then the interval is a point).
+    upper: b1, replaced by 1 - chi of the given complex when an asphericity
+    certificate applies (then the interval is a point).
     """
     certificate = resolve_certificate(p, aspherical)
     lower = tietze_simplify(p, effort).deficiency_datum()
@@ -88,7 +87,4 @@ def deficiency_interval(p, aspherical=False, effort=50, b2_lower=0):
                 "the complex cannot be aspherical"
             )
         return DeficiencyInterval(lower=value, upper=value, certificate=certificate)
-    upper = first_betti_number(p) - b2_lower
-    if lower > upper:
-        raise InternalCheckFailed("lower bound exceeded b1-based upper bound")
-    return DeficiencyInterval(lower=lower, upper=upper, certificate=certificate)
+    return DeficiencyInterval(lower=lower, upper=first_betti_number(p), certificate=certificate)

@@ -14,7 +14,7 @@ from .chain import presentation_chain_complex
 from .coset import SubgroupRecord
 from .errors import InternalCheckFailed, SeparationExhausted, WitnessNotInKernel, ZeroWitness
 from .groupring import GroupRingElement
-from .linalg import add_to, cokernel_invariants, rank_mod_p, rank_over_Q, sparse_row
+from .linalg import add_to, rank_over_Q, sparse_row
 from .lowindex import low_index_subgroups
 
 
@@ -72,14 +72,13 @@ def primitivize(w):
     return KernelWitness(rho=rho)
 
 
-def coinvariant_rank_lower_bound(m, record, field="Q"):
+def coinvariant_rank_lower_bound(m, record):
     """Generator-count lower bound for the module restricted to the subgroup.
 
     Restrict to H (index k), then kill the H-action: the result is the
     abelian group Z^(r*k) modulo the coset-collapsed images of g*relation
-    for g over a transversal.  Its minimal generator count over the chosen
-    field (a prime, "Q", or "Z" for the exact abelian count) never exceeds
-    the H-rank of the module.
+    for g over a transversal.  Its rank over Q never exceeds the H-rank of
+    the module.
     """
     table = record.table
     k = table.index
@@ -92,12 +91,7 @@ def coinvariant_rank_lower_bound(m, record, field="Q"):
                 for w, c in a.terms:
                     add_to(matrix[i * k + table.trace(t, w)], col, c)
             col += 1
-    if field == "Q":
-        return n - rank_over_Q(matrix)
-    if field == "Z":
-        free, torsion = cokernel_invariants(matrix, col)
-        return free + len(torsion)
-    return n - rank_mod_p(matrix, int(field))
+    return n - rank_over_Q(matrix)
 
 
 def separating_subgroup(support, p, max_index):
@@ -205,7 +199,7 @@ def rank_drop_certificate(p, witness, q, max_index=12):
     if g != 1:
         raise InternalCheckFailed("primitivized witness must have coprime coefficients")
     module = ModulePresentation(ambient=p, free_rank=e2, relations=(tuple(prim.rho),))
-    coinv = coinvariant_rank_lower_bound(module, sep, field="Q")
+    coinv = coinvariant_rank_lower_bound(module, sep)
     if coinv > u:
         raise InternalCheckFailed("coinvariant bound exceeds the certified drop")
     gens = k * (p.num_generators - 1) + 1

@@ -17,8 +17,12 @@ by construction; a row that breaks it, or any violated-upper row, raises
 InternalCheckFailed.
 
 b1 and torsion of every row come from d2 of the finite cover, walked over
-the coset action, and the Schreier counts from k*(e1-1)+1 and k*e2; only an
-uncertified row rewrites its Schreier presentation, as input to Tietze.
+the coset action.  Every row's bracket starts at the Schreier count
+k*(e1-1)+1 - k*e2; its upper end is that count under a certificate and b1
+otherwise.  No presentation of H beats b1, so a certificate or count = b1
+closes the bracket; only a row whose bracket is still open rewrites its
+Schreier presentation, as input to Tietze, which can only raise the lower
+end.
 """
 
 from __future__ import annotations
@@ -122,19 +126,17 @@ def _cover_relation_matrix(p, rec):
     return [row for i, row in enumerate(d2) if i not in tree]
 
 
-def stability_report(
-    p, max_index, aspherical=False, effort=50, group_name="group", max_nodes=2_000_000
-):
+def stability_report(p, max_index, aspherical=False, group_name="group", max_nodes=2_000_000):
     """Enumerate all subgroups of index <= max_index and test stabilization."""
     certificate = resolve_certificate(p, aspherical)
     if certificate == CERT_NONE:
-        base_pres = tietze_simplify(p, effort)
+        base_pres = tietze_simplify(p)
         # simplification can expose a certifiable one-relator form
         certificate = resolve_certificate(base_pres, False)
         base_interval = deficiency_interval(base_pres, aspherical=False, effort=0)
     else:
         base_pres = p
-        base_interval = deficiency_interval(p, aspherical=aspherical, effort=effort)
+        base_interval = deficiency_interval(p, aspherical=aspherical)
     records, complete = low_index_subgroups(
         base_pres, max_index, max_nodes=max_nodes, on_budget="partial"
     )
@@ -147,17 +149,12 @@ def stability_report(
         gens, rels = k * (e1 - 1) + 1, k * e2  # the Schreier presentation's counts
         relations = _cover_relation_matrix(base_pres, rec)
         b1, torsion = cokernel_invariants(relations, rels)
-        if certificate != CERT_NONE:
-            value = gens - rels  # 1 - k*chi, achieved by the Schreier presentation
-            interval = DeficiencyInterval(
-                lower=value, upper=value, certificate=certificate
-            )
-        else:
+        lower = gens - rels  # achieved by the Schreier presentation; 1 - k*chi
+        upper = lower if certificate != CERT_NONE else b1
+        if lower < upper:
             sp = rewrite_subgroup_presentation(base_pres, rec).presentation
-            lower = tietze_simplify(sp, effort).deficiency_datum()
-            interval = DeficiencyInterval(
-                lower=lower, upper=b1, certificate=CERT_NONE
-            )
+            lower = tietze_simplify(sp).deficiency_datum()
+        interval = DeficiencyInterval(lower=lower, upper=upper, certificate=certificate)
         if interval.lower - 1 < k * (base_interval.lower - 1):
             raise InternalCheckFailed("Schreier inequality violated by reported lower bounds")
         status = _classify(k, base_interval, interval)

@@ -124,9 +124,3 @@ def tietze_simplify(p, effort=50):
         if not changed:
             break
     return current
-
-
-def deficiency_lower_bound(p, effort=50):
-    """|generators| - |relators| after simplification; a lower bound for the
-    group's deficiency."""
-    return tietze_simplify(p, effort).deficiency_datum()

@@ -170,3 +170,9 @@ def test_malformed_specs_are_named_in_the_error():
         proc = run_cli(command, "corpus:torus", option, spec)
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error:") and repr(spec) in proc.stderr, proc.stderr
+
+
+def test_non_numeric_field_is_named_in_the_error():
+    proc = run_cli("homology", "corpus:torus", "--field", "x")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "--field 'x'" in proc.stderr, proc.stderr

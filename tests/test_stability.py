@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from deflab import stability
 from deflab.corpus import CORPUS, corpus_presentation
+from deflab.intervals import CERT_NONE
 from deflab.linalg import cokernel_invariants
 from deflab.lowindex import low_index_subgroups
 from deflab.presentation import parse_presentation
@@ -15,6 +16,7 @@ from deflab.stability import (
     _cover_relation_matrix,
     stability_report,
 )
+from deflab.tietze import tietze_simplify
 
 
 def test_torus_all_rows_certified():
@@ -181,9 +183,14 @@ def assert_cover_matches_schreier(p, rec, row=None):
     counts = (k * (p.num_generators - 1) + 1, k * p.num_relators)
     assert (sp.num_generators, sp.num_relators) == counts
     assert len(cover) == counts[0]
+    # Tietze never lowers the Schreier count and no presentation beats b1
+    lower = tietze_simplify(sp).deficiency_datum()
+    assert counts[0] - counts[1] <= lower <= free
     if row is not None:
         assert (row.schreier_generators, row.schreier_relators) == counts
         assert (row.b1, row.torsion) == homology
+        if row.interval.certificate == CERT_NONE:
+            assert row.interval.lower == lower
 
 
 def test_cover_route_matches_schreier_route_on_the_corpus(enum_caps):
@@ -212,9 +219,15 @@ def test_cover_route_matches_schreier_route_property(p):
 
 def test_certified_rows_need_no_schreier_presentation(monkeypatch):
     def no_rewrite(p, rec):
-        raise AssertionError("a certified row rewrote its Schreier presentation")
+        raise AssertionError("a closed row rewrote its Schreier presentation")
 
     monkeypatch.setattr(stability, "rewrite_subgroup_presentation", no_rewrite)
     rep = stability_report(corpus_presentation("genus2"), 3, group_name="genus2")
     assert rep.verdict == STATUS_CERTIFIED
     assert [row.b1 for row in rep.rows] == [2 * row.index + 2 for row in rep.rows]
+    # free2 rows are uncertified, but the Schreier count k + 1 already meets b1
+    rep = stability_report(corpus_presentation("free2"), 4, group_name="free2")
+    assert rep.rows
+    for row in rep.rows:
+        assert row.interval.certificate == CERT_NONE
+        assert row.interval.lower == row.interval.upper == row.b1 == row.index + 1
