@@ -10,10 +10,11 @@ Conventions, fixed once and used consistently:
   first; the (slot i, slot j) block of a boundary is the transpose of the
   push of the corresponding group-ring entry, here the Fox derivative of
   relator j by generator i.  `relator_boundary` fills it without building
-  the derivatives, by walking each relator from each point of a permutation
-  action; over the quotient's right-regular action that is the boundary
-  above, over a coset action it is d2 of the finite cover.  d1 composed
-  after d2 is the zero matrix, verified at construction.
+  the derivatives, by summing each relator's `relator_cycle` from each point
+  of a permutation action; over the quotient's right-regular action that is
+  the boundary above, over a coset action it is d2 of the finite cover, and
+  `cover_relation_matrix` is that d2 without its spanning-tree rows.  d1
+  composed after d2 is the zero matrix, verified at construction.
 * Every matrix is deflab's one sparse format (see `linalg`): a list of
   {col: value} row dicts storing no zero.  A boundary's column count is the
   dimension of the degree above, so it is never stored.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coset import right_coset_positions
+from .coset import relator_cycle, right_coset_positions
 from .errors import IncompatibleRestriction, InternalCheckFailed, InvalidQuotient, LimitExceeded
 from .linalg import add_to, mat_mul, sparse_row, to_dense
 
@@ -78,30 +79,34 @@ def push_to_quotient(x, q):
 def relator_boundary(relators, action, inverse_action, points):
     """d2 of the cover of a presentation complex over a permutation action.
 
-    action[g][c] is the point reached from c by generator g, inverse_action
-    its inverse.  Rows are (generator g, point c) at g*points + c, columns
-    (relator j, start h) at j*points + h.  Each relator is walked from each
-    start: a positive letter adds +1 at the row of its generator and the
-    current point, then steps; an inverse letter steps back, then adds -1
-    there.  These are the Fox derivatives pushed to the permutation module.
-    A walk that does not return to its start means d1 d2 != 0 on the cover
-    and raises InternalCheckFailed.
+    Rows are (generator g, point c) at g*points + c, columns (relator j,
+    start h) at j*points + h; column (j, h) sums the signed edges of the
+    `relator_cycle` of relator j from h.  A walk that does not close means
+    d1 d2 != 0 on the cover and raises InternalCheckFailed.
     """
     d2 = [{} for _ in range(len(action) * points)]
     for j, r in enumerate(relators):
         for h in range(points):
             col = j * points + h
-            c = h
-            for g, s in r:
-                if s == 1:
-                    add_to(d2[g * points + c], col, 1)
-                    c = action[g][c]
-                else:
-                    c = inverse_action[g][c]
-                    add_to(d2[g * points + c], col, -1)
-            if c != h:
-                raise InternalCheckFailed("relator walk did not close")
+            for g, c, s in relator_cycle(r, h, action, inverse_action):
+                add_to(d2[g * points + c], col, s)
     return d2
+
+
+def cover_relation_matrix(p, rec):
+    """Relation matrix of H_1 for the subgroup rec describes, from its cover.
+
+    The cover's d2 with the rows of the k-1 spanning-tree edges (c, g)
+    deleted.  It is the transposed abelianized Schreier relator matrix with
+    rows (generator, coset) and columns (relator, coset), each in that
+    lexicographic order, and of the same rank as d2 over every field: the
+    tree carries no cycle.
+    """
+    table = rec.table
+    k = table.index
+    d2 = relator_boundary(p.relators, table.action, table.inverse_action, k)
+    tree = {g * k + c for c, g in rec.tree[1:]}
+    return [row for i, row in enumerate(d2) if i not in tree]
 
 
 def presentation_chain_complex(p, q):

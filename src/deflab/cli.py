@@ -4,7 +4,7 @@ Inputs are presentation files in the angle-bracket grammar; `corpus:NAME`
 anywhere a file is expected loads a built-in presentation.  All commands
 emit deterministic JSON on stdout (or --out).  Exit codes: 0 when every
 report row is certified-holds or consistent, 2 when an inconclusive row is
-present, 1 for operational errors, 3 when a self-check fails (a bug).
+present, 1 for usage and operational errors, 3 when a self-check fails (a bug).
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ import sys
 from . import __version__
 from .chain import presentation_chain_complex
 from .corpus import CORPUS, corpus_presentation
-from .errors import DeflabError, InternalCheckFailed
+from .errors import DeflabError, InternalCheckFailed, NonPrimeModulus
 from .groupring import GroupRingElement
 from .intervals import deficiency_interval
-from .linalg import betti_numbers
+from .linalg import betti_numbers, is_prime
 from .lowindex import low_index_subgroups
 from .modcert import KernelWitness, rank_drop_certificate
 from .modp import dual_complex_dims
@@ -125,14 +125,16 @@ def cmd_schreier(args):
 
 def cmd_homology(args):
     p, _ = _load_presentation(args.presentation)
-    quotient = _resolve_quotient(p, args.quotient)
-    complex_ = presentation_chain_complex(p, quotient)
     field = args.field
     if field != "Q":
         try:
             field = int(field)
         except ValueError:
             raise DeflabError(f"--field {args.field!r} is neither Q nor a prime") from None
+        if not is_prime(field):
+            raise NonPrimeModulus(f"--field {field} is not prime")
+    quotient = _resolve_quotient(p, args.quotient)
+    complex_ = presentation_chain_complex(p, quotient)
     betti = betti_numbers(complex_, field)
     _dump(
         {
@@ -239,6 +241,8 @@ def cmd_cert(args):
 
 def cmd_modp(args):
     p, _ = _load_presentation(args.presentation)
+    if not is_prime(args.p):
+        raise NonPrimeModulus(f"-p {args.p} is not prime")
     records = [
         r
         for r in low_index_subgroups(p, args.normal_index)
@@ -249,8 +253,14 @@ def cmd_modp(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1, not argparse's 2: exit 2 is an inconclusive row
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="deflab",
         description="exact deficiency/homology experiments on finite presentations",
     )

@@ -2,8 +2,9 @@
 
 This module owns everything about how a coset table is built, numbered,
 walked and packaged; the low-index search, core quotients and Schreier
-rewriting all go through it.  Tables use 0-based cosets internally (coset 0
-is the subgroup); the JSON serialization is 1-based.
+rewriting all go through it; `relator_cycle` is the one signed walk of a
+relator.  Tables use 0-based cosets internally (coset 0 is the subgroup);
+the JSON serialization is 1-based.
 Canonical numbering everywhere: cosets are renumbered by first appearance
 when scanning rows in order over the positive generator columns, which makes
 every downstream report byte-stable.  A subgroup record stores its BFS
@@ -97,6 +98,25 @@ def inverse_permutations(perms):
             q[j] = i
         inv.append(tuple(q))
     return tuple(inv)
+
+
+def relator_cycle(word, start, action, inverse_action):
+    """Edges (g, c, sign) a word crosses from start; action[g][c] is the
+    point generator g sends c to.  A positive letter records the edge it
+    leaves c by, then steps; an inverse letter steps back first and records
+    the edge it came along with sign -1.  Raises InternalCheckFailed unless
+    the walk returns to start."""
+    edges, c = [], start
+    for g, s in word:
+        if s == 1:
+            edges.append((g, c, 1))
+            c = action[g][c]
+        else:
+            c = inverse_action[g][c]
+            edges.append((g, c, -1))
+    if c != start:
+        raise InternalCheckFailed("relator walk did not close")
+    return edges
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from .errors import InternalCheckFailed, SeparationExhausted, WitnessNotInKernel
 from .groupring import GroupRingElement
 from .linalg import add_to, rank_over_Q, sparse_row
 from .lowindex import low_index_subgroups
+from .schreier import schreier_counts
 
 
 @dataclass(frozen=True)
@@ -165,9 +166,9 @@ def rank_drop_certificate(p, witness, q, max_index=12):
     restricted module then needs at most u = e2*[G:H] - 1 generators because
     the separated witness is a primitive vector of the transversal lattice.
     The Schreier presentation of H has k*(e1-1)+1 generators and e2*k
-    relators, read off the counts without rewriting it; the amended partial
-    resolution over H (u in degree 2 over those generators) gives the mu2
-    bound 1 + u - generators.
+    relators, read off `schreier_counts` without rewriting it; the amended
+    partial resolution over H (u in degree 2 over those generators) gives the
+    mu2 bound 1 + u - generators.
     """
     e2 = p.num_relators
     if len(witness.rho) != e2:
@@ -186,7 +187,8 @@ def rank_drop_certificate(p, witness, q, max_index=12):
     prim = primitivize(witness)
     sep = separating_subgroup(prim.supports, p, max_index)
     k = sep.index
-    u = e2 * k - 1
+    gens, rels = schreier_counts(p, k)
+    u = rels - 1
     coords = []
     for i, a in enumerate(prim.rho):
         for w, c in a.terms:
@@ -202,7 +204,6 @@ def rank_drop_certificate(p, witness, q, max_index=12):
     coinv = coinvariant_rank_lower_bound(module, sep)
     if coinv > u:
         raise InternalCheckFailed("coinvariant bound exceeds the certified drop")
-    gens = k * (p.num_generators - 1) + 1
     return CertificateReport(
         presentation=p,
         witness=prim,
@@ -210,7 +211,7 @@ def rank_drop_certificate(p, witness, q, max_index=12):
         subgroup_index=k,
         subgroup=sep,
         schreier_generators=gens,
-        schreier_relators=e2 * k,
+        schreier_relators=rels,
         drop_bound=u,
         mu2_bound=1 + u - gens,
         coinvariant_lower_bound=coinv,

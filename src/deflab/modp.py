@@ -1,20 +1,21 @@
 """Mod-p cohomology of finite quotients.
 
 Two routes: a truncated bar-cochain complex for a finite group given by its
-multiplication table (the oracle), and the transpose of the presentation
-chain complex pushed to a finite quotient by a normal subgroup.  Positions 0
-and 1 of the dual complex give dim H^0 and dim H^1 of the subgroup; the
-position-2 homology of the truncated complex is reported as-is, since it
-contains an extra summand beyond dim H^2 that finite-level data cannot
-split off in general.  The bar oracle reads the subgroup's multiplication
-table, which nothing else in the package builds.
+multiplication table (the oracle), and the dual of the index-k cover of the
+presentation complex for a normal subgroup N: h0 = 1, h1 = k*(e1-1)+1 - r2
+and h2 = k*e2 - r2, with r2 the mod-p rank of `cover_relation_matrix`.
+Positions 0 and 1 give dim H^0 and dim H^1 of N; the position-2 homology
+of the truncated complex is reported as-is, since it contains an extra
+summand beyond dim H^2 that finite-level data cannot split off in general.
+The bar oracle reads the subgroup's multiplication table, which nothing
+else in the package builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import presentation_chain_complex
+from .chain import cover_relation_matrix
 from .coset import inverse_permutations, right_coset_positions, todd_coxeter
 from .errors import (
     InternalCheckFailed,
@@ -24,7 +25,8 @@ from .errors import (
     OrderCapExceeded,
 )
 from .linalg import is_prime, rank_mod_p, sparse_row
-from .quotient import FiniteGroup, core_quotient
+from .quotient import FiniteGroup
+from .schreier import schreier_counts
 
 
 @dataclass(frozen=True)
@@ -101,12 +103,11 @@ class DualComplexReport:
 
 
 def dual_complex_dims(p, record, prime, cap=64):
-    """Dualized presentation complex over F_p[G/N] for a normal subgroup N.
+    """Mod-p homology of the dual of the index-k cover, for a normal subgroup.
 
-    Builds the degree-2 chain complex pushed to the quotient by N, transposes
-    it, and reads homology dimensions at positions 0, 1, 2 from mod-p ranks.
-    The alternating sum of the cochain space dimensions minus homology dims
-    is returned as a residual that is identically zero (rank-nullity).
+    h0 = 1 (the cover is connected, so d1 has rank k - 1); with r2 the mod-p
+    rank of `cover_relation_matrix`, h1 = k*(e1-1)+1 - r2 and the truncated
+    h2 = k*e2 - r2.  The residual h0 - h1 + h2 - k*chi is identically zero.
     """
     if not is_prime(prime):
         raise NonPrimeModulus(f"{prime} is not prime")
@@ -115,18 +116,10 @@ def dual_complex_dims(p, record, prime, cap=64):
     k = record.index
     if k > cap:
         raise OrderCapExceeded(f"quotient order {k} exceeds the cap {cap}")
-    _, quotient = core_quotient(record, max_order=cap + 1)
-    if quotient.order != k:
-        raise InternalCheckFailed("normal subgroup must equal its core")
-    complex_ = presentation_chain_complex(p, quotient)
-    e1, e2 = p.num_generators, p.num_relators
-    d1, d2 = complex_.boundaries
-    r1 = rank_mod_p(d1, prime)
-    r2 = rank_mod_p(d2, prime)
-    h0 = k - r1
-    h1 = (e1 * k - r2) - r1
-    h2t = e2 * k - r2
-    residual = (h0 - h1 + h2t) - k * (1 - e1 + e2)
+    gens, rels = schreier_counts(p, k)
+    r2 = rank_mod_p(cover_relation_matrix(p, record), prime)
+    h0, h1, h2t = 1, gens - r2, rels - r2
+    residual = (h0 - h1 + h2t) - k * (1 - p.num_generators + p.num_relators)
     jbar = None
     finite = _finite_subgroup_realization(p, record, cap)
     if finite is not None:

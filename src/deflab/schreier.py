@@ -3,7 +3,9 @@
 For a subgroup of index k in a group on e1 generators with e2 relators, the
 rewritten presentation has exactly k*(e1-1)+1 generators (Schreier pairs
 minus spanning-tree edges) and k*e2 relators (one conjugated rewrite per
-transversal element per relator).  Rewritten relators are freely and
+transversal element per relator); `schreier_counts` is the one place that
+spells both.  A relator is rewritten from the same `relator_cycle` whose
+signs fill d2 of the cover in `chain`.  Rewritten relators are freely and
 cyclically reduced but deliberately not simplified further, so the raw
 counts stay observable.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .coset import relator_cycle
 from .errors import InternalCheckFailed
 from .presentation import Presentation
 from .words import Word
@@ -31,53 +34,37 @@ class SubgroupPresentation:
     generator_map: tuple
 
     def __post_init__(self):
-        k = self.record.index
-        e1 = self.parent.num_generators
-        e2 = self.parent.num_relators
-        if self.presentation.num_generators != k * (e1 - 1) + 1:
+        gens, rels = schreier_counts(self.parent, self.record.index)
+        if self.presentation.num_generators != gens:
             raise InternalCheckFailed("Schreier generator count is not k*(e1-1)+1")
-        if self.presentation.num_relators != k * e2:
+        if self.presentation.num_relators != rels:
             raise InternalCheckFailed("Schreier relator count is not k*e2")
         for w in self.generator_map:
             if self.record.table.trace(0, w) != 0:
                 raise InternalCheckFailed("subgroup generator word leaves the subgroup")
 
 
+def schreier_counts(p, k):
+    """Generator and relator counts k*(e1-1)+1, k*e2 at index k."""
+    return k * (p.num_generators - 1) + 1, k * p.num_relators
+
+
 def rewrite_subgroup_presentation(p, record):
-    """Schreier presentation of the subgroup described by record."""
+    """Schreier presentation of the subgroup described by record: relator
+    r from coset j is its `relator_cycle` from j, off-tree edges (g, c) read
+    as the Schreier generator (c, g)."""
     table = record.table
     if table.origin != p:
         raise ValueError("record does not belong to this presentation")
-    k = table.index
     gens = list(record.schreier_generators())
     pair_index = {pair: i for i, pair in enumerate(gens)}
-    inv = table.inverse_action
 
     names = tuple(f"g{c + 1}_{p.generators[g]}" for c, g in gens)
-
-    def rewrite_from(coset, word):
-        out = []
-        c = coset
-        for g, s in word:
-            if s == 1:
-                idx = pair_index.get((c, g))
-                if idx is not None:
-                    out.append((idx, 1))
-                c = table.action[g][c]
-            else:
-                d = inv[g][c]
-                idx = pair_index.get((d, g))
-                if idx is not None:
-                    out.append((idx, -1))
-                c = d
-        if c != coset:
-            raise InternalCheckFailed("relator trace did not close")
-        return Word(tuple(out))
-
     relators = []
-    for j in range(k):
+    for j in range(table.index):
         for r in p.relators:
-            w = rewrite_from(j, r)
+            cycle = relator_cycle(r, j, table.action, table.inverse_action)
+            w = Word(tuple((pair_index[c, g], s) for g, c, s in cycle if (c, g) in pair_index))
             if not w:
                 raise InternalCheckFailed("rewritten relator collapsed to the identity")
             relators.append(w)

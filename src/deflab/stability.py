@@ -16,8 +16,8 @@ presentation so the Schreier inequality holds between reported lower bounds
 by construction; a row that breaks it, or any violated-upper row, raises
 InternalCheckFailed.
 
-b1 and torsion of every row come from d2 of the finite cover, walked over
-the coset action.  Every row's bracket starts at the Schreier count
+b1 and torsion of every row come from `cover_relation_matrix`, d2 of the
+finite cover.  Every row's bracket starts at the Schreier count
 k*(e1-1)+1 - k*e2; its upper end is that count under a certificate and b1
 otherwise.  No presentation of H beats b1, so a certificate or count = b1
 closes the bracket; only a row whose bracket is still open rewrites its
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import __version__ as _tool_version
-from .chain import relator_boundary
+from .chain import cover_relation_matrix
 from .errors import InternalCheckFailed
 from .intervals import (
     CERT_NONE,
@@ -41,7 +41,7 @@ from .intervals import (
 from .linalg import cokernel_invariants
 from .lowindex import low_index_subgroups
 from .presentation import serialize_presentation
-from .schreier import rewrite_subgroup_presentation
+from .schreier import rewrite_subgroup_presentation, schreier_counts
 from .tietze import tietze_simplify
 
 STATUS_CERTIFIED = "certified-holds"
@@ -111,21 +111,6 @@ def _classify(k, base, sub):
     return STATUS_CONSISTENT
 
 
-def _cover_relation_matrix(p, rec):
-    """Relation matrix of H_1 for the subgroup rec describes, from its cover.
-
-    The cover's d2 with the rows of the k-1 spanning-tree edges (c, g)
-    deleted.  It is the transposed abelianized Schreier relator matrix with
-    rows (generator, coset) and columns (relator, coset), each in that
-    lexicographic order.
-    """
-    table = rec.table
-    k = table.index
-    d2 = relator_boundary(p.relators, table.action, table.inverse_action, k)
-    tree = {g * k + c for c, g in rec.tree[1:]}
-    return [row for i, row in enumerate(d2) if i not in tree]
-
-
 def stability_report(p, max_index, aspherical=False, group_name="group", max_nodes=2_000_000):
     """Enumerate all subgroups of index <= max_index and test stabilization."""
     certificate = resolve_certificate(p, aspherical)
@@ -140,15 +125,13 @@ def stability_report(p, max_index, aspherical=False, group_name="group", max_nod
     records, complete = low_index_subgroups(
         base_pres, max_index, max_nodes=max_nodes, on_budget="partial"
     )
-    e1, e2 = base_pres.num_generators, base_pres.num_relators
     rows = []
     ordinals = {}
     for rec in records:
         k = rec.index
         ordinals[k] = ordinals.get(k, 0) + 1
-        gens, rels = k * (e1 - 1) + 1, k * e2  # the Schreier presentation's counts
-        relations = _cover_relation_matrix(base_pres, rec)
-        b1, torsion = cokernel_invariants(relations, rels)
+        gens, rels = schreier_counts(base_pres, k)
+        b1, torsion = cokernel_invariants(cover_relation_matrix(base_pres, rec), rels)
         lower = gens - rels  # achieved by the Schreier presentation; 1 - k*chi
         upper = lower if certificate != CERT_NONE else b1
         if lower < upper:

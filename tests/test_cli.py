@@ -176,3 +176,32 @@ def test_non_numeric_field_is_named_in_the_error():
     proc = run_cli("homology", "corpus:torus", "--field", "x")
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "--field 'x'" in proc.stderr, proc.stderr
+
+
+def test_usage_errors_exit_1_not_the_inconclusive_code():
+    for args in (
+        ("modp", "corpus:torus", "-p", "x", "--normal-index", "2"),
+        ("stability", "corpus:torus"),
+        ("subgroups", "corpus:torus", "--max-index", "two"),
+        ("nonesuch", "corpus:torus"),
+        (),
+    ):
+        proc = run_cli(*args)
+        assert proc.returncode == 1 and proc.stdout == "", args
+        assert proc.stderr.startswith("usage: deflab"), proc.stderr
+        assert "error:" in proc.stderr.splitlines()[-1], proc.stderr
+    for args in (("--help",), ("stability", "--help"), ("--version",)):
+        proc = run_cli(*args)
+        assert proc.returncode == 0 and proc.stdout, args
+
+
+def test_numeric_non_primes_are_named_in_the_error():
+    for args, option in (
+        (("homology", "corpus:torus", "--field", "4"), "--field 4"),
+        (("homology", "corpus:torus", "--field", "1"), "--field 1"),
+        (("modp", "corpus:torus", "-p", "4", "--normal-index", "2"), "-p 4"),
+        (("modp", "corpus:torus", "-p", "0", "--normal-index", "2"), "-p 0"),
+    ):
+        proc = run_cli(*args)
+        assert proc.returncode == 1 and proc.stdout == "", args
+        assert proc.stderr == f"error: {option} is not prime\n", proc.stderr

@@ -1,11 +1,14 @@
 """Modules share code through public names only, import no numpy, define
-nothing that the package itself never uses, add no assert statements, and
-leave the multiplication table to the bar oracle."""
+nothing that the package itself never uses, add no assert statements, leave
+the multiplication table to the bar oracle, and keep every name the
+benchmark's tracer wraps."""
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "deflab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "deflab"
 
 
 def is_private(name):
@@ -230,4 +233,57 @@ def test_checker_flags_mult_reads(tmp_path):
     assert mult_reads(sorted(tmp_path.glob("*.py"))) == [
         "chain.py:3 reads mult",
         "chain.py:5 reads mult",
+    ]
+
+
+def traced_names(path):
+    """The (module, qualified name) pairs of the SPANS list in a tracing file,
+    read with ast so the file is not imported."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "SPANS" for t in node.targets
+        ):
+            return [(e.elts[0].value, e.elts[1].value) for e in node.value.elts]
+    raise AssertionError(f"{path.name} defines no SPANS list")
+
+
+def unresolved_names(pairs):
+    """Each (module, qualname) that does not name an attribute under deflab."""
+    missing = []
+    for module, qualname in pairs:
+        try:
+            obj = importlib.import_module(f"deflab.{module}")
+        except ImportError:
+            missing.append(f"{module}.{qualname}")
+            continue
+        for part in qualname.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(f"{module}.{qualname}")
+    return missing
+
+
+def test_every_traced_name_exists():
+    pairs = traced_names(ROOT / "perfbench" / "tracing.py")
+    assert len(pairs) > 20
+    assert unresolved_names(pairs) == []
+
+
+def test_checker_flags_missing_traced_names(tmp_path):
+    tracing = tmp_path / "tracing.py"
+    tracing.write_text(
+        "SPANS = [\n"
+        '    ("cli", "main", None),\n'
+        '    ("coset", "no_such_walk", _count),\n'
+        '    ("linalg", "SNFResult.no_such_method", None),\n'
+        '    ("no_such_module", "f", None),\n'
+        "]\n"
+    )
+    pairs = traced_names(tracing)
+    assert pairs[0] == ("cli", "main")
+    assert unresolved_names(pairs) == [
+        "coset.no_such_walk",
+        "linalg.SNFResult.no_such_method",
+        "no_such_module.f",
     ]

@@ -1,13 +1,16 @@
 import pytest
+from conftest import small_presentations
+from hypothesis import given, settings
 
-from deflab.corpus import corpus_presentation
+from deflab.chain import presentation_chain_complex
+from deflab.corpus import CORPUS, corpus_presentation
 from deflab.coset import subgroup_record
 from deflab.errors import NonNormalSubgroup, OrderCapExceeded
-from deflab.linalg import cokernel_invariants, transpose
+from deflab.linalg import cokernel_invariants, rank_mod_p, transpose
 from deflab.lowindex import low_index_subgroups
 from deflab.modp import bar_cohomology_dims, dual_complex_dims
 from deflab.presentation import parse_presentation, parse_word
-from deflab.quotient import FiniteGroup, core_record
+from deflab.quotient import FiniteGroup, core_quotient, core_record
 from deflab.schreier import rewrite_subgroup_presentation
 
 
@@ -123,3 +126,40 @@ def test_dual_complex_at_odd_primes():
     assert rep.euler_identity_residual == 0
     rep = dual_complex_dims(c3, whole, 2)
     assert rep.dims[1] == 0
+
+
+def quotient_complex_dims(p, rec, prime):
+    """(k - r1, e1*k - r2 - r1, e2*k - r2), with r1 and r2 the mod-p ranks of
+    the presentation complex pushed to G/N: the route that reads no cover."""
+    k = rec.index
+    _, q = core_quotient(rec)
+    assert q.order == k
+    d1, d2 = presentation_chain_complex(p, q).boundaries
+    r1, r2 = rank_mod_p(d1, prime), rank_mod_p(d2, prime)
+    return (k - r1, p.num_generators * k - r2 - r1, p.num_relators * k - r2)
+
+
+def assert_cover_dims_match_the_quotient_complex(p, rec):
+    for prime in (2, 3):
+        rep = dual_complex_dims(p, rec, prime)
+        assert rep.dims == quotient_complex_dims(p, rec, prime), (rec.index, prime)
+        assert rep.euler_identity_residual == 0
+
+
+def test_dual_complex_matches_the_quotient_complex_on_the_corpus():
+    checked = 0
+    for name in CORPUS:
+        p = corpus_presentation(name)
+        for rec in low_index_subgroups(p, 3):
+            if rec.is_normal:
+                assert_cover_dims_match_the_quotient_complex(p, rec)
+                checked += 1
+    assert checked >= 600
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(small_presentations())
+def test_dual_complex_matches_the_quotient_complex_property(p):
+    for rec in low_index_subgroups(p, 3, max_nodes=100_000):
+        if rec.is_normal:
+            assert_cover_dims_match_the_quotient_complex(p, rec)

@@ -4,6 +4,7 @@ from conftest import from_dense, small_presentations
 from hypothesis import given, settings
 
 from deflab import stability
+from deflab.chain import cover_relation_matrix
 from deflab.corpus import CORPUS, corpus_presentation
 from deflab.intervals import CERT_NONE
 from deflab.linalg import cokernel_invariants
@@ -13,7 +14,6 @@ from deflab.schreier import rewrite_subgroup_presentation
 from deflab.stability import (
     STATUS_CERTIFIED,
     STATUS_CONSISTENT,
-    _cover_relation_matrix,
     stability_report,
 )
 from deflab.tietze import tietze_simplify
@@ -175,7 +175,7 @@ def schreier_route(p, rec):
 
 def assert_cover_matches_schreier(p, rec, row=None):
     sp, matrix, homology = schreier_route(p, rec)
-    cover = _cover_relation_matrix(p, rec)
+    cover = cover_relation_matrix(p, rec)
     assert cover == matrix
     k = rec.index
     free, torsion = cokernel_invariants(cover, k * p.num_relators)
