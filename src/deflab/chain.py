@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .coset import relator_cycle, right_coset_positions
 from .errors import IncompatibleRestriction, InternalCheckFailed, InvalidQuotient, LimitExceeded
-from .linalg import add_to, mat_mul, sparse_row, to_dense
+from .linalg import add_to, mat_mul, sparse_row
 
 
 @dataclass(frozen=True)
@@ -60,15 +60,6 @@ class ChainComplex:
     @property
     def dims(self):
         return [r * self.quotient_order for r in self.ranks]
-
-    def to_json(self):
-        return {
-            "ranks": list(self.ranks),
-            "quotient_order": self.quotient_order,
-            "boundaries": [
-                to_dense(b, cols) for b, cols in zip(self.boundaries, self.dims[1:])
-            ],
-        }
 
 
 def push_to_quotient(x, q):

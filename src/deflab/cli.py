@@ -59,6 +59,8 @@ def _parse_index_spec(spec):
         raise DeflabError(f"index spec {spec!r} is not a list of K or K-L") from None
     if not out:
         raise DeflabError(f"index spec {spec!r} names no index")
+    if min(out) < 1:
+        raise DeflabError(f"index spec {spec!r} names an index below 1")
     return out
 
 
@@ -72,6 +74,8 @@ def _resolve_quotient(p, spec):
             k, j = int(k), int(j)
         except ValueError:
             raise DeflabError(f"quotient spec {spec!r} is not core:K:J") from None
+        if k < 1:
+            raise DeflabError(f"quotient spec {spec!r} names an index below 1")
         records = [r for r in low_index_subgroups(p, k) if r.index == k]
         if not 1 <= j <= len(records):
             raise DeflabError(
@@ -253,6 +257,17 @@ def cmd_modp(args):
     return 0
 
 
+def _index(text):
+    """The value of an index option: an integer >= 1."""
+    try:
+        k = int(text)
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an index >= 1")
+    return k
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1, not argparse's 2: exit 2 is an inconclusive row
         self.print_usage(sys.stderr)
@@ -277,7 +292,7 @@ def build_parser():
     add("parse", cmd_parse, help="parse and echo a presentation")
 
     sp = add("subgroups", cmd_subgroups, help="enumerate low-index subgroups")
-    sp.add_argument("--max-index", type=int, required=True)
+    sp.add_argument("--max-index", type=_index, required=True)
 
     sp = add("schreier", cmd_schreier, help="rewrite subgroup presentations")
     sp.add_argument(
@@ -294,18 +309,18 @@ def build_parser():
     sp.add_argument("--aspherical", action="store_true")
 
     sp = add("stability", cmd_stability, help="stabilization report over covers")
-    sp.add_argument("--max-index", type=int, required=True)
+    sp.add_argument("--max-index", type=_index, required=True)
     sp.add_argument("--aspherical", action="store_true")
     sp.add_argument("--csv", help="also write a CSV row dump here")
 
     sp = add("cert", cmd_cert, help="generator-drop certificate from a witness file")
     sp.add_argument("--witness", required=True, help="witness JSON file")
     sp.add_argument("--quotient", default="trivial")
-    sp.add_argument("--max-index", type=int, default=6)
+    sp.add_argument("--max-index", type=_index, default=6)
 
     sp = add("modp", cmd_modp, help="dual-complex mod-p report for normal subgroups")
     sp.add_argument("-p", type=int, required=True, help="prime")
-    sp.add_argument("--normal-index", type=int, required=True)
+    sp.add_argument("--normal-index", type=_index, required=True)
 
     return parser
 

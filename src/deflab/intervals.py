@@ -4,7 +4,8 @@ The lower end is always witnessed by a found presentation; the upper end is
 b1, which bounds |generators| - |relators| of every presentation of the
 group.  An asphericity certificate collapses the interval to 1 - chi of the
 certified complex: user-asserted, or granted automatically for one-relator
-presentations whose relator is not a proper power.
+presentations, given or reached by simplification, whose relator is not a
+proper power.
 """
 
 from __future__ import annotations
@@ -70,17 +71,22 @@ def resolve_certificate(p, aspherical):
     return CERT_NONE
 
 
-def deficiency_interval(p, aspherical=False, effort=50):
+def deficiency_interval(p, aspherical=False):
     """Certified interval [lower, upper] for the deficiency of the group.
 
     lower: best |generators| - |relators| found by simplification.
-    upper: b1, replaced by 1 - chi of the given complex when an asphericity
-    certificate applies (then the interval is a point).
+    upper: b1, replaced by 1 - chi of the certified complex when an
+    asphericity certificate applies to p or, failing that, to the
+    simplified presentation (then the interval is a point).
     """
     certificate = resolve_certificate(p, aspherical)
-    lower = tietze_simplify(p, effort).deficiency_datum()
+    simplified = tietze_simplify(p)
+    lower = simplified.deficiency_datum()
+    certified = p
+    if certificate == CERT_NONE:  # simplification can expose a certifiable one-relator form
+        certified, certificate = simplified, resolve_certificate(simplified, False)
     if certificate != CERT_NONE:
-        value = p.deficiency_datum()  # 1 - chi of the certified 2-complex
+        value = certified.deficiency_datum()  # 1 - chi of the certified 2-complex
         if lower > value:
             raise InvalidCertificate(
                 "certificate contradicts an achieved lower bound; "

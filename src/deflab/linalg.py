@@ -3,7 +3,7 @@
 All arithmetic uses Python ints (arbitrary precision), so nothing can
 overflow.  deflab has one matrix format: a list of {col: value} row dicts
 that store no zero.  The column count is not stored; it is passed where it
-cannot be read off (`smith_normal_form(a, ncols)`, `to_dense`).  The
+cannot be read off (`smith_normal_form(a, ncols)`, `transpose`).  The
 eliminations copy the rows and keep a column -> rows index (`_sparse_rows`).
 Ranks over Q and over F_p come from one sparse elimination, `_rank`; primes
 are certified by deterministic Miller-Rabin, which is exact below 2^64.
@@ -12,9 +12,10 @@ are certified by deterministic Miller-Rabin, which is exact below 2^64.
 clears every +-1 pivot it can find with sparse unimodular row and column
 operations (cf. Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001);
 phase 2 runs a Euclidean elimination on the least entry of the rows that are
-left, and 2x2 unimodular steps then make each invariant factor divide the
-next.  L and R are recorded sparsely throughout.  They are checked on the
-whole input, L @ A @ R = diag and d_i | d_{i+1}, on every call.
+left and finalises a pivot only once it divides every entry still left, so
+the diagonal comes out in divisibility order.  L and R are recorded sparsely
+throughout.  They are checked on the whole input, L @ A @ R = diag and
+d_i | d_{i+1}, on every call.
 """
 
 from __future__ import annotations
@@ -43,11 +44,6 @@ def sparse_row(terms):
     for j, x in terms:
         add_to(row, j, x)
     return row
-
-
-def to_dense(m, ncols):
-    """The dense list of lists of a sparse matrix with ncols columns."""
-    return [[row.get(j, 0) for j in range(ncols)] for row in m]
 
 
 def transpose(m, ncols):
@@ -166,15 +162,6 @@ def rank_mod_p(a, p):
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
 @dataclass
 class SNFResult:
     """Diagonalization L @ A @ R = diag(d1..dr) with unimodular L, R.
@@ -188,16 +175,6 @@ class SNFResult:
     left: list
     right: list
     shape: tuple
-
-    def to_json(self):
-        rows, cols = self.shape
-        return {
-            "diagonal": list(self.diagonal),
-            "rank": self.rank,
-            "left": to_dense(self.left, rows),
-            "right": to_dense(self.right, cols),
-            "shape": list(self.shape),
-        }
 
     def verify(self, a):
         diagonal = [{i: d} for i, d in enumerate(self.diagonal)]
@@ -218,12 +195,9 @@ def _add_multiple(dst, src, f):
             del dst[j]
 
 
-def _combine(x, u, y, w):
-    """x * u + y * w for sparse {index: value} vectors."""
-    out = sparse_row((j, x * t) for j, t in u.items())
-    for j, t in w.items():
-        add_to(out, j, y * t)
-    return out
+def _non_multiple_row(m, v):
+    """The first row of m holding an entry that v does not divide, or None."""
+    return next((k for k, row in m.items() if any(x % v for x in row.values())), None)
 
 
 def smith_normal_form(a, ncols):
@@ -240,10 +214,12 @@ def smith_normal_form(a, ncols):
     columns by floor division, and starts again at the least remainder until
     the pivot stands alone.  Each remainder is smaller than the pivot, so
     entries stay near the input's size instead of growing as in a dense
-    elimination (Kannan and Bachem, SIAM J. Comput. 8, 1979).  The pivots
-    are then sorted and each pair (a, b) with a not dividing b becomes
-    (gcd, lcm) by one 2x2 step of determinant 1 on L and one on R.  Every
-    result is verified on the whole input before it is returned.
+    elimination (Kannan and Bachem, SIAM J. Comput. 8, 1979).  A pivot is
+    final only once it divides every entry left (Newman, Integral Matrices,
+    1972): one that divides its row but not some other row first adds that
+    row to its own, which leaves a remainder.  So the +-1 pivots of phase 1
+    and then those of phase 2 come out in divisibility order.  Every result
+    is verified on the whole input before it is returned.
     """
     m, where = _sparse_rows(a, 0)
     left = [{i: 1} for i in range(len(a))]
@@ -293,35 +269,20 @@ def smith_normal_form(a, ncols):
                 _add_multiple(left[k], left[i], -f)
         if any(c in row for row in m.values() if row is not piv):
             continue  # each remainder is smaller than |v|, so the least is next
+        if not any(x % v for x in piv.values()) and (k := _non_multiple_row(m, v)) is not None:
+            _add_multiple(piv, m[k], 1)  # row i += row k: its column steps leave a remainder
+            _add_multiple(left[i], left[k], 1)
         for j, x in list(piv.items()):  # column j -= (x // v) * column c: row i only
-            if j != c:
-                f = x // v
+            if j != c and (f := x // v):
                 add_to(piv, j, -f * v)
                 _add_multiple(right[j], right[c], -f)
-        if len(piv) == 1:
+        if len(piv) == 1:  # v divides every entry left
             del m[i]
             pivots.append((i, c, v))
     for i, _, v in pivots:
         if v < 0:
             left[i] = {j: -x for j, x in left[i].items()}
-    pivots.sort(key=lambda t: abs(t[2]))  # stable: phase 1's units stay first
     diagonal = [abs(v) for _, _, v in pivots]
-    for s in range(diagonal.count(1), len(pivots)):  # make d_s divide every later d_t
-        i, c, _ = pivots[s]
-        for t in range(s + 1, len(pivots)):
-            a_, b_ = diagonal[s], diagonal[t]
-            if b_ % a_:  # diag(a, b) -> diag(g, ab/g) by 2x2 steps of determinant 1
-                k, e, _ = pivots[t]
-                g, x, y = _xgcd(a_, b_)
-                left[i], left[k] = (
-                    _combine(x, left[i], y, left[k]),
-                    _combine(-b_ // g, left[i], a_ // g, left[k]),
-                )
-                right[c], right[e] = (
-                    _combine(1, right[c], 1, right[e]),
-                    _combine(-y * b_ // g, right[c], x * a_ // g, right[e]),
-                )
-                diagonal[s], diagonal[t] = g, a_ * b_ // g
     pivot_cols = {c for _, c, _ in pivots}
     result = SNFResult(
         diagonal=diagonal,
@@ -381,17 +342,9 @@ def betti_numbers(c, fieldspec="Q"):
     dims = c.dims
     n = len(dims) - 1
     if fieldspec == "Q":
-        snfs = [
-            smith_normal_form(b, dims[i + 1]) if any(b) else None
-            for i, b in enumerate(c.boundaries)
-        ]
-        ranks = [s.rank if s else 0 for s in snfs]
-        torsion = []
-        for i in range(n + 1):
-            if i < n and snfs[i] is not None:
-                torsion.append([d for d in snfs[i].diagonal if d > 1])
-            else:
-                torsion.append([])
+        cokernels = [cokernel_invariants(b, cols) for b, cols in zip(c.boundaries, dims[1:])]
+        ranks = [len(b) - free for b, (free, _) in zip(c.boundaries, cokernels)]
+        torsion = [factors for _, factors in cokernels] + [[]]
         field = "Q"
     else:
         p = int(fieldspec)

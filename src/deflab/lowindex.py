@@ -91,16 +91,13 @@ class _Search:
                             break
                         bwd = prv
                         j -= 1
-                    if j == i + 1:
+                    if j == i + 1:  # the forward walk stopped at an undefined table[fwd][l]
                         l = letters[i]
-                        if table[fwd][l] == UNDEF and table[bwd][l ^ 1] == UNDEF:
-                            table[fwd][l] = bwd
-                            table[bwd][l ^ 1] = fwd
-                            changed = True
-                        elif table[fwd][l] == UNDEF or table[bwd][l ^ 1] == UNDEF:
-                            return False
-                        elif table[fwd][l] != bwd:
-                            return False
+                        if table[bwd][l ^ 1] != UNDEF:
+                            return False  # l already leads into bwd from another coset
+                        table[fwd][l] = bwd
+                        table[bwd][l ^ 1] = fwd
+                        changed = True
         return True
 
     def emit(self, table):

@@ -108,14 +108,13 @@ def dual_complex_dims(p, record, prime, cap=64):
     h0 = 1 (the cover is connected, so d1 has rank k - 1); with r2 the mod-p
     rank of `cover_relation_matrix`, h1 = k*(e1-1)+1 - r2 and the truncated
     h2 = k*e2 - r2.  The residual h0 - h1 + h2 - k*chi is identically zero.
+    cap bounds only the bar-oracle cross-check, not the index.
     """
     if not is_prime(prime):
         raise NonPrimeModulus(f"{prime} is not prime")
     if not record.is_normal:
         raise NonNormalSubgroup("dual complex needs a normal subgroup")
     k = record.index
-    if k > cap:
-        raise OrderCapExceeded(f"quotient order {k} exceeds the cap {cap}")
     gens, rels = schreier_counts(p, k)
     r2 = rank_mod_p(cover_relation_matrix(p, record), prime)
     h0, h1, h2t = 1, gens - r2, rels - r2

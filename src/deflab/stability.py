@@ -113,15 +113,9 @@ def _classify(k, base, sub):
 
 def stability_report(p, max_index, aspherical=False, group_name="group", max_nodes=2_000_000):
     """Enumerate all subgroups of index <= max_index and test stabilization."""
-    certificate = resolve_certificate(p, aspherical)
-    if certificate == CERT_NONE:
-        base_pres = tietze_simplify(p)
-        # simplification can expose a certifiable one-relator form
-        certificate = resolve_certificate(base_pres, False)
-        base_interval = deficiency_interval(base_pres, aspherical=False, effort=0)
-    else:
-        base_pres = p
-        base_interval = deficiency_interval(p, aspherical=aspherical)
+    base_interval = deficiency_interval(p, aspherical)
+    certificate = base_interval.certificate
+    base_pres = p if resolve_certificate(p, aspherical) != CERT_NONE else tietze_simplify(p)
     records, complete = low_index_subgroups(
         base_pres, max_index, max_nodes=max_nodes, on_budget="partial"
     )

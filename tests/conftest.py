@@ -76,6 +76,11 @@ def from_dense(a):
     return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
+def to_dense(m, ncols):
+    """The dense list of lists of a sparse matrix with ncols columns."""
+    return [[row.get(j, 0) for j in range(ncols)] for row in m]
+
+
 @st.composite
 def small_presentations(draw):
     """Presentations on one or two generators with up to three relators of

@@ -13,7 +13,7 @@ import time
 from collections import Counter
 from math import factorial
 
-from conftest import from_dense
+from conftest import from_dense, to_dense
 
 from deflab.chain import (
     collapse_to_point,
@@ -31,7 +31,6 @@ from deflab.linalg import (
     morse_check,
     partial_euler_mu,
     smith_normal_form,
-    to_dense,
     transpose,
 )
 from deflab.lowindex import low_index_subgroups

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from conftest import to_dense
 
 from deflab.chain import (
     ChainComplex,
@@ -14,7 +15,7 @@ from deflab.corpus import CORPUS, corpus_presentation
 from deflab.coset import product_orbit, subgroup_record
 from deflab.errors import IncompatibleRestriction, InvalidQuotient, LimitExceeded
 from deflab.groupring import GroupRingElement, fox_derivative
-from deflab.linalg import betti_numbers, mat_mul, to_dense
+from deflab.linalg import betti_numbers, mat_mul
 from deflab.lowindex import low_index_subgroups
 from deflab.presentation import Presentation, parse_presentation, parse_word
 from deflab.quotient import FiniteGroup, core_record
@@ -307,13 +308,3 @@ def test_restriction_preserves_integral_homology():
     rc = restrict_to_subgroup(c, rec, q)
     bo, br = betti_numbers(c, "Q"), betti_numbers(rc, "Q")
     assert bo.b == br.b and bo.torsion == br.torsion
-
-
-def test_chain_complex_serializable():
-    import json
-
-    p = corpus_presentation("torus")
-    c = presentation_chain_complex(p, FiniteGroup.trivial(2))
-    data = json.loads(json.dumps(c.to_json()))
-    assert data["ranks"] == [1, 2, 1]
-    assert data["boundaries"][1] == [[0], [0]]

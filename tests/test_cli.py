@@ -76,24 +76,36 @@ def test_homology_rejects_prime_too_large_for_int64():
 
 
 def test_internal_check_failure_exits_3(monkeypatch, capsys, tmp_path):
-    # d2 = diag(2, 3) has no +-1 entry, so phase 2 pivots on 2 and 3 and its
-    # 2x2 step turns them into (1, 6) with Bezout coefficients from _xgcd;
-    # wrong ones leave L @ A @ R = diag(2, 12), which verify catches
+    # d2 = diag(2, 3) has no +-1 entry, so phase 2 pivots on 2, which divides
+    # its row but not the 3, and adds the 3's row to its own.  A search that
+    # returns the first row, here the pivot's own, doubles the pivot row and
+    # its L row, so L @ A @ R no longer holds the recorded 2; one that misses
+    # the 3 finalises 2 and then 3.  verify catches both.
     f = tmp_path / "c6.txt"
     f.write_text("< a, b | a^2, b^3, [a, b] >")
-    calls = []
-    monkeypatch.setattr(linalg, "_xgcd", lambda a, b: calls.append((a, b)) or (1, 1, 0))
-    assert cli.main(["homology", str(f)]) == 3
-    assert calls == [(2, 3)]
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "internal check failed: L @ A @ R is not the Smith diagonal\n"
+    for fake, message in (
+        (lambda m, v: next(iter(m)), "L @ A @ R is not the Smith diagonal"),
+        (lambda m, v: None, "divisibility fails: [2, 3]"),
+    ):
+        calls = []
+        monkeypatch.setattr(linalg, "_non_multiple_row", lambda m, v: calls.append(v) or fake(m, v))
+        assert cli.main(["homology", str(f)]) == 3
+        assert calls == [2, 3]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal check failed: {message}\n"
 
 
-def test_deficiency():
-    proc = run_cli("deficiency", "corpus:trefoil")
-    data = json.loads(proc.stdout)
-    assert data["lower"] == 1 and data["upper"] == 1
+def test_deficiency(tmp_path):
+    # simplification turns the second input into the torus, whose one
+    # relator certifies the point, as it does for the stability report's base
+    exposed = tmp_path / "exposed.txt"
+    exposed.write_text("< a, b, c | c, [a, b] >")
+    for spec in ("corpus:trefoil", str(exposed)):
+        data = json.loads(run_cli("deficiency", spec).stdout)
+        assert data == {"lower": 1, "upper": 1, "certificate": "aspherical-validated-one-relator"}
+        report = json.loads(run_cli("stability", spec, "--max-index", "1").stdout)
+        assert report["base_interval"] == data
 
 
 def test_stability_exit_codes(tmp_path):
@@ -148,6 +160,11 @@ def test_modp():
     assert len(data) == 1
     assert data[0]["dims"][:2] == [1, 1]
     assert data[0]["euler_identity_residual"] == 0
+    # the cap of 64 bounds the bar oracle alone, which Z cannot feed
+    proc = run_cli("modp", "corpus:free1", "-p", "2", "--normal-index", "65")
+    assert proc.returncode == 0, proc.stderr
+    (report,) = json.loads(proc.stdout)
+    assert report["index"] == 65 and report["dims"] == [1, 1, 0] and report["jbar_dim"] is None
 
 
 def test_unknown_corpus_and_bad_specs():
@@ -166,6 +183,8 @@ def test_malformed_specs_are_named_in_the_error():
         ("homology", "--quotient", "core:a:1"),
         ("schreier", "--index-spec", "2,"),
         ("schreier", "--index-spec", "3-x"),
+        ("homology", "--quotient", "core:0:1"),
+        ("schreier", "--index-spec", "0-2"),
     ):
         proc = run_cli(command, "corpus:torus", option, spec)
         assert proc.returncode == 1 and proc.stdout == ""
@@ -179,17 +198,21 @@ def test_non_numeric_field_is_named_in_the_error():
 
 
 def test_usage_errors_exit_1_not_the_inconclusive_code():
-    for args in (
-        ("modp", "corpus:torus", "-p", "x", "--normal-index", "2"),
-        ("stability", "corpus:torus"),
-        ("subgroups", "corpus:torus", "--max-index", "two"),
-        ("nonesuch", "corpus:torus"),
-        (),
+    for args, named in (
+        (("modp", "corpus:torus", "-p", "x", "--normal-index", "2"), "argument -p"),
+        (("modp", "corpus:torus", "-p", "2", "--normal-index", "0"), "argument --normal-index"),
+        (("stability", "corpus:torus"), "--max-index"),
+        (("stability", "corpus:torus", "--max-index", "0"), "argument --max-index"),
+        (("subgroups", "corpus:torus", "--max-index", "two"), "argument --max-index"),
+        (("subgroups", "corpus:torus", "--max-index", "0"), "argument --max-index"),
+        (("nonesuch", "corpus:torus"), "nonesuch"),
+        ((), "command"),
     ):
         proc = run_cli(*args)
         assert proc.returncode == 1 and proc.stdout == "", args
         assert proc.stderr.startswith("usage: deflab"), proc.stderr
-        assert "error:" in proc.stderr.splitlines()[-1], proc.stderr
+        last = proc.stderr.splitlines()[-1]
+        assert "error:" in last and named in last, proc.stderr
     for args in (("--help",), ("stability", "--help"), ("--version",)):
         proc = run_cli(*args)
         assert proc.returncode == 0 and proc.stdout, args

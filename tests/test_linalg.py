@@ -7,8 +7,9 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from conftest import from_dense, small_presentations
+from conftest import from_dense, small_presentations, to_dense
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deflab import modp
 from deflab.chain import ChainComplex, presentation_chain_complex
@@ -29,7 +30,6 @@ from deflab.linalg import (
     rank_mod_p,
     rank_over_Q,
     smith_normal_form,
-    to_dense,
 )
 from deflab.lowindex import low_index_subgroups
 from deflab.quotient import FiniteGroup, core_quotient
@@ -380,11 +380,29 @@ def test_determinantal_invariants_helper():
 
 def test_snf_matches_determinantal_divisors():
     rng = random.Random(67)
+    draws = [[[2, 0], [0, 3]]]  # 2 does not divide 3: phase 2 must add rows to reach 1, 6
     for values in (NO_UNITS, ALL_UNITS, MIXED):
         for _ in range(100):
             rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-            a = [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
-            assert dense_snf(a).diagonal == determinantal_invariants(a), a
+            draws.append([[rng.choice(values) for _ in range(cols)] for _ in range(rows)])
+    for a in draws:
+        assert dense_snf(a).diagonal == determinantal_invariants(a), a
+
+
+@st.composite
+def pool_matrices(draw):
+    """Dense matrices up to 6 x 6 over the no-unit, all-unit or mixed pool."""
+    values = st.sampled_from(draw(st.sampled_from((NO_UNITS, ALL_UNITS, MIXED))))
+    cols = draw(st.integers(1, 6))
+    return draw(st.lists(st.lists(values, min_size=cols, max_size=cols), min_size=1, max_size=6))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(pool_matrices())
+def test_snf_diagonal_is_the_determinantal_one(a):
+    snf = dense_snf(a)
+    snf.verify(from_dense(a))
+    assert snf.diagonal == determinantal_invariants(a)
 
 
 def test_snf_of_a_30_by_30_matrix_with_no_unit_entry():
@@ -432,17 +450,6 @@ def test_b0_is_one_on_connected_corpus_complexes():
         p = corpus_presentation(name)
         c = presentation_chain_complex(p, FiniteGroup.trivial(p.num_generators))
         assert betti_numbers(c, "Q").b[0] == 1, name
-
-
-def test_snf_serializable():
-    import json
-
-    snf = smith_normal_form([{0: 2}, {1: 3}], 2)
-    data = json.loads(json.dumps(snf.to_json()))
-    assert data["diagonal"] == [1, 6] and data["rank"] == 2
-    assert dense_product(dense_product(data["left"], [[2, 0], [0, 3]]), data["right"]) == [
-        [1, 0], [0, 6]
-    ]
 
 
 ORACLE_PRIMES = (2, 3, 5, 2**31 - 1)
