@@ -10,9 +10,11 @@ present, 1 for usage and operational errors, 3 when a self-check fails (a bug).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
+from itertools import islice
 
 from . import __version__
 from .chain import presentation_chain_complex
@@ -31,12 +33,13 @@ from .stability import STATUS_CERTIFIED, STATUS_CONSISTENT, stability_report
 
 
 def _dump(obj, out=None):
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    """Write obj as indented JSON and a newline, a few thousand encoder
+    pieces at a time, so a large report's text is never held whole."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        while batch := list(islice(chunks, 4096)):
+            fh.write("".join(batch))
+        fh.write("\n")
 
 
 def _load_presentation(spec):
@@ -223,6 +226,8 @@ def cmd_cert(args):
         raise DeflabError(f"witness 'quotient' must be a string, not {spec!r}")
     if not _is_int(max_index):
         raise DeflabError(f"witness 'max_index' must be an integer, not {max_index!r}")
+    if max_index < 1:
+        raise DeflabError(f"witness 'max_index' must be an index >= 1, not {max_index}")
     rho = []
     for coordinate in data["rho"]:
         if not isinstance(coordinate, list):

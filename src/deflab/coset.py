@@ -17,7 +17,7 @@ Partial tables are rows of letter codes: column 2*g is generator g, column
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 
@@ -133,13 +133,14 @@ class CosetTable:
     origin: Presentation
 
     @classmethod
-    def from_rows(cls, rows, origin):
+    def from_rows(cls, rows, origin, root=0):
         """Canonically numbered, verified table from complete letter-code rows.
 
         Cosets are renumbered by first appearance in a row-major scan of the
-        positive generator columns.
+        positive generator columns from root, which becomes coset 0: the
+        table of the stabiliser of root.
         """
-        order, rename = orbit(0, lambda c: rows[c][::2])
+        order, rename = orbit(root, lambda c: rows[c][::2])
         if len(order) != len(rows):
             raise InternalCheckFailed("table not transitive")
         action = tuple(
@@ -175,17 +176,22 @@ class CosetTable:
         return c
 
     def verify(self):
-        """Check relator actions are the identity and the action is transitive."""
+        """Check relator actions are the identity and the action is transitive.
+
+        The inverse permutations are not cached here: most verified tables
+        are never walked backwards again.
+        """
+        action, inverse = self.action, inverse_permutations(self.action)
         for r in self.origin.relators:
             for c in range(self.index):
-                if self.trace(c, r) != c:
+                d = c
+                for g, s in r:
+                    d = action[g][d] if s == 1 else inverse[g][d]
+                if d != c:
                     raise InternalCheckFailed("relator does not act trivially")
         reached, _ = orbit(0, lambda c: [perm[c] for perm in self.action])
         if len(reached) != self.index:
             raise InternalCheckFailed("action is not transitive")
-
-    def action_key(self):
-        return tuple(tuple(perm) for perm in self.action)
 
     def to_json(self):
         return {
@@ -196,11 +202,17 @@ class CosetTable:
 
 @dataclass(frozen=True)
 class SubgroupRecord:
-    """Coset table plus its BFS spanning tree and normality flag."""
+    """Coset table plus its BFS spanning tree and normality flag.
+
+    conjugacy_class numbers its conjugacy class among the records of one
+    low-index search, in the order the search found the classes; it is None
+    outside a search.
+    """
 
     table: CosetTable
     tree: tuple  # tree[d] = (c, g) with c < d and c.g = d; tree[0] is None
     is_normal: bool
+    conjugacy_class: int | None = field(default=None, compare=False)
 
     @property
     def index(self):
@@ -332,7 +344,7 @@ def todd_coxeter(p, subgens=(), limit=100_000):
     return CosetTable.from_rows(enum.live_rows(), p)
 
 
-def schreier_transversal(t):
+def schreier_transversal(t, conjugacy_class=None):
     """Record of the BFS spanning tree over positive generator letters.
 
     With canonical table numbering the BFS discovers cosets in numeric order,
@@ -359,7 +371,9 @@ def schreier_transversal(t):
                     img[d] = perm[img[c]]
             elif is_normal:
                 is_normal = all(img[d] == perm[img[c]] for img in images)
-    return SubgroupRecord(table=t, tree=tuple(tree), is_normal=is_normal)
+    return SubgroupRecord(
+        table=t, tree=tuple(tree), is_normal=is_normal, conjugacy_class=conjugacy_class
+    )
 
 
 def subgroup_record(p, subgens=(), limit=100_000):

@@ -1,122 +1,209 @@
-"""Backtracking enumeration of all subgroups of index <= n.
+"""Low-index subgroups: one search over conjugacy classes (Sims, ch. 5).
 
-The search fills partial coset tables in row-major scan order, introducing
-new coset numbers only in increasing order, so every complete table is in
-standard form and each subgroup of index <= n is emitted exactly once (all
-subgroups, not conjugacy classes).  Relator traces prune the search and
-force deductions.
+The search fills one partial coset table in place.  It always defines the
+first undefined entry in row-major order over all letter columns and brings
+in new cosets only in increasing order, so every complete table is the
+standard table of its subgroup rooted at coset 0.  A definition is undone
+from a trail when its branch is done.
+
+Each new edge (c, l) is pushed on a deduction queue; it rescans only the
+cyclic conjugates of every relator and its inverse that start with l, from
+c.  Those are all the relator walks that cross the edge: a walk that
+crosses it backwards, starting with l^-1 from c.l, is the reverse of a
+walk of the inverse word, which crosses it forwards from c and closes or
+leaves a gap exactly when the first does.  A walk with one undefined edge
+left defines it; a closed walk that misses its start is a contradiction.
+
+Conjugate subgroups are the stabilisers of the other cosets of one action.
+Re-rooting a table at coset r and standardising it gives the table of that
+stabiliser; a partial table is pruned as soon as some re-rooting is already
+smaller on the entries defined in both, so only the least table of each
+class reaches a leaf.  There the roots that reproduce the table number
+[N(H):H], and the class is expanded to its members by re-rooting.
 """
 
 from __future__ import annotations
 
 from .coset import UNDEF, CosetTable, letters_of, schreier_transversal
-from .errors import LimitExceeded
+from .errors import InternalCheckFailed, LimitExceeded
 
 
-class _Search:
+class _ClassSearch:
     def __init__(self, p, max_index, max_nodes):
         self.p = p
-        self.ngens = p.num_generators
-        self.ncols = 2 * self.ngens
+        self.ncols = 2 * p.num_generators
         self.max_index = max_index
         self.max_nodes = max_nodes
         self.nodes = 0
-        self.rel_letters = [letters_of(r) for r in p.relators]
-        self.found = []
+        self.table = [[UNDEF] * self.ncols]
+        self.trail = []
+        self.records = []
+        self.classes = 0
+        # starting[l]: the distinct cyclic conjugates, of every relator and
+        # its inverse, whose first letter is l
+        starting = [set() for _ in range(self.ncols)]
+        for r in p.relators:
+            letters = letters_of(r)
+            for word in (letters, [l ^ 1 for l in reversed(letters)]):
+                for i in range(len(word)):
+                    starting[word[i]].add(tuple(word[i:] + word[:i]))
+        self.starting = [sorted(words) for words in starting]
 
     def run(self):
-        table = [[UNDEF] * self.ncols]
-        self.extend(table)
-        return self.found
+        self.extend(0, 0)
 
-    def extend(self, table):
+    def extend(self, pos, larger):
+        """Search below the current table; entries before pos are defined.
+
+        Bit r of larger is set when the table re-rooted at r is already
+        larger than the table, which no definition below can change.
+        """
         self.nodes += 1
         if self.nodes > self.max_nodes:
-            raise LimitExceeded(
-                f"low-index search exceeded {self.max_nodes} nodes"
-            )
-        pos = self.first_undefined(table)
-        if pos is None:
-            self.emit(table)
-            return
-        c, l = pos
+            raise LimitExceeded(f"low-index search exceeded {self.max_nodes} nodes")
+        table, ncols = self.table, self.ncols
         m = len(table)
+        end = m * ncols
+        while pos < end and table[pos // ncols][pos % ncols] != UNDEF:
+            pos += 1
+        if pos == end:
+            self.emit(m - larger.bit_count())
+            return
+        c, l = divmod(pos, ncols)
         linv = l ^ 1
         candidates = [d for d in range(m) if table[d][linv] == UNDEF]
         if m < self.max_index:
             candidates.append(m)
         for d in candidates:
-            work = [row[:] for row in table]
+            mark = len(self.trail)
             if d == m:
-                work.append([UNDEF] * self.ncols)
-            work[c][l] = d
-            work[d][linv] = c
-            if self.deduce(work):
-                self.extend(work)
+                table.append([UNDEF] * ncols)
+            table[c][l] = d
+            table[d][linv] = c
+            self.trail.append((c, l))
+            if self.deduce(c, l):
+                below = self.compare_roots(larger)
+                if below is not None:
+                    self.extend(pos + 1, below)
+            self.undo(mark)
+            if d == m:
+                table.pop()
 
-    def first_undefined(self, table):
-        for c, row in enumerate(table):
-            for l in range(self.ncols):
-                if row[l] == UNDEF:
-                    return c, l
-        return None
+    def undo(self, mark):
+        table, trail = self.table, self.trail
+        while len(trail) > mark:
+            c, l = trail.pop()
+            table[table[c][l]][l ^ 1] = UNDEF
+            table[c][l] = UNDEF
 
-    def deduce(self, table):
-        """Propagate relator closures; False on contradiction."""
-        changed = True
-        while changed:
-            changed = False
-            for letters in self.rel_letters:
-                k = len(letters)
-                for c in range(len(table)):
-                    # walk forward until undefined
-                    fwd = c
-                    i = 0
-                    while i < k:
-                        nxt = table[fwd][letters[i]]
-                        if nxt == UNDEF:
-                            break
-                        fwd = nxt
-                        i += 1
-                    if i == k:
-                        if fwd != c:
-                            return False
-                        continue
-                    # walk backward from the end until undefined
-                    bwd = c
-                    j = k
-                    while j > i + 1:
-                        prv = table[bwd][letters[j - 1] ^ 1]
-                        if prv == UNDEF:
-                            break
-                        bwd = prv
-                        j -= 1
-                    if j == i + 1:  # the forward walk stopped at an undefined table[fwd][l]
-                        l = letters[i]
-                        if table[bwd][l ^ 1] != UNDEF:
-                            return False  # l already leads into bwd from another coset
-                        table[fwd][l] = bwd
-                        table[bwd][l ^ 1] = fwd
-                        changed = True
+    def deduce(self, c, l):
+        """Close the relator walks through the new edge (c, l); False on
+        contradiction."""
+        starting = self.starting
+        queue = [(c, l)]
+        while queue:
+            c, l = queue.pop()
+            for word in starting[l]:
+                if not self.scan(c, word, queue):
+                    return False
         return True
 
-    def emit(self, table):
-        self.found.append(CosetTable.from_rows(table, self.p))
+    def scan(self, c, word, queue):
+        """Walk word from c forwards and its end backwards; one gap left
+        is defined and queued.  False on contradiction."""
+        table = self.table
+        k = len(word)
+        fwd, i = c, 0
+        while i < k:
+            nxt = table[fwd][word[i]]
+            if nxt == UNDEF:
+                break
+            fwd = nxt
+            i += 1
+        else:
+            return fwd == c
+        bwd, j = c, k
+        while j > i + 1:
+            prv = table[bwd][word[j - 1] ^ 1]
+            if prv == UNDEF:
+                return True
+            bwd = prv
+            j -= 1
+        l = word[i]
+        if table[bwd][l ^ 1] != UNDEF:
+            return False  # l already leads into bwd from another coset
+        table[fwd][l] = bwd
+        table[bwd][l ^ 1] = fwd
+        self.trail.append((fwd, l))
+        queue.append((fwd, l))
+        return True
+
+    def rerooted_order(self, r):
+        """Compare the table re-rooted at r with the table itself, entry by
+        entry in row-major order: -1 or 1 at the first entry where they
+        differ, 0 if they agree up to an entry undefined in either."""
+        table = self.table
+        rename = [UNDEF] * len(table)
+        rename[r] = 0
+        order = [r]
+        for i, mine in enumerate(table):
+            for x, y in zip(table[order[i]], mine):
+                if x == UNDEF or y == UNDEF:
+                    return 0
+                z = rename[x]
+                if z == UNDEF:
+                    z = rename[x] = len(order)
+                    order.append(x)
+                if z != y:
+                    return -1 if z < y else 1
+        return 0
+
+    def compare_roots(self, larger):
+        """larger plus the roots whose re-rooting has become larger; None
+        when one is smaller, so the table is not the least of its class."""
+        for r in range(1, len(self.table)):
+            if not larger >> r & 1:
+                order = self.rerooted_order(r)
+                if order < 0:
+                    return None
+                if order > 0:
+                    larger |= 1 << r
+        return larger
+
+    def emit(self, ties):
+        """Record every member of the class of the least table, one per
+        distinct re-rooting, each with a verified table.  At a complete
+        table the ties are the roots that reproduce it, [N(H):H] of them."""
+        rows, k = self.table, len(self.table)
+        members = {}
+        for r in range(k):
+            t = CosetTable.from_rows(rows, self.p, r)
+            members.setdefault(t.action, t)
+        if len(members) * ties != k:
+            raise InternalCheckFailed("class size times [N(H):H] is not the index")
+        self.records += [schreier_transversal(t, self.classes) for t in members.values()]
+        self.classes += 1
 
 
 def low_index_subgroups(p, max_index, max_nodes=2_000_000, on_budget="raise"):
     """All subgroups of index <= max_index, one SubgroupRecord each,
     canonically ordered by (index, action).
 
+    The search visits one table per conjugacy class and expands it to the
+    class's members; max_nodes bounds the nodes of that class search.
+    Each record's conjugacy_class numbers its class in the order the
+    search found the classes.
+
     on_budget: "raise" (default) raises LimitExceeded when the node budget
-    runs out; "partial" returns (records_found_so_far, complete_flag); any
+    runs out; "partial" returns (records, complete_flag), where the records
+    are every member of each class found before the budget ran out; any
     other value raises ValueError before the search starts.
     """
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
     if on_budget not in ("raise", "partial"):
         raise ValueError(f"on_budget must be 'raise' or 'partial', not {on_budget!r}")
-    search = _Search(p, max_index, max_nodes)
+    search = _ClassSearch(p, max_index, max_nodes)
     complete = True
     try:
         search.run()
@@ -124,9 +211,10 @@ def low_index_subgroups(p, max_index, max_nodes=2_000_000, on_budget="raise"):
         if on_budget == "raise":
             raise
         complete = False
-    tables = search.found
-    tables.sort(key=lambda t: (t.index, t.action_key()))
-    records = [schreier_transversal(t) for t in tables]
+    records = search.records
+    # by action, then stably by index: no key tuple per record
+    records.sort(key=lambda rec: rec.table.action)
+    records.sort(key=lambda rec: rec.index)
     if on_budget == "partial":
         return records, complete
     return records

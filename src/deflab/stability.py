@@ -17,7 +17,8 @@ by construction; a row that breaks it, or any violated-upper row, raises
 InternalCheckFailed.
 
 b1 and torsion of every row come from `cover_relation_matrix`, d2 of the
-finite cover.  Every row's bracket starts at the Schreier count
+finite cover, computed once per conjugacy class: conjugate subgroups have
+isomorphic covers.  Every row's bracket starts at the Schreier count
 k*(e1-1)+1 - k*e2; its upper end is that count under a certificate and b1
 otherwise.  No presentation of H beats b1, so a certificate or count = b1
 closes the bracket; only a row whose bracket is still open rewrites its
@@ -121,11 +122,16 @@ def stability_report(p, max_index, aspherical=False, group_name="group", max_nod
     )
     rows = []
     ordinals = {}
+    homology = {}
     for rec in records:
         k = rec.index
         ordinals[k] = ordinals.get(k, 0) + 1
         gens, rels = schreier_counts(base_pres, k)
-        b1, torsion = cokernel_invariants(cover_relation_matrix(base_pres, rec), rels)
+        if rec.conjugacy_class not in homology:
+            homology[rec.conjugacy_class] = cokernel_invariants(
+                cover_relation_matrix(base_pres, rec), rels
+            )
+        b1, torsion = homology[rec.conjugacy_class]
         lower = gens - rels  # achieved by the Schreier presentation; 1 - k*chi
         upper = lower if certificate != CERT_NONE else b1
         if lower < upper:

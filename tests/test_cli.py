@@ -154,6 +154,16 @@ def test_cert_rejects_malformed_witness_files(tmp_path):
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_cert_names_a_witness_max_index_below_1(tmp_path):
+    rho = [[["1", 1]], [["1", -1]]]
+    for bound in (0, -3):
+        witness = tmp_path / f"w{bound}.json"
+        witness.write_text(json.dumps({"rho": rho, "max_index": bound}))
+        proc = run_cli("cert", "corpus:dup_relator", "--witness", str(witness))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == f"error: witness 'max_index' must be an index >= 1, not {bound}\n"
+
+
 def test_modp():
     proc = run_cli("modp", "corpus:free1", "-p", "2", "--normal-index", "2")
     data = json.loads(proc.stdout)

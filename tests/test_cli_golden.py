@@ -3,8 +3,10 @@
 Each case runs the CLI in-process and compares the exit code and the SHA-256
 of stdout with a digest recorded before the coset-table core was unified;
 the genus2 index-4 stability digest was recorded before stability rows were
-read from the cover's boundary.  A changed digest means a report changed;
-there is deliberately no way to regenerate the table from this file.
+read from the cover's boundary, and the last three before the low-index
+search enumerated conjugacy classes.  A changed digest means a report
+changed; there is deliberately no way to regenerate the table from this
+file.
 """
 
 import contextlib
@@ -43,6 +45,9 @@ def case_keys():
         ]
     keys += [f"cert corpus:dup_relator --witness {w}" for w in WITNESSES]
     keys.append("stability corpus:genus2 --max-index 4")  # 5,511 rows, as in cover_sweep
+    keys.append("stability corpus:redundant --max-index 4")  # as in cover_sweep
+    keys.append("subgroups corpus:genus2 --max-index 4")
+    keys.append("subgroups corpus:free2 --max-index 5")
     return keys
 
 
@@ -218,6 +223,9 @@ GOLDEN = {
     'cert corpus:dup_relator --witness w_a': (0, '802c8a5938ae1a0ddd686261de0de308d6de938e54edcb95b61a74f4a53cb8fe'),
     'cert corpus:dup_relator --witness w_ab': (0, '6919e35ba955484c13bbdc9f50e1caba106fbeef45b6fad6a7c7b2ae2dd29396'),
     'stability corpus:genus2 --max-index 4': (0, '64d284120e859655fd892cfbaf15c41d5674c862d636006d66433ef5630a770c'),
+    'stability corpus:redundant --max-index 4': (0, '626328de19662577db536833f616835a79f23701bb7d4eb45e37b967b6e733c1'),
+    'subgroups corpus:genus2 --max-index 4': (0, '0c2b30da41a1e44f37afaf6665a51aac139e1a3348feebb4ebdc2e7469df1028'),
+    'subgroups corpus:free2 --max-index 5': (0, '0ca326f0b9da6cab912a24e3faebe6bdc473ead9e88fa378ba38beba4556c5ad'),
 }
 
 

@@ -178,7 +178,7 @@ def test_todd_coxeter_cross_validates_low_index(random_presentations):
             assert len(gens) == len(off_tree)
             t = todd_coxeter(p, gens, limit=50_000)
             assert t.index == rec.index
-            assert t.action_key() == rec.table.action_key()
+            assert t.action == rec.table.action
 
 
 def test_is_normal_matches_core_quotient_order(random_presentations):

@@ -1,13 +1,18 @@
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from math import factorial
 
 import pytest
+from conftest import ENUM_CAPS, small_presentations
+from hypothesis import given, settings
+from lowindex_oracle import member_search
 
-from deflab.corpus import corpus_presentation
+from deflab.corpus import CORPUS, corpus_presentation
+from deflab.coset import CosetTable, todd_coxeter
 from deflab.errors import LimitExceeded
 from deflab.lowindex import low_index_subgroups
 from deflab.presentation import parse_presentation
+from deflab.words import Word
 
 
 def hall_counts(rank, up_to):
@@ -97,7 +102,7 @@ def test_includes_whole_group_and_canonical_order():
     p = corpus_presentation("torus")
     recs = low_index_subgroups(p, 3)
     assert recs[0].index == 1
-    keys = [(r.index, r.table.action_key()) for r in recs]
+    keys = [(r.index, r.table.action) for r in recs]
     assert keys == sorted(keys)
     assert len(keys) == len(set(keys))
 
@@ -141,3 +146,89 @@ def test_brute_force_oracle_random_presentations():
         got = Counter(r.index for r in low_index_subgroups(p, 3))
         want = {n: c for n, c in brute_force_counts(p, 3).items() if c}
         assert dict(got) == want, p
+
+
+def fingerprint(records):
+    return [(r.table.action, r.tree, r.is_normal) for r in records]
+
+
+def letter_rows(table):
+    """Complete letter-code rows of a coset table, inverse columns included."""
+    inverse = [[0] * table.index for _ in table.action]
+    for g, perm in enumerate(table.action):
+        for c, d in enumerate(perm):
+            inverse[g][d] = c
+    return [
+        [x for g, perm in enumerate(table.action) for x in (perm[c], inverse[g][c])]
+        for c in range(table.index)
+    ]
+
+
+def assert_classes_are_conjugacy_classes(records):
+    classes = defaultdict(list)
+    for rec in records:
+        classes[rec.conjugacy_class].append(rec)
+    assert sorted(classes) == list(range(len(classes)))
+    for members in classes.values():
+        rep = members[0]
+        k, p = rep.index, rep.table.origin
+        # the stabilisers of all k cosets are the conjugates of H; those
+        # equal to H are the cosets of N(H)
+        rows = letter_rows(rep.table)
+        conjugates = [CosetTable.from_rows(rows, p, r).action for r in range(k)]
+        normalizer_index = conjugates.count(rep.table.action)
+        assert len(members) * normalizer_index == k
+        assert {m.table.action for m in members} == set(conjugates)
+        if rep.is_normal:
+            assert len(members) == 1
+    assert sum(len(members) for members in classes.values()) == len(records)
+
+
+def assert_matches_the_member_search(p, max_index):
+    records = low_index_subgroups(p, max_index, max_nodes=100_000)
+    want, _ = member_search(p, max_index, max_nodes=100_000)
+    assert fingerprint(records) == fingerprint(want)
+    assert_classes_are_conjugacy_classes(records)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_class_search_matches_the_member_search_at_the_cap(name):
+    assert_matches_the_member_search(corpus_presentation(name), ENUM_CAPS[name])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(small_presentations())
+def test_class_search_matches_the_member_search_property(p):
+    assert_matches_the_member_search(p, 4)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(small_presentations())
+def test_todd_coxeter_on_the_schreier_generators_gives_the_table_back(p):
+    for rec in low_index_subgroups(p, 3, max_nodes=100_000):
+        t = rec.transversal
+        gens = [
+            t[c] * Word(((g, 1),)) * t[rec.table.action[g][c]].inverse()
+            for c, g in rec.schreier_generators()
+        ]
+        assert todd_coxeter(p, gens, limit=50_000).action == rec.table.action
+
+
+def test_the_node_budget_counts_class_search_nodes():
+    genus2 = corpus_presentation("genus2")
+    records = low_index_subgroups(genus2, 4, max_nodes=30_000)
+    assert len(records) == 5511
+    assert len({r.conjugacy_class for r in records}) == 1731
+    assert member_search(genus2, 4)[1] == 41_109
+
+
+def test_a_partial_result_holds_whole_classes():
+    p = corpus_presentation("free2")
+    everything, complete = low_index_subgroups(p, 5, on_budget="partial")
+    assert complete
+    keys = {r.table.action for r in everything}
+    for budget in (10, 100, 500):
+        records, complete = low_index_subgroups(p, 5, max_nodes=budget, on_budget="partial")
+        assert not complete and 0 < len(records) < len(everything)
+        assert {r.table.action for r in records} <= keys
+        assert_classes_are_conjugacy_classes(records)

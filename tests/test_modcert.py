@@ -101,7 +101,7 @@ def test_three_words_are_separated_at_index_three():
     words = [Word(), parse_word("a", p), parse_word("b", p)]
     rec = separating_subgroup(words, p, 4)
     assert rec.index == 3 and rec.is_normal
-    assert rec.table.action_key() == ((1, 2, 0), (2, 0, 1))
+    assert rec.table.action == ((1, 2, 0), (2, 0, 1))
     assert len({rec.table.trace(0, w) for w in words}) == 3
 
 
@@ -137,10 +137,10 @@ def test_separation_matches_brute_force_on_the_corpus():
                 with pytest.raises(SeparationExhausted):
                     separating_subgroup(support, p, cap)
                 continue
-            best = min(expected, key=lambda r: (r.index, r.table.action_key()))
+            best = min(expected, key=lambda r: (r.index, r.table.action))
             rec = separating_subgroup(support, p, cap)
-            assert (rec.index, rec.table.action_key()) == (
-                best.index, best.table.action_key()
+            assert (rec.index, rec.table.action) == (
+                best.index, best.table.action
             ), (name, support)
 
 
@@ -151,7 +151,7 @@ def test_cores_and_intersections_are_enumerated_normal_subgroups():
     for name, bound in SEPARATION_CAPS.items():
         p = corpus_presentation(name)
         records = low_index_subgroups(p, bound)
-        normal_keys = {r.table.action_key() for r in records if r.is_normal}
+        normal_keys = {r.table.action for r in records if r.is_normal}
         candidates = [r for r in records if r.is_normal]
         for rec in records:
             if not rec.is_normal:
@@ -159,7 +159,7 @@ def test_cores_and_intersections_are_enumerated_normal_subgroups():
                     core, _ = core_record(rec, max_order=bound)
                 except LimitExceeded:
                     continue
-                assert core.table.action_key() in normal_keys, name
+                assert core.table.action in normal_keys, name
                 candidates.append(core)
         for i, r1 in enumerate(candidates):
             for r2 in candidates[i + 1:]:
@@ -173,7 +173,7 @@ def test_cores_and_intersections_are_enumerated_normal_subgroups():
                 )
                 table = CosetTable(index=len(pairs), action=action, origin=p)
                 table.verify()
-                assert schreier_transversal(table).table.action_key() in normal_keys, name
+                assert schreier_transversal(table).table.action in normal_keys, name
 
 
 def test_certificate_on_duplicate_gadget():

@@ -231,3 +231,16 @@ def test_certified_rows_need_no_schreier_presentation(monkeypatch):
     for row in rep.rows:
         assert row.interval.certificate == CERT_NONE
         assert row.interval.lower == row.interval.upper == row.b1 == row.index + 1
+
+
+def test_one_smith_form_per_conjugacy_class(monkeypatch):
+    calls = []
+
+    def counting(p, rec):
+        calls.append(rec.conjugacy_class)
+        return cover_relation_matrix(p, rec)
+
+    monkeypatch.setattr(stability, "cover_relation_matrix", counting)
+    rep = stability_report(corpus_presentation("genus2"), 4, group_name="genus2")
+    assert len(rep.rows) == 5511
+    assert sorted(calls) == list(range(1731))
