@@ -79,6 +79,13 @@ def deficiency_interval(p, aspherical=False):
     asphericity certificate applies to p or, failing that, to the
     simplified presentation (then the interval is a point).
     """
+    return witnessed_interval(p, aspherical)[0]
+
+
+def witnessed_interval(p, aspherical=False):
+    """`deficiency_interval` and a presentation of the group whose
+    |generators| - |relators| is its lower end: p when p carries the
+    certificate, else the Tietze simplification of p."""
     certificate = resolve_certificate(p, aspherical)
     simplified = tietze_simplify(p)
     lower = simplified.deficiency_datum()
@@ -92,5 +99,6 @@ def deficiency_interval(p, aspherical=False):
                 "certificate contradicts an achieved lower bound; "
                 "the complex cannot be aspherical"
             )
-        return DeficiencyInterval(lower=value, upper=value, certificate=certificate)
-    return DeficiencyInterval(lower=lower, upper=first_betti_number(p), certificate=certificate)
+        return DeficiencyInterval(lower=value, upper=value, certificate=certificate), certified
+    interval = DeficiencyInterval(lower=lower, upper=first_betti_number(p), certificate=certificate)
+    return interval, certified

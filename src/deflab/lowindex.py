@@ -19,12 +19,13 @@ Re-rooting a table at coset r and standardising it gives the table of that
 stabiliser; a partial table is pruned as soon as some re-rooting is already
 smaller on the entries defined in both, so only the least table of each
 class reaches a leaf.  There the roots that reproduce the table number
-[N(H):H], and the class is expanded to its members by re-rooting.
+[N(H):H], and the class is expanded to its members by re-rooting, at one
+root per member.
 """
 
 from __future__ import annotations
 
-from .coset import UNDEF, CosetTable, letters_of, schreier_transversal
+from .coset import UNDEF, CosetTable, letters_of, orbit, schreier_transversal
 from .errors import InternalCheckFailed, LimitExceeded
 
 
@@ -67,7 +68,7 @@ class _ClassSearch:
         while pos < end and table[pos // ncols][pos % ncols] != UNDEF:
             pos += 1
         if pos == end:
-            self.emit(m - larger.bit_count())
+            self.emit([r for r in range(m) if not larger >> r & 1])
             return
         c, l = divmod(pos, ncols)
         linv = l ^ 1
@@ -171,15 +172,25 @@ class _ClassSearch:
         return larger
 
     def emit(self, ties):
-        """Record every member of the class of the least table, one per
-        distinct re-rooting, each with a verified table.  At a complete
-        table the ties are the roots that reproduce it, [N(H):H] of them."""
+        """Record every member of the class of the least table, one verified
+        table each.  At a complete table the ties are the roots that
+        reproduce it, [N(H):H] of them; re-rooting at a tie renames the
+        cosets by an automorphism of the action, and roots in one orbit of
+        these automorphisms root the same member."""
         rows, k = self.table, len(self.table)
-        members = {}
+        renames = []
+        for t in ties:
+            _, rename = orbit(t, rows.__getitem__)  # the row-major re-rooting
+            if any([rename[d] for d in rows[c]] != rows[rename[c]] for c in range(k)):
+                raise InternalCheckFailed("a tie root does not reproduce the table")
+            renames.append(rename)
+        members, rooted = {}, set()
         for r in range(k):
-            t = CosetTable.from_rows(rows, self.p, r)
-            members.setdefault(t.action, t)
-        if len(members) * ties != k:
+            if r not in rooted:
+                rooted.update(rename[r] for rename in renames)
+                t = CosetTable.from_rows(rows, self.p, r)
+                members.setdefault(t.action, t)
+        if len(members) * len(ties) != k:
             raise InternalCheckFailed("class size times [N(H):H] is not the index")
         self.records += [schreier_transversal(t, self.classes) for t in members.values()]
         self.classes += 1

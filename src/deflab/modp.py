@@ -37,9 +37,6 @@ class CohomologyDims:
     dims: tuple
     group_order: int
 
-    def to_json(self):
-        return {"p": self.p, "dims": list(self.dims), "group_order": self.group_order}
-
 
 def bar_cohomology_dims(group, p, max_order=64):
     """Cohomology dims of a finite group from the truncated bar complex.

@@ -33,12 +33,7 @@ from dataclasses import dataclass
 from . import __version__ as _tool_version
 from .chain import cover_relation_matrix
 from .errors import InternalCheckFailed
-from .intervals import (
-    CERT_NONE,
-    DeficiencyInterval,
-    deficiency_interval,
-    resolve_certificate,
-)
+from .intervals import CERT_NONE, DeficiencyInterval, witnessed_interval
 from .linalg import cokernel_invariants
 from .lowindex import low_index_subgroups
 from .presentation import serialize_presentation
@@ -114,9 +109,8 @@ def _classify(k, base, sub):
 
 def stability_report(p, max_index, aspherical=False, group_name="group", max_nodes=2_000_000):
     """Enumerate all subgroups of index <= max_index and test stabilization."""
-    base_interval = deficiency_interval(p, aspherical)
+    base_interval, base_pres = witnessed_interval(p, aspherical)
     certificate = base_interval.certificate
-    base_pres = p if resolve_certificate(p, aspherical) != CERT_NONE else tietze_simplify(p)
     records, complete = low_index_subgroups(
         base_pres, max_index, max_nodes=max_nodes, on_budget="partial"
     )

@@ -1,17 +1,18 @@
 """Bounded, deterministic Tietze simplification.
 
-Greedy passes (duplicate removal, trivial-relator removal, elimination of a
-generator occurring exactly once in some relator, length-reducing relator
-substitution) until a fixed point or the effort budget runs out.  Full
-search over presentations is hopeless, so lower bounds stay reproducible by
-keeping every move deterministic.
+Three greedy passes (duplicate removal, elimination of a generator occurring
+exactly once in some relator, length-reducing relator substitution) run in
+rounds until none applies, for at most 50 rounds; `Presentation` itself
+drops empty relators.  Full search over presentations is hopeless, so lower
+bounds stay reproducible by keeping every move deterministic.
 """
 
 from __future__ import annotations
 
-from .errors import InternalCheckFailed
 from .presentation import Presentation
 from .words import Word
+
+_ROUNDS = 50
 
 
 def _dedupe_key(w):
@@ -35,88 +36,75 @@ def _pass_dedupe(p):
 
 
 def _pass_eliminate_generator(p):
-    """Remove a generator that some relator contains exactly once."""
+    """Remove a generator g that some relator contains exactly once: rotated
+    to read g^s u, the relator says g = u^-s."""
     for ri, r in enumerate(p.relators):
         counts = {}
         for g, _ in r:
             counts[g] = counts.get(g, 0) + 1
-        for pos, (g, s) in enumerate(r.letters):
+        ls = r.letters
+        for pos, (g, s) in enumerate(ls):
             if counts[g] != 1:
                 continue
-            # rotate the relator to start with the single occurrence of g
-            rot = Word(r.letters[pos:] + r.letters[:pos])
-            if s == -1:
-                rot = rot.inverse()
-                rot = Word(rot.letters[-1:] + rot.letters[:-1])
-            if rot.letters[0] != (g, 1):
-                raise InternalCheckFailed("rotated relator does not start with the generator")
-            replacement = Word(rot.letters[1:]).inverse()  # g = replacement
-            new_gens = tuple(nm for i, nm in enumerate(p.generators) if i != g)
-            index_map = {}
-            j = 0
-            for i in range(len(p.generators)):
-                if i != g:
-                    index_map[i] = j
-                    j += 1
-            new_rels = []
-            for rj, other in enumerate(p.relators):
-                if rj == ri:
-                    continue
+            value = Word(ls[pos + 1 :] + ls[:pos]) ** -s
+            expand = {1: value.letters, -1: value.inverse().letters}
+            rename = {i: i - (i > g) for i in range(p.num_generators)}
+            rels = []
+            for other in p.relators[:ri] + p.relators[ri + 1 :]:
                 letters = []
-                for gg, ss in other:
-                    if gg == g:
-                        expansion = replacement if ss == 1 else replacement.inverse()
-                        letters.extend(expansion.letters)
-                    else:
-                        letters.append((gg, ss))
-                new_rels.append(Word(tuple(letters)).remap(index_map))
-            return Presentation(new_gens, tuple(new_rels)), True
+                for h, t in other:
+                    letters.extend(expand[t] if h == g else ((h, t),))
+                rels.append(Word(tuple(letters)).remap(rename))
+            return Presentation(p.generators[:g] + p.generators[g + 1 :], tuple(rels)), True
     return p, False
 
 
-def _all_rotations(w):
-    """Letter tuples of every rotation; relators are cyclically reduced, so
-    each rotation is already a reduced word."""
-    ls = w.letters
-    return [ls[i:] + ls[:i] for i in range(len(ls))]
+def _longest_piece(ll, u):
+    """(length, start) of the longest prefix of u that occurs in ll; the
+    first start among equally long ones."""
+    best, at = 0, 0
+    for start, x in enumerate(ll):
+        if x == u[0]:
+            n, limit = 1, min(len(u), len(ll) - start)
+            while n < limit and ll[start + n] == u[n]:
+                n += 1
+            if n > best:
+                best, at = n, start
+    return best, at
 
 
 def _pass_substitute(p):
-    """Shorten some relator by a rotation of another (or its inverse)."""
+    """Shorten some relator by a rotation u of another (or of its inverse):
+    a piece of u longer than half of u is replaced by the inverse of the
+    rest of u, which leaves at least one letter fewer."""
     rels = list(p.relators)
+    both_ways = [(r.letters, r.inverse().letters) for r in rels]
     for j, longr in enumerate(rels):
-        for i, shortr in enumerate(rels):
-            if i == j or len(shortr) > len(longr):
+        ll = longr.letters
+        for i, ways in enumerate(both_ways):
+            if i == j or len(ways[0]) > len(ll):
                 continue
-            half = len(shortr) // 2
-            for ul in _all_rotations(shortr) + _all_rotations(shortr.inverse()):
-                # longest prefix of u appearing inside longr, worth > half
-                for piece_len in range(len(ul), half, -1):
-                    piece = ul[:piece_len]
-                    ll = longr.letters
-                    for start in range(len(ll) - piece_len + 1):
-                        if ll[start : start + piece_len] == piece:
-                            tail = Word(ul[piece_len:])
-                            new = Word(
-                                ll[:start]
-                                + tail.inverse().letters
-                                + ll[start + piece_len :]
-                            )
-                            if len(new) < len(longr):
-                                rels[j] = new
-                                return Presentation(p.generators, tuple(rels)), True
+            half = len(ways[0]) // 2
+            for w in ways:
+                for k in range(len(w)):
+                    u = w[k:] + w[:k]
+                    piece, start = _longest_piece(ll, u)
+                    if piece > half:
+                        rest = Word(u[piece:]).inverse()
+                        rels[j] = Word(ll[:start] + rest.letters + ll[start + piece :])
+                        return Presentation(p.generators, tuple(rels)), True
     return p, False
 
 
-def tietze_simplify(p, effort=50):
+def tietze_simplify(p):
     """Simplify without ever decreasing |generators| - |relators|.
 
     The returned presentation presents an isomorphic group; abelianized
     - relator-matrix invariants (rank and torsion) are preserved by every
-    move.  Deterministic for a fixed budget.
+    move.  Deterministic.
     """
     current = p
-    for _ in range(max(0, effort)):
+    for _ in range(_ROUNDS):
         changed = False
         for step in (_pass_dedupe, _pass_eliminate_generator, _pass_substitute):
             current, did = step(current)

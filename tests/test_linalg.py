@@ -631,7 +631,7 @@ for check in (
     lambda: schreier_presentation("< x, y, z | x, y >", (parse_word("a", torus),)),
     lambda: rewrite_subgroup_presentation(torus, b_edge),  # four pairs off the bad tree
     lambda: rewrite_subgroup_presentation(a_is_trivial, SubgroupRecord(open_table, (None, (0, 0)), False)),
-    lambda: stability_with("deficiency_interval", lambda *args, **kw: DeficiencyInterval(5, 5, CERT_NONE)),
+    lambda: stability_with("witnessed_interval", lambda p, aspherical: (DeficiencyInterval(5, 5, CERT_NONE), p)),
     lambda: stability_with("_classify", lambda k, base, sub: stability.STATUS_VIOLATED),
     lambda: relator_boundary((a_word,), open_table.action, open_table.inverse_action, 2),
     lambda: cert_with("separating_subgroup", lambda support, p, max_index: whole, one_plus_a),

@@ -222,6 +222,20 @@ def test_the_node_budget_counts_class_search_nodes():
     assert member_search(genus2, 4)[1] == 41_109
 
 
+def test_one_verified_table_per_member(monkeypatch):
+    verified = []
+    real = CosetTable.verify
+
+    def counting(table):
+        verified.append(table.action)
+        return real(table)
+
+    monkeypatch.setattr(CosetTable, "verify", counting)
+    records = low_index_subgroups(corpus_presentation("genus2"), 4)
+    assert len(verified) == len(records) == 5511
+    assert sorted(verified) == sorted(rec.table.action for rec in records)
+
+
 def test_a_partial_result_holds_whole_classes():
     p = corpus_presentation("free2")
     everything, complete = low_index_subgroups(p, 5, on_budget="partial")

@@ -3,13 +3,13 @@ import json
 from conftest import from_dense, small_presentations
 from hypothesis import given, settings
 
-from deflab import stability
+from deflab import intervals, stability
 from deflab.chain import cover_relation_matrix
 from deflab.corpus import CORPUS, corpus_presentation
 from deflab.intervals import CERT_NONE
 from deflab.linalg import cokernel_invariants
 from deflab.lowindex import low_index_subgroups
-from deflab.presentation import parse_presentation
+from deflab.presentation import parse_presentation, serialize_presentation
 from deflab.schreier import rewrite_subgroup_presentation
 from deflab.stability import (
     STATUS_CERTIFIED,
@@ -106,7 +106,7 @@ def test_rows_canonically_ordered():
 
 
 def test_simplification_exposes_one_relator_certificate():
-    from deflab.presentation import parse_presentation
+    from deflab.presentation import parse_presentation, serialize_presentation
 
     p = parse_presentation("< a, b | [a, b], [b, a] >")
     rep = stability_report(p, 2, group_name="torus-redundant")
@@ -244,3 +244,19 @@ def test_one_smith_form_per_conjugacy_class(monkeypatch):
     rep = stability_report(corpus_presentation("genus2"), 4, group_name="genus2")
     assert len(rep.rows) == 5511
     assert sorted(calls) == list(range(1731))
+
+
+def test_one_tietze_run_on_the_base_presentation(monkeypatch):
+    p = corpus_presentation("f2xf2")
+    inputs = []
+
+    def counting(q):
+        inputs.append(q)
+        return tietze_simplify(q)
+
+    monkeypatch.setattr(intervals, "tietze_simplify", counting)
+    monkeypatch.setattr(stability, "tietze_simplify", counting)
+    rep = stability_report(p, 1)
+    assert sum(q is p for q in inputs) == 1
+    assert rep.base_interval == intervals.deficiency_interval(p)
+    assert rep.presentation == serialize_presentation(tietze_simplify(p))

@@ -1,11 +1,22 @@
 import random
 
+import pytest
+from conftest import ENUM_CAPS, small_presentations
+from hypothesis import example, given, settings
+from tietze_oracle import oracle_simplify, pass_eliminate_generator, pass_substitute
+
 from deflab.corpus import CORPUS, corpus_presentation
 from deflab.linalg import cokernel_invariants, transpose
 from deflab.lowindex import low_index_subgroups
-from deflab.presentation import Presentation, parse_presentation
+from deflab.presentation import Presentation, parse_presentation, serialize_presentation
 from deflab.schreier import rewrite_subgroup_presentation
-from deflab.tietze import _pass_dedupe, tietze_simplify
+from deflab.stability import stability_report
+from deflab.tietze import (
+    _pass_dedupe,
+    _pass_eliminate_generator,
+    _pass_substitute,
+    tietze_simplify,
+)
 from deflab.words import Word
 
 
@@ -113,3 +124,51 @@ def test_trivial_group_fully_simplifies():
     s = tietze_simplify(p)
     assert s.num_generators == 0 and s.num_relators == 0
     assert s.deficiency_datum() == 0
+
+
+def assert_matches_the_oracle(p):
+    """Each pass finds the oracle pass's move at every presentation the
+    oracle's run reaches, and the result is the same text."""
+    want = oracle_simplify(p, trace=assert_same_moves)
+    assert serialize_presentation(tietze_simplify(p)) == serialize_presentation(want)
+
+
+def assert_same_moves(q):
+    for step, oracle_step in (
+        (_pass_eliminate_generator, pass_eliminate_generator),
+        (_pass_substitute, pass_substitute),
+    ):
+        assert step(q) == oracle_step(q), (step.__name__, serialize_presentation(q))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_presentations())
+# the piece b^-1 occurs twice: the move takes the first start
+@example(parse_presentation("< a, b | a b^-2 a^-1 b^-1, b^-1 >"))
+# a^2 occurs before the longer piece a^2 b^-1: the move takes the longest
+@example(parse_presentation("< a, b | a^3 b^-1 a^-1 b, a^2 b^-1 >"))
+def test_moves_match_the_oracle_property(p):
+    assert_matches_the_oracle(p)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_moves_match_the_oracle_on_every_cover_at_the_cap(name):
+    p = corpus_presentation(name)
+    assert_matches_the_oracle(p)
+    for rec in low_index_subgroups(p, ENUM_CAPS[name]):
+        assert_matches_the_oracle(rewrite_subgroup_presentation(p, rec).presentation)
+
+
+def test_bounds_can_differ_inside_a_conjugacy_class():
+    """Conjugate subgroups are isomorphic, but the Tietze lower bounds of
+    their Schreier presentations need not agree."""
+    p = parse_presentation("< a, b | a^-4 b^-2, a^-2 b^2 >")
+    records = low_index_subgroups(p, 3)
+    for rec in records:
+        assert_matches_the_oracle(rewrite_subgroup_presentation(p, rec).presentation)
+    report = stability_report(p, 3)
+    assert serialize_presentation(p) == report.presentation
+    lowers = {}
+    for rec, row in zip(records, report.rows):
+        lowers.setdefault(rec.conjugacy_class, []).append(row.interval.lower)
+    assert [0, -1, 0] in lowers.values()
