@@ -3,7 +3,7 @@ finitely presented groups."""
 
 __version__ = "0.1.0"
 
-from .words import Word, free_reduce, commutator
+from .words import Word, commutator
 from .presentation import (
     Presentation,
     parse_presentation,

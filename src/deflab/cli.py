@@ -54,14 +54,15 @@ def _load_presentation(spec):
 
 def _parse_index_spec(spec):
     out = set()
-    try:
-        for part in spec.split(","):
-            lo, _, hi = part.partition("-")
-            out.update(range(int(lo), int(hi or lo) + 1))
-    except ValueError:
-        raise DeflabError(f"index spec {spec!r} is not a list of K or K-L") from None
-    if not out:
-        raise DeflabError(f"index spec {spec!r} names no index")
+    for part in spec.split(","):
+        lo, _, hi = part.partition("-")
+        try:
+            lo, hi = int(lo), int(hi or lo)
+        except ValueError:
+            raise DeflabError(f"index spec {spec!r} is not a list of K or K-L") from None
+        if hi < lo:
+            raise DeflabError(f"index spec {spec!r} names no index in {part!r}")
+        out.update(range(lo, hi + 1))
     if min(out) < 1:
         raise DeflabError(f"index spec {spec!r} names an index below 1")
     return out

@@ -392,7 +392,7 @@ def cyclic_cover_record(p, k, weights=None):
         raise ValueError("index must be >= 1")
     ngens = p.num_generators
     if weights is None:
-        weights = [1] + [0] * (ngens - 1)
+        weights = [int(g == 0) for g in range(ngens)]
     elif len(weights) != ngens:
         raise ValueError(f"{len(weights)} weights for {ngens} generators")
     if gcd(k, *weights) != 1:

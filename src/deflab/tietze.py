@@ -1,10 +1,13 @@
 """Bounded, deterministic Tietze simplification.
 
 Three greedy passes (duplicate removal, elimination of a generator occurring
-exactly once in some relator, length-reducing relator substitution) run in
-rounds until none applies, for at most 50 rounds; `Presentation` itself
-drops empty relators.  Full search over presentations is hopeless, so lower
-bounds stay reproducible by keeping every move deterministic.
+exactly once in some relator, length-reducing relator substitution) edit one
+list of generator names and one list of stored relators, in rounds until
+none applies, for at most 50 rounds.  A move stores only the relators it
+writes, in the form `Presentation` stores them and with their duplicate key,
+and drops those that reduce away; the `Presentation` is built once, at the
+end.  Full search over presentations is hopeless, so lower bounds stay
+reproducible by keeping every move deterministic.
 """
 
 from __future__ import annotations
@@ -15,30 +18,35 @@ from .words import Word
 _ROUNDS = 50
 
 
-def _dedupe_key(w):
-    """A Presentation stores each relator as its canonical rotation, so only
-    the inverse is rotated here."""
-    return min(w.order_key(), w.inverse().canonical_rotation().order_key())
+def _keyed(r):
+    """A stored relator r with its duplicate key: the least of r's and its
+    inverse's least rotation keys."""
+    return r, min(r.order_key(), r.inverse().canonical_rotation().order_key())
 
 
-def _pass_dedupe(p):
-    seen = set()
-    out = []
-    for r in p.relators:
-        key = _dedupe_key(r)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(r)
-    if len(out) == len(p.relators):
-        return p, False
-    return Presentation(p.generators, tuple(out)), True
+def _stored(w):
+    """w rotated as a relator is stored, and keyed; None if it reduces away."""
+    r = w.canonical_rotation()
+    return _keyed(r) if r else None
 
 
-def _pass_eliminate_generator(p):
+def _inverse(letters):
+    return tuple((g, -s) for g, s in reversed(letters))
+
+
+def _pass_dedupe(gens, rels):
+    first = {}
+    for entry in rels:
+        first.setdefault(entry[1], entry)
+    moved = len(first) < len(rels)
+    rels[:] = first.values()
+    return moved
+
+
+def _pass_eliminate_generator(gens, rels):
     """Remove a generator g that some relator contains exactly once: rotated
     to read g^s u, the relator says g = u^-s."""
-    for ri, r in enumerate(p.relators):
+    for ri, (r, _) in enumerate(rels):
         counts = {}
         for g, _ in r:
             counts[g] = counts.get(g, 0) + 1
@@ -46,17 +54,18 @@ def _pass_eliminate_generator(p):
         for pos, (g, s) in enumerate(ls):
             if counts[g] != 1:
                 continue
-            value = Word(ls[pos + 1 :] + ls[:pos]) ** -s
-            expand = {1: value.letters, -1: value.inverse().letters}
-            rename = {i: i - (i > g) for i in range(p.num_generators)}
-            rels = []
-            for other in p.relators[:ri] + p.relators[ri + 1 :]:
+            u = tuple((h - (h > g), t) for h, t in ls[pos + 1 :] + ls[:pos])
+            expand = {-s: u, s: _inverse(u)}
+            del gens[g], rels[ri]
+            written = []
+            for other, _ in rels:
                 letters = []
                 for h, t in other:
-                    letters.extend(expand[t] if h == g else ((h, t),))
-                rels.append(Word(tuple(letters)).remap(rename))
-            return Presentation(p.generators[:g] + p.generators[g + 1 :], tuple(rels)), True
-    return p, False
+                    letters.extend(expand[t] if h == g else ((h - (h > g), t),))
+                written.append(_stored(Word(tuple(letters))))
+            rels[:] = [entry for entry in written if entry]
+            return True
+    return False
 
 
 def _longest_piece(ll, u):
@@ -73,14 +82,12 @@ def _longest_piece(ll, u):
     return best, at
 
 
-def _pass_substitute(p):
+def _pass_substitute(gens, rels):
     """Shorten some relator by a rotation u of another (or of its inverse):
     a piece of u longer than half of u is replaced by the inverse of the
     rest of u, which leaves at least one letter fewer."""
-    rels = list(p.relators)
-    both_ways = [(r.letters, r.inverse().letters) for r in rels]
-    for j, longr in enumerate(rels):
-        ll = longr.letters
+    both_ways = [(r.letters, _inverse(r.letters)) for r, _ in rels]
+    for j, (ll, _) in enumerate(both_ways):
         for i, ways in enumerate(both_ways):
             if i == j or len(ways[0]) > len(ll):
                 continue
@@ -90,10 +97,14 @@ def _pass_substitute(p):
                     u = w[k:] + w[:k]
                     piece, start = _longest_piece(ll, u)
                     if piece > half:
-                        rest = Word(u[piece:]).inverse()
-                        rels[j] = Word(ll[:start] + rest.letters + ll[start + piece :])
-                        return Presentation(p.generators, tuple(rels)), True
-    return p, False
+                        rest = _inverse(u[piece:])
+                        entry = _stored(Word(ll[:start] + rest + ll[start + piece :]))
+                        rels[j : j + 1] = [entry] if entry else []
+                        return True
+    return False
+
+
+_PASSES = (_pass_dedupe, _pass_eliminate_generator, _pass_substitute)
 
 
 def tietze_simplify(p):
@@ -103,12 +114,8 @@ def tietze_simplify(p):
     - relator-matrix invariants (rank and torsion) are preserved by every
     move.  Deterministic.
     """
-    current = p
+    gens, rels = list(p.generators), [_keyed(r) for r in p.relators]
     for _ in range(_ROUNDS):
-        changed = False
-        for step in (_pass_dedupe, _pass_eliminate_generator, _pass_substitute):
-            current, did = step(current)
-            changed = changed or did
-        if not changed:
+        if not any([step(gens, rels) for step in _PASSES]):  # every pass runs
             break
-    return current
+    return Presentation(tuple(gens), tuple(r for r, _ in rels))

@@ -90,20 +90,6 @@ class Word:
                 return True
         return False
 
-    def remap(self, index_map):
-        """Rewrite generator indices through index_map (a dict or list)."""
-        return Word(tuple((index_map[g], s) for g, s in self.letters))
-
-
-def free_reduce(letters):
-    """Freely reduce an iterable of (gen, sign) letters into a Word.
-
-    Idempotent and length-nonincreasing.
-    """
-    if isinstance(letters, Word):
-        return letters
-    return Word(tuple(letters))
-
 
 def commutator(u, v):
     return u * v * u.inverse() * v.inverse()

@@ -195,6 +195,7 @@ def test_malformed_specs_are_named_in_the_error():
         ("schreier", "--index-spec", "3-x"),
         ("homology", "--quotient", "core:0:1"),
         ("schreier", "--index-spec", "0-2"),
+        ("schreier", "--index-spec", "1-2,5-4"),
     ):
         proc = run_cli(command, "corpus:torus", option, spec)
         assert proc.returncode == 1 and proc.stdout == ""

@@ -6,13 +6,18 @@ the genus2 index-4 stability digest was recorded before stability rows were
 read from the cover's boundary, and the last three before the low-index
 search enumerated conjugacy classes.  A changed digest means a report
 changed; there is deliberately no way to regenerate the table from this
-file.
+file.  One report is also run in a `python -O` subprocess against its
+digest.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -236,3 +241,15 @@ def test_golden_covers_every_case():
 @pytest.mark.parametrize("key", case_keys())
 def test_cli_report_digest(key, tmp_path):
     assert run_case(key, tmp_path) == GOLDEN[key]
+
+
+def test_report_digest_under_python_O():
+    """python -O strips assert statements; the report must not change.  Its
+    open rows run the Schreier rewrite and Tietze."""
+    key = "stability corpus:redundant --max-index 4"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "deflab.cli", *key.split()], capture_output=True, env=env
+    )
+    assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == GOLDEN[key]

@@ -13,7 +13,7 @@ from deflab.errors import LimitExceeded
 from deflab.lowindex import low_index_subgroups
 from deflab.modcert import separating_subgroup
 from deflab.modp import dual_complex_dims
-from deflab.presentation import parse_presentation, parse_word
+from deflab.presentation import Presentation, parse_presentation, parse_word
 from deflab.quotient import core_quotient, core_record
 from deflab.stability import stability_report
 from deflab.words import Word
@@ -120,6 +120,10 @@ def test_cyclic_cover_weights_must_match_the_generators():
     with pytest.raises(ValueError, match="0 weights for 1 generators"):
         cyclic_cover_record(free1, 2, weights=[])
     assert cyclic_cover_record(free1, 2, weights=[1]).index == 2
+    # without generators the default weights are empty: only Z/1 is generated
+    with pytest.raises(ValueError, match="weights do not generate Z/k"):
+        cyclic_cover_record(Presentation(), 2)
+    assert cyclic_cover_record(Presentation(), 1).index == 1
 
 
 def test_records_store_the_spanning_tree():

@@ -3,8 +3,14 @@ import random
 import pytest
 from conftest import ENUM_CAPS, small_presentations
 from hypothesis import example, given, settings
-from tietze_oracle import oracle_simplify, pass_eliminate_generator, pass_substitute
+from tietze_oracle import (
+    oracle_simplify,
+    pass_dedupe,
+    pass_eliminate_generator,
+    pass_substitute,
+)
 
+from deflab import tietze
 from deflab.corpus import CORPUS, corpus_presentation
 from deflab.linalg import cokernel_invariants, transpose
 from deflab.lowindex import low_index_subgroups
@@ -12,6 +18,7 @@ from deflab.presentation import Presentation, parse_presentation, serialize_pres
 from deflab.schreier import rewrite_subgroup_presentation
 from deflab.stability import stability_report
 from deflab.tietze import (
+    _keyed,
     _pass_dedupe,
     _pass_eliminate_generator,
     _pass_substitute,
@@ -43,6 +50,14 @@ def test_fixed_point_on_commutator():
     assert tietze_simplify(p) == p
 
 
+def list_pass(step, p):
+    """A list pass applied to copies of p's lists: the presentation they
+    give, and whether the pass moved."""
+    gens, rels = list(p.generators), [_keyed(r) for r in p.relators]
+    moved = step(gens, rels)
+    return Presentation(tuple(gens), tuple(r for r, _ in rels)), moved
+
+
 def test_inverse_relator_dedupes():
     p = parse_presentation("< a, b | [a,b], [b,a] >")
     s = tietze_simplify(p)
@@ -50,8 +65,9 @@ def test_inverse_relator_dedupes():
     # the second relator is a rotation of the first one's inverse; the
     # duplicate pass alone must see it
     p = parse_presentation("< a, b | a^2 b^3, a^-1 b^-3 a^-1 >")
-    deduped, changed = _pass_dedupe(p)
+    deduped, changed = list_pass(_pass_dedupe, p)
     assert p.num_relators == 2 and changed and deduped.num_relators == 1
+    assert (deduped, changed) == pass_dedupe(p)
 
 
 def test_stored_relators_are_canonical_rotations():
@@ -126,6 +142,27 @@ def test_trivial_group_fully_simplifies():
     assert s.deficiency_datum() == 0
 
 
+def test_one_presentation_per_simplification(monkeypatch):
+    """The passes edit lists; only the result is built as a Presentation."""
+    builds = []
+
+    def counting(*args):
+        builds.append(args)
+        return Presentation(*args)
+
+    monkeypatch.setattr(tietze, "Presentation", counting)
+    p = corpus_presentation("f2xf2")
+    covers = [rec for rec in low_index_subgroups(p, 3) if rec.index == 3]
+    assert len(covers) == 58
+    for rec in covers:
+        sub = rewrite_subgroup_presentation(p, rec).presentation
+        builds.clear()
+        s = tietze_simplify(sub)
+        # at least four eliminations: 10 generators down to 6 or 4
+        assert sub.num_generators == 10 and s.num_generators <= 6
+        assert len(builds) == 1
+
+
 def assert_matches_the_oracle(p):
     """Each pass finds the oracle pass's move at every presentation the
     oracle's run reaches, and the result is the same text."""
@@ -135,10 +172,11 @@ def assert_matches_the_oracle(p):
 
 def assert_same_moves(q):
     for step, oracle_step in (
+        (_pass_dedupe, pass_dedupe),
         (_pass_eliminate_generator, pass_eliminate_generator),
         (_pass_substitute, pass_substitute),
     ):
-        assert step(q) == oracle_step(q), (step.__name__, serialize_presentation(q))
+        assert list_pass(step, q) == oracle_step(q), (step.__name__, serialize_presentation(q))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

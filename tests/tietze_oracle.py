@@ -3,14 +3,36 @@
 Generator elimination rotates, inverts and rotates again until the relator
 starts with the generator; substitution tries every piece length of every
 rotation from the longest down, and every start of the longer relator for
-each, and keeps the first that shortens it.  `oracle_simplify` runs them in
-the same rounds as `tietze_simplify`, with the unchanged duplicate pass.
+each, and keeps the first that shortens it.  Duplicate removal keys every
+relator of every presentation it sees.  `oracle_simplify` runs the passes
+in the same rounds as `tietze_simplify`, each on a whole `Presentation`.
 """
 
 from deflab.errors import InternalCheckFailed
 from deflab.presentation import Presentation
-from deflab.tietze import _pass_dedupe
 from deflab.words import Word
+
+
+def _dedupe_key(w):
+    """A Presentation stores each relator as its canonical rotation, so only
+    the inverse is rotated here."""
+    return min(w.order_key(), w.inverse().canonical_rotation().order_key())
+
+
+def pass_dedupe(p):
+    """Keep the first of the relators that are rotations of each other or of
+    each other's inverses."""
+    seen = set()
+    out = []
+    for r in p.relators:
+        key = _dedupe_key(r)
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(r)
+    if len(out) == len(p.relators):
+        return p, False
+    return Presentation(p.generators, tuple(out)), True
 
 
 def pass_eliminate_generator(p):
@@ -48,7 +70,8 @@ def pass_eliminate_generator(p):
                         letters.extend(expansion.letters)
                     else:
                         letters.append((gg, ss))
-                new_rels.append(Word(tuple(letters)).remap(index_map))
+                reduced = Word(tuple(letters))
+                new_rels.append(Word(tuple((index_map[gg], ss) for gg, ss in reduced)))
             return Presentation(new_gens, tuple(new_rels)), True
     return p, False
 
@@ -92,7 +115,7 @@ def oracle_simplify(p, rounds=50, trace=None):
     current = p
     for _ in range(rounds):
         changed = False
-        for step in (_pass_dedupe, pass_eliminate_generator, pass_substitute):
+        for step in (pass_dedupe, pass_eliminate_generator, pass_substitute):
             if trace is not None:
                 trace(current)
             current, did = step(current)
