@@ -8,6 +8,14 @@ writes, in the form `Presentation` stores them and with their duplicate key,
 and drops those that reduce away; the `Presentation` is built once, at the
 end.  Full search over presentations is hopeless, so lower bounds stay
 reproducible by keeping every move deterministic.
+
+Work whose result is known is skipped.  Substitution scans the longer
+relator for a rotation u of length n only when u's first n // 2 + 1
+letters are one of its substrings: no other rotation has a piece longer
+than half of u, so every scan makes a move.  Elimination of g renames the
+relators without g by h -> h - (h > g); that keeps the order of the other
+generators, so their least rotation and duplicate key carry over renamed.
+Only the relators a move writes anew are reduced, rotated and keyed.
 """
 
 from __future__ import annotations
@@ -45,7 +53,8 @@ def _pass_dedupe(gens, rels):
 
 def _pass_eliminate_generator(gens, rels):
     """Remove a generator g that some relator contains exactly once: rotated
-    to read g^s u, the relator says g = u^-s."""
+    to read g^s u, the relator says g = u^-s.  The other relators without g
+    are renamed with their keys."""
     for ri, (r, _) in enumerate(rels):
         counts = {}
         for g, _ in r:
@@ -58,11 +67,19 @@ def _pass_eliminate_generator(gens, rels):
             expand = {-s: u, s: _inverse(u)}
             del gens[g], rels[ri]
             written = []
-            for other, _ in rels:
-                letters = []
+            for other, key in rels:
+                letters, hit = [], False
                 for h, t in other:
-                    letters.extend(expand[t] if h == g else ((h - (h > g), t),))
-                written.append(_stored(Word(tuple(letters))))
+                    if h == g:
+                        letters.extend(expand[t])
+                        hit = True
+                    else:
+                        letters.append((h - (h > g), t))
+                if hit:
+                    written.append(_stored(Word(tuple(letters))))
+                else:
+                    key = tuple((h - (h > g), e) for h, e in key)
+                    written.append((Word._reduced(tuple(letters)), key))
             rels[:] = [entry for entry in written if entry]
             return True
     return False
@@ -85,18 +102,26 @@ def _longest_piece(ll, u):
 def _pass_substitute(gens, rels):
     """Shorten some relator by a rotation u of another (or of its inverse):
     a piece of u longer than half of u is replaced by the inverse of the
-    rest of u, which leaves at least one letter fewer."""
-    both_ways = [(r.letters, _inverse(r.letters)) for r, _ in rels]
-    for j, (ll, _) in enumerate(both_ways):
-        for i, ways in enumerate(both_ways):
-            if i == j or len(ways[0]) > len(ll):
+    rest of u, which leaves at least one letter fewer.  Rotations are read
+    off w + w, and scanned only when their first half + 1 letters occur in
+    the longer relator."""
+    doubled = [(r.letters * 2, _inverse(r.letters) * 2) for r, _ in rels]
+    for j, (r, _) in enumerate(rels):
+        ll = r.letters
+        substrings = {}  # m -> the substrings of ll of length m
+        for i, (w, _) in enumerate(rels):
+            n = len(w)
+            if i == j or n > len(ll):
                 continue
-            half = len(ways[0]) // 2
-            for w in ways:
-                for k in range(len(w)):
-                    u = w[k:] + w[:k]
-                    piece, start = _longest_piece(ll, u)
-                    if piece > half:
+            m = n // 2 + 1
+            if m not in substrings:
+                substrings[m] = {ll[s : s + m] for s in range(len(ll) - m + 1)}
+            prefixes = substrings[m]
+            for ww in doubled[i]:
+                for k in range(n):
+                    if ww[k : k + m] in prefixes:
+                        u = ww[k : k + n]
+                        piece, start = _longest_piece(ll, u)  # piece >= m
                         rest = _inverse(u[piece:])
                         entry = _stored(Word(ll[:start] + rest + ll[start + piece :]))
                         rels[j : j + 1] = [entry] if entry else []
@@ -110,9 +135,9 @@ _PASSES = (_pass_dedupe, _pass_eliminate_generator, _pass_substitute)
 def tietze_simplify(p):
     """Simplify without ever decreasing |generators| - |relators|.
 
-    The returned presentation presents an isomorphic group; abelianized
-    - relator-matrix invariants (rank and torsion) are preserved by every
-    move.  Deterministic.
+    The returned presentation presents an isomorphic group; every move
+    keeps the invariants (rank and torsion) of the abelianized relator
+    matrix.  Deterministic.
     """
     gens, rels = list(p.generators), [_keyed(r) for r in p.relators]
     for _ in range(_ROUNDS):

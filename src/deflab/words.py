@@ -3,6 +3,12 @@
 A letter is a pair ``(generator_index, sign)`` with sign +1 or -1.  Words are
 immutable; every constructor path freely reduces, so two equal group elements
 built from the same letter sequence compare equal as objects.
+
+A word derived from a reduced word by an operation that keeps it reduced (a
+cyclic reduction, a rotation of a cyclically reduced word, an inverse, or a
+renaming that keeps distinct generators distinct) is not reduced again:
+`Word._reduced` wraps such letters as they are.  It never takes
+caller-supplied letters; those go through `Word(...)`.
 """
 
 from __future__ import annotations
@@ -33,6 +39,13 @@ class Word:
     def __post_init__(self):
         object.__setattr__(self, "letters", _reduce_letters(self.letters))
 
+    @classmethod
+    def _reduced(cls, letters):
+        """A Word of letters already known to be freely reduced."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     def __len__(self):
         return len(self.letters)
 
@@ -46,7 +59,7 @@ class Word:
         return Word(self.letters + other.letters)
 
     def inverse(self):
-        return Word(tuple((g, -s) for g, s in reversed(self.letters)))
+        return Word._reduced(tuple((g, -s) for g, s in reversed(self.letters)))
 
     def __pow__(self, n):
         if n < 0:
@@ -61,10 +74,11 @@ class Word:
         return sum(s for g, s in self.letters if g == gen)
 
     def cyclically_reduced(self):
-        ls = list(self.letters)
-        while len(ls) >= 2 and ls[0][0] == ls[-1][0] and ls[0][1] == -ls[-1][1]:
-            ls = ls[1:-1]
-        return Word(tuple(ls))
+        ls = self.letters
+        i, j = 0, len(ls) - 1
+        while i < j and ls[i][0] == ls[j][0] and ls[i][1] == -ls[j][1]:
+            i, j = i + 1, j - 1
+        return self if i == 0 else Word._reduced(ls[i : j + 1])
 
     def order_key(self):
         """Sort key: letter by letter, with a < a^-1 < b < b^-1 < ..."""
@@ -78,7 +92,7 @@ class Word:
             return w
         key = w.order_key()
         best = min(range(n), key=lambda i: key[i:] + key[:i])
-        return Word(w.letters[best:] + w.letters[:best])
+        return w if best == 0 else Word._reduced(w.letters[best:] + w.letters[:best])
 
     def is_proper_power(self):
         """True when the letter sequence is a repetition u^m with m >= 2."""

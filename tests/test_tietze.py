@@ -52,9 +52,13 @@ def test_fixed_point_on_commutator():
 
 def list_pass(step, p):
     """A list pass applied to copies of p's lists: the presentation they
-    give, and whether the pass moved."""
+    give, and whether the pass moved.  Every entry the pass leaves is a
+    reduced relator in its least rotation with its own key, however the
+    pass carried it over."""
     gens, rels = list(p.generators), [_keyed(r) for r in p.relators]
     moved = step(gens, rels)
+    for entry in rels:
+        assert entry == _keyed(Word(entry[0].letters).canonical_rotation()), step.__name__
     return Presentation(tuple(gens), tuple(r for r, _ in rels)), moved
 
 
@@ -163,6 +167,38 @@ def test_one_presentation_per_simplification(monkeypatch):
         assert len(builds) == 1
 
 
+def assert_every_scan_moves(p):
+    """Substitution scans a rotation only when it gives a piece longer than
+    half of it, so each scan is one move."""
+    scans, moves = [], []
+
+    def scan(ll, u):
+        piece, start = longest_piece(ll, u)
+        assert piece > len(u) // 2, (ll, u)
+        scans.append(piece)
+        return piece, start
+
+    def substitute(gens, rels):
+        moved = _pass_substitute(gens, rels)
+        moves.append(moved)
+        return moved
+
+    longest_piece = tietze._longest_piece
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tietze, "_longest_piece", scan)
+        mp.setattr(tietze, "_PASSES", (_pass_dedupe, _pass_eliminate_generator, substitute))
+        tietze_simplify(p)
+    assert len(scans) == sum(moves)
+
+
+def test_every_substitution_scan_moves():
+    p = corpus_presentation("f2xf2")
+    covers = [rec for rec in low_index_subgroups(p, 3) if rec.index == 3]
+    assert len(covers) == 58
+    for rec in covers:
+        assert_every_scan_moves(rewrite_subgroup_presentation(p, rec).presentation)
+
+
 def assert_matches_the_oracle(p):
     """Each pass finds the oracle pass's move at every presentation the
     oracle's run reaches, and the result is the same text."""
@@ -185,8 +221,14 @@ def assert_same_moves(q):
 @example(parse_presentation("< a, b | a b^-2 a^-1 b^-1, b^-1 >"))
 # a^2 occurs before the longer piece a^2 b^-1: the move takes the longest
 @example(parse_presentation("< a, b | a^3 b^-1 a^-1 b, a^2 b^-1 >"))
+# the piece b a b^-1 of the rotation b a b^-1 a^-1 of a b^-1 a^-1 b runs
+# round the end of a b^-1 a^-1 b: only a slice of the doubled word finds it
+@example(parse_presentation("< a, b | a b a b^-1, a b^-1 a^-1 b >"))
+# a^-3 contains no piece of a^2, only pieces of its inverse a^-2
+@example(parse_presentation("< a | a^2, a^-3 >"))
 def test_moves_match_the_oracle_property(p):
     assert_matches_the_oracle(p)
+    assert_every_scan_moves(p)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

@@ -1,5 +1,8 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from deflab.words import Word, commutator
 
 
@@ -56,6 +59,24 @@ def test_cyclic_reduction_and_rotation():
             rot = Word(w.letters[i:] + w.letters[:i])
             if len(rot) == n:  # genuine rotation, no accidental reduction
                 assert rot.canonical_rotation() == canon
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))), max_size=12))
+def test_derived_words_are_reduced_property(letters):
+    """Words derived without a second reduction equal the reduced Word of
+    their letters, and the canonical rotation is the least rotation of the
+    cyclically reduced core."""
+    w = Word(tuple(letters))
+    for derived in (w.canonical_rotation(), w.cyclically_reduced(), w.inverse()):
+        assert derived == Word(derived.letters)
+    core = w.letters
+    while len(core) >= 2 and core[0] == (core[-1][0], -core[-1][1]):
+        core = core[1:-1]
+    assert w.cyclically_reduced().letters == core
+    rotations = [core[i:] + core[:i] for i in range(len(core))] or [()]
+    least = min(rotations, key=lambda ls: Word(ls).order_key())
+    assert w.canonical_rotation().letters == least
 
 
 def test_proper_power_detection():
