@@ -3,10 +3,18 @@
 All arithmetic uses Python ints (arbitrary precision), so nothing can
 overflow.  deflab has one matrix format: a list of {col: value} row dicts
 that store no zero.  The column count is not stored; it is passed where it
-cannot be read off (`smith_normal_form(a, ncols)`, `transpose`).  The
-eliminations copy the rows and keep a column -> rows index (`_sparse_rows`).
-Ranks over Q and over F_p come from one sparse elimination, `_rank`; primes
-are certified by deterministic Miller-Rabin, which is exact below 2^64.
+cannot be read off (`smith_normal_form(a, ncols)`, `transpose`); an entry
+past it is a ValueError naming the shape.  The eliminations copy the rows
+and keep a column -> rows index (`_sparse_rows`).  Ranks over Q and over F_p
+come from one sparse elimination, `_rank`; primes are certified by
+deterministic Miller-Rabin, which is exact below 2^64.
+
+Ranks eliminate the shorter side: a matrix with more non-empty rows than
+non-empty columns is eliminated as its transpose.  That is exact, because A
+and A^T have the same rank; it is faster, because each dependent row of a
+tall matrix must be driven to zero one at a time (the bar oracle's d2 is
+n^3 x n^2).  `smith_normal_form`, and so `cokernel_invariants`, eliminate
+the matrix as given, since L and R belong to that matrix.
 
 `smith_normal_form` runs in two phases on the same sparse rows.  Phase 1
 clears every +-1 pivot it can find with sparse unimodular row and column
@@ -49,9 +57,12 @@ def sparse_row(terms):
 def transpose(m, ncols):
     """The transpose of the sparse matrix m with ncols columns."""
     out = [{} for _ in range(ncols)]
-    for i, row in enumerate(m):
-        for j, x in row.items():
-            out[j][i] = x
+    try:
+        for i, row in enumerate(m):
+            for j, x in row.items():
+                out[j][i] = x
+    except IndexError:
+        raise ValueError(f"shape mismatch: a {len(m)} x {ncols} matrix has an entry in column {j}") from None
     return out
 
 
@@ -83,12 +94,20 @@ def _sparse_rows(a, p):
 def _rank(a, p):
     """Rank of a sparse integer matrix over F_p, or over Q when p == 0.
 
-    Works on copies of the rows with a column -> rows index.  Each step pivots on
-    the sparsest row, at a +-1 entry if any, else in the shortest column, and
-    clears that column from the other rows by s*row - t*pivot: mod p with the
-    pivot scaled to 1 over F_p, divided by the row's content over Q.
+    Works on copies of the rows with a column -> rows index.  When `a` has more
+    non-empty rows than non-empty columns (counted on the integer entries,
+    before any reduction mod p), it works on the rows of a transpose instead:
+    A^T has the rank of A, and the fewer lines there are, the fewer dependent
+    ones must be cleared to zero.  Picking the side is one pass over the
+    entries; the transpose is dropped once its rows are copied.  Each step
+    pivots on the sparsest row, at a +-1 entry if any, else in the shortest
+    column, and clears that column from the other rows by s*row - t*pivot:
+    mod p with the pivot scaled to 1 over F_p, divided by the row's content
+    over Q.
     """
-    rows, where = _sparse_rows(a, p)
+    cols = set().union(*a)
+    rows, where = _sparse_rows(transpose(a, max(cols) + 1) if sum(map(bool, a)) > len(cols) else a, p)
+    lines = len(rows)
     heap = [(len(row), i) for i, row in rows.items() if row]
     heapify(heap)
     units = (1, p - 1) if p else (1, -1)
@@ -126,7 +145,7 @@ def _rank(a, p):
                 if not p and (g := gcd(*row.values())) > 1:
                     rows[k] = {j: x // g for j, x in row.items()}
                 heappush(heap, (len(row), k))
-    return len(a) - len(rows)  # each pivot popped its row; the rest are now empty
+    return lines - len(rows)  # each pivot popped its row; the rest are now empty
 
 
 def rank_over_Q(a):
@@ -219,9 +238,13 @@ def smith_normal_form(a, ncols):
     1972): one that divides its row but not some other row first adds that
     row to its own, which leaves a remainder.  So the +-1 pivots of phase 1
     and then those of phase 2 come out in divisibility order.  Every result
-    is verified on the whole input before it is returned.
+    is verified on the whole input before it is returned.  The input is
+    eliminated as given, never transposed, because L and R must factor the
+    caller's own matrix.
     """
     m, where = _sparse_rows(a, 0)
+    if where and (j := max(where)) >= ncols:
+        raise ValueError(f"shape mismatch: a {len(a)} x {ncols} matrix has an entry in column {j}")
     left = [{i: 1} for i in range(len(a))]
     right = [{j: 1} for j in range(ncols)]
     pivots = []  # (row, column, value)

@@ -11,7 +11,7 @@ from conftest import from_dense, small_presentations, to_dense
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deflab import modp
+from deflab import linalg, modp
 from deflab.chain import ChainComplex, presentation_chain_complex
 from deflab.corpus import CORPUS, corpus_presentation
 from deflab.errors import (
@@ -23,6 +23,7 @@ from deflab.errors import (
 from deflab.linalg import (
     SNFResult,
     betti_numbers,
+    cokernel_invariants,
     is_prime,
     mat_mul,
     morse_check,
@@ -30,6 +31,7 @@ from deflab.linalg import (
     rank_mod_p,
     rank_over_Q,
     smith_normal_form,
+    transpose,
 )
 from deflab.lowindex import low_index_subgroups
 from deflab.quotient import FiniteGroup, core_quotient
@@ -456,10 +458,11 @@ ORACLE_PRIMES = (2, 3, 5, 2**31 - 1)
 BIG = 10**30
 
 
-def rand_oracle_matrix(rng, max_dim=12):
+def rand_oracle_matrix(rng, max_dim=12, shape=None):
     """Random low-rank matrix with zero rows and columns, duplicate rows and
-    entries of +-10^30 (which vanish mod 2 and mod 5)."""
-    rows, cols = rng.randint(1, max_dim), rng.randint(1, max_dim)
+    entries of +-10^30 (which vanish mod 2 and mod 5); of the given
+    (rows, cols) shape, or of a random one."""
+    rows, cols = shape or (rng.randint(1, max_dim), rng.randint(1, max_dim))
     inner = rng.randint(1, max_dim)
     u = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(inner)] for _ in range(rows)]
     v = [
@@ -512,6 +515,55 @@ def test_sparse_ranks_match_oracles_on_corpus_and_bar_matrices(monkeypatch):
     # The dense oracle takes seconds per prime here, so only p = 2 is run:
     # the prime where the rank drops (H^2(D16; F_2) has dimension 3).
     assert_ranks_match_oracles(d2, 256, primes=(2,), q_rank=240)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(("tall", "wide", "square")), st.integers(1, 6), st.integers(7, 14), st.randoms())
+def test_ranks_do_not_depend_on_orientation(kind, short, long, rng):
+    # rank_over_Q and rank_mod_p eliminate the shorter side, so a and its
+    # transpose take different routes; both must give the oracles' rank
+    rows, cols = {"tall": (long, short), "wide": (short, long), "square": (short, short)}[kind]
+    a = rand_oracle_matrix(rng, shape=(rows, cols))
+    q_rank = dense_snf(a).rank
+    mod_p = {p: exact_rank_mod_p(a, p) for p in ORACLE_PRIMES}
+    for m in (from_dense(a), transpose(from_dense(a), cols)):
+        assert rank_over_Q(m) == q_rank
+        assert {p: rank_mod_p(m, p) for p in ORACLE_PRIMES} == mod_p
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(pool_matrices())
+def test_cokernel_invariants_in_both_orientations(a):
+    # Z^rows / column span, read off the determinantal divisors, for a
+    # matrix and for its transpose
+    for m in (a, [list(col) for col in zip(*a)]):
+        factors = determinantal_invariants(m)
+        expected = (len(m) - len(factors), [d for d in factors if d > 1])
+        assert cokernel_invariants(from_dense(m), len(m[0])) == expected, m
+
+
+def test_tall_matrices_are_eliminated_on_their_shorter_side(monkeypatch):
+    lines = []  # the number of lines each rank elimination works on
+    sparse_rows = linalg._sparse_rows
+
+    def counting(a, p):
+        rows, where = sparse_rows(a, p)
+        lines.append(len(rows))
+        return rows, where
+
+    monkeypatch.setattr(linalg, "_sparse_rows", counting)
+    d16 = FiniteGroup.from_permutations([(1, 2, 3, 4, 5, 6, 7, 0), (0, 7, 6, 5, 4, 3, 2, 1)])
+    assert modp.bar_cohomology_dims(d16, 2).dims == (1, 2, 3)
+    assert lines == [16, 256]  # d1 is 256 x 16 and d2 4096 x 256: both by columns
+
+
+def test_shape_errors_are_value_errors():
+    with pytest.raises(ValueError, match="a 1 x 2 matrix has an entry in column 3"):
+        transpose([{0: 1, 3: 1}], 2)
+    with pytest.raises(ValueError, match="a 1 x 2 matrix has an entry in column 3"):
+        smith_normal_form([{0: 2, 3: 1}], 2)
+    with pytest.raises(ValueError, match="a 3 x 2 matrix has an entry in column 2"):
+        cokernel_invariants([{0: 1}, {2: 1}, {1: 1}], 2)
 
 
 def test_mat_mul_matches_the_definition():
