@@ -5,16 +5,20 @@ overflow.  deflab has one matrix format: a list of {col: value} row dicts
 that store no zero.  The column count is not stored; it is passed where it
 cannot be read off (`smith_normal_form(a, ncols)`, `transpose`); an entry
 past it is a ValueError naming the shape.  The eliminations copy the rows
-and keep a column -> rows index (`_sparse_rows`).  Ranks over Q and over F_p
-come from one sparse elimination, `_rank`; primes are certified by
-deterministic Miller-Rabin, which is exact below 2^64.
+and keep a column -> rows index (`_sparse_rows`).  Ranks over Q and over odd
+F_p come from one sparse elimination, `_rank`; ranks over F_2 come from a
+packed one, `_rank_mod_2`, that holds each line's odd entries as the bits of
+a Python int, so a row operation is one XOR (the method of M4RI: Albrecht,
+Bard and Hart, ACM TOMS 37, 2010).  Primes are certified by deterministic
+Miller-Rabin, which is exact below 2^64.
 
 Ranks eliminate the shorter side: a matrix with more non-empty rows than
-non-empty columns is eliminated as its transpose.  That is exact, because A
-and A^T have the same rank; it is faster, because each dependent row of a
-tall matrix must be driven to zero one at a time (the bar oracle's d2 is
-n^3 x n^2).  `smith_normal_form`, and so `cokernel_invariants`, eliminate
-the matrix as given, since L and R belong to that matrix.
+non-empty columns is eliminated as its transpose (over F_2, packed by
+columns).  That is exact, because A and A^T have the same rank; it is
+faster, because each dependent row of a tall matrix must be driven to zero
+one at a time (the bar oracle's d2 is n^3 x n^2).  `smith_normal_form`, and
+so `cokernel_invariants`, eliminate the matrix as given, since L and R
+belong to that matrix.
 
 `smith_normal_form` runs in two phases on the same sparse rows.  Phase 1
 clears every +-1 pivot it can find with sparse unimodular row and column
@@ -148,6 +152,53 @@ def _rank(a, p):
     return lines - len(rows)  # each pivot popped its row; the rest are now empty
 
 
+def _packed_lines(a):
+    """The lines of `a` over F_2 as ints, bit j set when entry j is odd.
+
+    The lines are the columns when `a` has more non-empty rows than non-empty
+    columns (the rule of `_rank`), packed straight from the row dicts, else
+    the rows.  Each line is set bit by bit in a bytearray and read once by
+    `int.from_bytes`: `|=` into an int would copy the whole int every time.
+    """
+    cols = set().union(*a)
+    if sum(map(bool, a)) > len(cols):
+        packed = [bytearray((len(a) + 7) >> 3) for _ in range(max(cols) + 1)]
+        for i, row in enumerate(a):
+            byte, bit = i >> 3, 1 << (i & 7)
+            for j, x in row.items():
+                if x & 1:
+                    packed[j][byte] |= bit
+        while packed:  # each column is dropped once it is read
+            yield int.from_bytes(packed.pop(), "little")
+        return
+    for row in a:
+        if row:
+            bits = bytearray((max(row) >> 3) + 1)
+            for j, x in row.items():
+                if x & 1:
+                    bits[j >> 3] |= 1 << (j & 7)
+            yield int.from_bytes(bits, "little")
+
+
+def _rank_mod_2(a):
+    """Rank of a sparse integer matrix over F_2, by XOR on packed lines.
+
+    Over F_2 a row operation adds one line to another, which on the packed
+    lines of `_packed_lines` is one XOR.  Each line is reduced by the basis
+    line with its leading bit until that bit is new, which adds it to the
+    basis, or the line is zero, which makes it dependent.
+    """
+    basis = {}  # bit_length -> line
+    for line in _packed_lines(a):
+        while line:
+            n = line.bit_length()
+            if n not in basis:
+                basis[n] = line
+                break
+            line ^= basis[n]
+    return len(basis)
+
+
 def rank_over_Q(a):
     """Exact rational rank of an integer matrix; `a` is not modified."""
     return _rank(a, 0)
@@ -172,10 +223,15 @@ def is_prime(n):
 
 
 def rank_mod_p(a, p):
-    """Rank of an integer matrix over F_p, prime p < 2^64; `a` is not modified."""
+    """Rank of an integer matrix over F_p, prime p < 2^64; `a` is not modified.
+
+    Over F_2 the rank comes from `_rank_mod_2`, a packed XOR elimination on
+    the shorter side; it is exact, because a row operation over F_2 is an XOR
+    of bit strings and A^T has the rank of A.  Odd p runs the sparse `_rank`.
+    """
     if not is_prime(p):
         raise NonPrimeModulus(f"{p} is not prime")
-    return _rank(a, p)
+    return _rank_mod_2(a) if p == 2 else _rank(a, p)
 
 
 # ---------------------------------------------------------------------------

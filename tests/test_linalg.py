@@ -458,6 +458,24 @@ ORACLE_PRIMES = (2, 3, 5, 2**31 - 1)
 BIG = 10**30
 
 
+def elementary_abelian(k):
+    """(Z/2)^k: generator i swaps the points 2i and 2i + 1."""
+    return [tuple(j ^ 1 if j // 2 == i else j for j in range(2 * k)) for i in range(k)]
+
+
+def cyclic(n):
+    """The cyclic group of order n, as one n-cycle."""
+    return [tuple((j + 1) % n for j in range(n))]
+
+
+def dihedral(m):
+    """Rotation and reflection of an m-gon: the dihedral group of order 2m."""
+    return cyclic(m) + [tuple(-j % m for j in range(m))]
+
+
+D16 = dihedral(8)
+
+
 def rand_oracle_matrix(rng, max_dim=12, shape=None):
     """Random low-rank matrix with zero rows and columns, duplicate rows and
     entries of +-10^30 (which vanish mod 2 and mod 5); of the given
@@ -506,7 +524,7 @@ def test_sparse_ranks_match_oracles_on_corpus_and_bar_matrices(monkeypatch):
         assert_ranks_match_oracles(a, cols)
     bar = []  # the bar complex's d1 and d2, as bar_cohomology_dims ranks them
     monkeypatch.setattr(modp, "rank_mod_p", lambda a, p: bar.append(a) or rank_mod_p(a, p))
-    d16 = FiniteGroup.from_permutations([(1, 2, 3, 4, 5, 6, 7, 0), (0, 7, 6, 5, 4, 3, 2, 1)])
+    d16 = FiniteGroup.from_permutations(D16)
     assert modp.bar_cohomology_dims(d16, 2).dims == (1, 2, 3)
     d1, d2 = bar
     assert_ranks_match_oracles(d1, 16)
@@ -543,7 +561,7 @@ def test_cokernel_invariants_in_both_orientations(a):
 
 
 def test_tall_matrices_are_eliminated_on_their_shorter_side(monkeypatch):
-    lines = []  # the number of lines each rank elimination works on
+    lines = []  # the number of lines each sparse rank elimination works on
     sparse_rows = linalg._sparse_rows
 
     def counting(a, p):
@@ -552,9 +570,77 @@ def test_tall_matrices_are_eliminated_on_their_shorter_side(monkeypatch):
         return rows, where
 
     monkeypatch.setattr(linalg, "_sparse_rows", counting)
-    d16 = FiniteGroup.from_permutations([(1, 2, 3, 4, 5, 6, 7, 0), (0, 7, 6, 5, 4, 3, 2, 1)])
-    assert modp.bar_cohomology_dims(d16, 2).dims == (1, 2, 3)
+    d16 = FiniteGroup.from_permutations(D16)
+    assert modp.bar_cohomology_dims(d16, 3).dims == (1, 0, 0)
     assert lines == [16, 256]  # d1 is 256 x 16 and d2 4096 x 256: both by columns
+
+
+def test_tall_matrices_are_packed_by_columns_over_F_2(monkeypatch):
+    calls, lines = [], []  # _rank_mod_2's inputs, and the packed lines of each
+    rank_mod_2, packed_lines = linalg._rank_mod_2, linalg._packed_lines
+
+    def packed(a):
+        out = list(packed_lines(a))
+        lines.append((len(out), max(line.bit_length() for line in out)))
+        return iter(out)
+
+    def never(a, p):
+        raise AssertionError("the packed path copies no sparse rows")
+
+    monkeypatch.setattr(linalg, "_rank_mod_2", lambda a: calls.append(len(a)) or rank_mod_2(a))
+    monkeypatch.setattr(linalg, "_packed_lines", packed)
+    monkeypatch.setattr(linalg, "_sparse_rows", never)
+    d16 = FiniteGroup.from_permutations(D16)
+    assert modp.bar_cohomology_dims(d16, 2).dims == (1, 2, 3)
+    assert calls == [256, 4096]
+    # one line per column, each as long as a column: bits index the rows
+    assert lines == [(16, 256), (256, 4096)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(("tall", "wide", "square")),
+    st.integers(1, 6),
+    st.integers(7, 14),
+    st.sampled_from((BIG + 1, -BIG - 1, BIG, -BIG, 2, -2, -1, -3)),
+    st.randoms(),
+)
+def test_packed_rank_mod_2_matches_both_eliminations(kind, short, long, entry, rng):
+    # rand_oracle_matrix draws zero rows, duplicate rows and +-10^30; one
+    # more entry is odd or even, negative or beyond any machine word
+    rows, cols = {"tall": (long, short), "wide": (short, long), "square": (short, short)}[kind]
+    a = rand_oracle_matrix(rng, shape=(rows, cols))
+    a[rng.randrange(rows)][rng.randrange(cols)] = entry
+    for m in (a, [list(col) for col in zip(*a)]):
+        sparse = from_dense(m)
+        assert rank_mod_p(sparse, 2) == linalg._rank(sparse, 2) == exact_rank_mod_p(m, 2)
+
+
+# group, order and dims of H^0, H^1, H^2 with F_2 coefficients
+F2_COHOMOLOGY = (
+    [(elementary_abelian(k), 2**k, (1, k, k * (k + 1) // 2)) for k in range(1, 6)]
+    + [(cyclic(2**a), 2**a, (1, 1, 1)) for a in range(1, 6)]
+    + [(dihedral(m), 2 * m, (1, 2, 3)) for m in range(4, 17, 2)]
+)
+
+
+def test_bar_oracle_over_F_2_gives_known_cohomology():
+    for perms, order, dims in F2_COHOMOLOGY:
+        group = FiniteGroup.from_permutations(perms)
+        assert group.order == order
+        assert modp.bar_cohomology_dims(group, 2).dims == dims, (order, perms)
+
+
+def test_bar_differentials_compose_to_zero(monkeypatch):
+    bar = []  # the d1 and d2 that bar_cohomology_dims ranks
+    monkeypatch.setattr(modp, "rank_mod_p", lambda a, p: bar.append(a) or rank_mod_p(a, p))
+    for perms, order, _ in F2_COHOMOLOGY:
+        if order <= 16:
+            bar.clear()
+            modp.bar_cohomology_dims(FiniteGroup.from_permutations(perms), 2)
+            d1, d2 = bar
+            assert (len(d1), len(d2)) == (order**2, order**3)
+            assert not any(mat_mul(d2, d1)), order
 
 
 def test_shape_errors_are_value_errors():
