@@ -19,7 +19,7 @@ from .coset import (
     subgroup_record,
     cyclic_cover_record,
 )
-from .lowindex import low_index_subgroups
+from .lowindex import low_index_subgroups, normal_subgroups
 from .quotient import FiniteGroup, core_quotient, core_record
 from .schreier import SubgroupPresentation, rewrite_subgroup_presentation
 from .groupring import GroupRingElement, fox_derivative

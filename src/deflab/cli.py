@@ -23,7 +23,7 @@ from .errors import DeflabError, InternalCheckFailed, NonPrimeModulus
 from .groupring import GroupRingElement
 from .intervals import deficiency_interval
 from .linalg import betti_numbers, is_prime
-from .lowindex import low_index_subgroups
+from .lowindex import low_index_subgroups, normal_subgroups
 from .modcert import KernelWitness, rank_drop_certificate
 from .modp import dual_complex_dims
 from .presentation import parse_presentation, parse_word, serialize_presentation
@@ -253,11 +253,7 @@ def cmd_modp(args):
     p, _ = _load_presentation(args.presentation)
     if not is_prime(args.p):
         raise NonPrimeModulus(f"-p {args.p} is not prime")
-    records = [
-        r
-        for r in low_index_subgroups(p, args.normal_index)
-        if r.index == args.normal_index and r.is_normal
-    ]
+    records = [r for r in normal_subgroups(p, args.normal_index) if r.index == args.normal_index]
     out = [dual_complex_dims(p, r, args.p).to_json() for r in records]
     _dump(out, args.out)
     return 0

@@ -206,7 +206,8 @@ class SubgroupRecord:
 
     conjugacy_class numbers its conjugacy class among the records of one
     low-index search, in the order the search found the classes; it is None
-    outside a search.
+    outside a search.  In `normal_subgroups` each record is its own class,
+    numbered in the order the pruned search found it.
     """
 
     table: CosetTable

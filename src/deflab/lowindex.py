@@ -21,12 +21,23 @@ smaller on the entries defined in both, so only the least table of each
 class reaches a leaf.  There the roots that reproduce the table number
 [N(H):H], and the class is expanded to its members by re-rooting, at one
 root per member.
+
+`normal_subgroups` runs the same search for the normal subgroups alone.  A
+complete table is normal exactly when every root ties with it, and a
+re-rooting that differs from a partial table on an entry defined in both
+keeps differing in every table below, so the search prunes a table as soon
+as any re-rooting differs (`_NormalSearch.compare_roots`).  That is a smaller search, not a filter of
+the full one: on dup_relator at index <= 6 it visits 83 nodes, not 587.
+Each leaf is one record, the table rooted at 0.
 """
 
 from __future__ import annotations
 
 from .coset import UNDEF, CosetTable, letters_of, orbit, schreier_transversal
 from .errors import InternalCheckFailed, LimitExceeded
+
+# the node budget of every low-index search
+MAX_NODES = 2_000_000
 
 
 class _ClassSearch:
@@ -171,12 +182,9 @@ class _ClassSearch:
                     larger |= 1 << r
         return larger
 
-    def emit(self, ties):
-        """Record every member of the class of the least table, one verified
-        table each.  At a complete table the ties are the roots that
-        reproduce it, [N(H):H] of them; re-rooting at a tie renames the
-        cosets by an automorphism of the action, and roots in one orbit of
-        these automorphisms root the same member."""
+    def tie_renames(self, ties):
+        """The re-rooting of the complete table at each tie, checked to
+        reproduce the table: an automorphism of the action."""
         rows, k = self.table, len(self.table)
         renames = []
         for t in ties:
@@ -184,6 +192,16 @@ class _ClassSearch:
             if any([rename[d] for d in rows[c]] != rows[rename[c]] for c in range(k)):
                 raise InternalCheckFailed("a tie root does not reproduce the table")
             renames.append(rename)
+        return renames
+
+    def emit(self, ties):
+        """Record every member of the class of the least table, one verified
+        table each.  At a complete table the ties are the roots that
+        reproduce it, [N(H):H] of them; re-rooting at a tie renames the
+        cosets by an automorphism of the action, and roots in one orbit of
+        these automorphisms root the same member."""
+        rows, k = self.table, len(self.table)
+        renames = self.tie_renames(ties)
         members, rooted = {}, set()
         for r in range(k):
             if r not in rooted:
@@ -196,7 +214,62 @@ class _ClassSearch:
         self.classes += 1
 
 
-def low_index_subgroups(p, max_index, max_nodes=2_000_000, on_budget="raise"):
+class _NormalSearch(_ClassSearch):
+    """The class search cut down to the normal subgroups."""
+
+    def compare_roots(self, larger):
+        """0 while every re-rooting agrees with the table on the entries
+        defined in both; None as soon as one differs, since it then differs
+        in every table below and the leaf could not tie at that root."""
+        for r in range(1, len(self.table)):
+            if self.rerooted_order(r):
+                return None
+        return 0
+
+    def emit(self, ties):
+        """Record the one member of a normal class, checked three ways: every
+        root ties, each tie reproduces the table, and the permutation test
+        of `schreier_transversal` finds it normal."""
+        rows = self.table
+        if len(ties) != len(rows):
+            raise InternalCheckFailed("a normal-search leaf does not tie at every root")
+        self.tie_renames(ties)
+        record = schreier_transversal(CosetTable.from_rows(rows, self.p, 0), self.classes)
+        if not record.is_normal:
+            raise InternalCheckFailed("a normal-search leaf is not a normal subgroup")
+        self.records.append(record)
+        self.classes += 1
+
+
+def _canonical_order(records):
+    """Sort records by (index, action) in place: by action, then stably by
+    index, with no key tuple per record."""
+    records.sort(key=lambda rec: rec.table.action)
+    records.sort(key=lambda rec: rec.index)
+
+
+def normal_subgroups(p, max_index):
+    """The normal subgroups of index <= max_index: exactly the records of
+    `low_index_subgroups(p, max_index)` with is_normal set, in the same
+    (index, action) order.
+
+    A table is normal exactly when every root reproduces it.  Once a
+    re-rooting differs from the table on an entry defined in both, it
+    differs in every table below, so the search drops that branch; the full
+    search keeps it while the re-rooting is only larger.  Each record is its
+    own conjugacy class, numbered in the order this search found it.  The
+    nodes share the budget MAX_NODES of `low_index_subgroups`; LimitExceeded
+    when it runs out.
+    """
+    if max_index < 1:
+        raise ValueError("max_index must be >= 1")
+    search = _NormalSearch(p, max_index, MAX_NODES)
+    search.run()
+    _canonical_order(search.records)
+    return search.records
+
+
+def low_index_subgroups(p, max_index, max_nodes=MAX_NODES, on_budget="raise"):
     """All subgroups of index <= max_index, one SubgroupRecord each,
     canonically ordered by (index, action).
 
@@ -223,9 +296,7 @@ def low_index_subgroups(p, max_index, max_nodes=2_000_000, on_budget="raise"):
             raise
         complete = False
     records = search.records
-    # by action, then stably by index: no key tuple per record
-    records.sort(key=lambda rec: rec.table.action)
-    records.sort(key=lambda rec: rec.index)
+    _canonical_order(records)
     if on_budget == "partial":
         return records, complete
     return records

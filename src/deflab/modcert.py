@@ -15,7 +15,7 @@ from .coset import SubgroupRecord
 from .errors import InternalCheckFailed, SeparationExhausted, WitnessNotInKernel, ZeroWitness
 from .groupring import GroupRingElement
 from .linalg import add_to, rank_over_Q, sparse_row
-from .lowindex import low_index_subgroups
+from .lowindex import normal_subgroups
 from .schreier import schreier_counts
 
 
@@ -99,20 +99,20 @@ def separating_subgroup(support, p, max_index):
     """A normal subgroup of index <= max_index whose cosets separate support.
 
     Every normal core or intersection of low-index subgroups is itself a
-    normal record of `low_index_subgroups`, so those records are the
-    candidates.  For each index k from the number of distinct support words
-    up to max_index, the normal records of index exactly k are scanned in the
-    enumeration's (index, action) order; a smaller index was tried at its own
-    bound or has too few cosets, so the canonically least separating subgroup
-    of the smallest sufficient index wins.  Raises SeparationExhausted when
-    nothing within budget works.
+    normal subgroup of low index, so the records of `normal_subgroups` are
+    the candidates; that search builds no record of any other subgroup.
+    For each index k from the number of distinct support words up to
+    max_index, the records of index exactly k are scanned in the search's
+    (index, action) order; a smaller index was tried at its own bound or has
+    too few cosets, so the canonically least separating subgroup of the
+    smallest sufficient index wins.  Raises SeparationExhausted when nothing
+    within budget works.
     """
     words = list(dict.fromkeys(support))
     for bound in range(max(1, len(words)), max_index + 1):
-        for rec in low_index_subgroups(p, bound):
-            if rec.index == bound and rec.is_normal:
-                if len({rec.table.trace(0, w) for w in words}) == len(words):
-                    return rec
+        for rec in normal_subgroups(p, bound):
+            if rec.index == bound and len({rec.table.trace(0, w) for w in words}) == len(words):
+                return rec
     raise SeparationExhausted(
         f"no normal subgroup of index <= {max_index} separates the "
         f"{len(words)} support elements"

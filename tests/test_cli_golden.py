@@ -3,10 +3,12 @@
 Each case runs the CLI in-process and compares the exit code and the SHA-256
 of stdout with a digest recorded before the coset-table core was unified;
 the genus2 index-4 stability digest was recorded before stability rows were
-read from the cover's boundary, and the last three before the low-index
-search enumerated conjugacy classes.  A changed digest means a report
-changed; there is deliberately no way to regenerate the table from this
-file.  One report is also run in a `python -O` subprocess against its
+read from the cover's boundary, the redundant index-4 stability digest
+and the genus2 and free2 subgroups digests before the low-index search
+enumerated conjugacy classes, and the `modp` digests at normal index 4
+before `modp` searched normal subgroups alone.  A changed digest means a
+report changed; there is deliberately no way to regenerate the table from
+this file.  One report is also run in a `python -O` subprocess against its
 digest.
 """
 
@@ -32,6 +34,9 @@ WITNESSES = {
 }
 
 
+MODP_AT_4 = ("free2", "torus", "dup_relator", "d4", "q8")
+
+
 def case_keys():
     keys = []
     for name in sorted(CORPUS):
@@ -53,6 +58,8 @@ def case_keys():
     keys.append("stability corpus:redundant --max-index 4")  # as in cover_sweep
     keys.append("subgroups corpus:genus2 --max-index 4")
     keys.append("subgroups corpus:free2 --max-index 5")
+    # index 4 has non-normal subgroups, which the normal search prunes
+    keys += [f"modp corpus:{name} -p 2 --normal-index 4" for name in MODP_AT_4]
     return keys
 
 
@@ -231,6 +238,11 @@ GOLDEN = {
     'stability corpus:redundant --max-index 4': (0, '626328de19662577db536833f616835a79f23701bb7d4eb45e37b967b6e733c1'),
     'subgroups corpus:genus2 --max-index 4': (0, '0c2b30da41a1e44f37afaf6665a51aac139e1a3348feebb4ebdc2e7469df1028'),
     'subgroups corpus:free2 --max-index 5': (0, '0ca326f0b9da6cab912a24e3faebe6bdc473ead9e88fa378ba38beba4556c5ad'),
+    'modp corpus:free2 -p 2 --normal-index 4': (0, '4cd6f4148542e1b73dfc3b2e7e1e02496a598acf065ac6c7e5f5fe81112b04b3'),
+    'modp corpus:torus -p 2 --normal-index 4': (0, '9289aef92611e4c38decfd97dc1e40cdd17cf8a5c71c44d06ec40ae4cfaec892'),
+    'modp corpus:dup_relator -p 2 --normal-index 4': (0, '2ef7850452279cc4b52f890e1f31b23a13a3907aa14a9aed840c385d33faeece'),
+    'modp corpus:d4 -p 2 --normal-index 4': (0, '706bbbb7045550041ace552686fa80956f931ce1f53bfe8aefd9b3c25e474c44'),
+    'modp corpus:q8 -p 2 --normal-index 4': (0, '706bbbb7045550041ace552686fa80956f931ce1f53bfe8aefd9b3c25e474c44'),
 }
 
 

@@ -673,7 +673,9 @@ def test_chain_complex_checks_large_entries_exactly():
 
 
 CHECKS_UNDER_O = """
-from deflab import modcert, modp, stability
+import dataclasses
+
+from deflab import lowindex, modcert, modp, stability
 from deflab.chain import ChainComplex, relator_boundary, restrict_to_subgroup
 from deflab.coset import CosetTable, SubgroupRecord, _Enumerator, schreier_transversal, subgroup_record
 from deflab.errors import InternalCheckFailed
@@ -743,6 +745,19 @@ def cert_with(name, fake, x=GroupRingElement.one()):
         setattr(modcert, name, real)
 
 
+def normal_search_with(owner, name, fake):
+    real = getattr(owner, name)
+    setattr(owner, name, fake)
+    try:
+        lowindex.normal_subgroups(parse_presentation("< a | a^2 >"), 2)
+    finally:
+        setattr(owner, name, real)
+
+
+def not_normal(t, conjugacy_class=None):
+    return dataclasses.replace(schreier_transversal(t, conjugacy_class), is_normal=False)
+
+
 no_generators = parse_presentation("< a | >")
 # a complex over a group of order 4 with no boundaries; C4 with a -> 1 and
 # b -> 2 pairs the even elements with coset 0 of `double`, so a tree edge
@@ -787,6 +802,8 @@ for check in (
     lambda: modcert.ModulePresentation(ambient=dup, free_rank=2, relations=((one_plus_a,),)),
     lambda: schreier_transversal(CosetTable(index=3, action=((2, 0, 1),), origin=parse_presentation("< a | a^3 >"))),
     lambda: _Enumerator(1, 1).live_rows(),  # no todd_coxeter input leaves a row incomplete
+    lambda: normal_search_with(lowindex._NormalSearch, "compare_roots", lambda search, larger: 2),
+    lambda: normal_search_with(lowindex, "schreier_transversal", not_normal),
 ):
     try:
         check()
@@ -829,6 +846,8 @@ UNDER_O_EXPECTED = [
     ("ValueError", "relation tuple of arity 1, not the free rank 2"),
     ("InternalCheckFailed", "table numbering is not canonical"),
     ("InternalCheckFailed", "table incomplete after enumeration"),
+    ("InternalCheckFailed", "a normal-search leaf does not tie at every root"),
+    ("InternalCheckFailed", "a normal-search leaf is not a normal subgroup"),
 ]
 
 

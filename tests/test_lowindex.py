@@ -7,10 +7,11 @@ from conftest import ENUM_CAPS, small_presentations
 from hypothesis import given, settings
 from lowindex_oracle import member_search
 
+from deflab import lowindex
 from deflab.corpus import CORPUS, corpus_presentation
 from deflab.coset import CosetTable, todd_coxeter
 from deflab.errors import LimitExceeded
-from deflab.lowindex import low_index_subgroups
+from deflab.lowindex import _ClassSearch, _NormalSearch, low_index_subgroups, normal_subgroups
 from deflab.presentation import parse_presentation
 from deflab.words import Word
 
@@ -184,11 +185,21 @@ def assert_classes_are_conjugacy_classes(records):
     assert sum(len(members) for members in classes.values()) == len(records)
 
 
+def assert_normal_search_matches(p, max_index, everything):
+    """normal_subgroups is the normal part of everything, in its order."""
+    records = normal_subgroups(p, max_index)
+    assert fingerprint(records) == fingerprint([r for r in everything if r.is_normal])
+    # each record is its own class
+    assert sorted(r.conjugacy_class for r in records) == list(range(len(records)))
+
+
 def assert_matches_the_member_search(p, max_index):
+    """The class search and the normal search against the member oracle."""
     records = low_index_subgroups(p, max_index, max_nodes=100_000)
     want, _ = member_search(p, max_index, max_nodes=100_000)
     assert fingerprint(records) == fingerprint(want)
     assert_classes_are_conjugacy_classes(records)
+    assert_normal_search_matches(p, max_index, records)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -246,3 +257,34 @@ def test_a_partial_result_holds_whole_classes():
         assert not complete and 0 < len(records) < len(everything)
         assert {r.table.action for r in records} <= keys
         assert_classes_are_conjugacy_classes(records)
+
+
+def test_normal_search_is_the_normal_part_of_the_class_search_past_the_cap():
+    p = corpus_presentation("dup_relator")
+    everything = low_index_subgroups(p, 6)
+    assert_normal_search_matches(p, 6, everything)
+    assert sum(r.is_normal for r in everything) == 13
+
+
+def search_nodes(search, name, max_index):
+    run = search(corpus_presentation(name), max_index, lowindex.MAX_NODES)
+    run.run()
+    return run.nodes
+
+
+def test_the_normal_search_prunes_every_branch_that_cannot_end_normal():
+    # a branch is dropped once a re-rooting differs, not only once it is smaller
+    assert search_nodes(_ClassSearch, "dup_relator", 6) == 587
+    assert search_nodes(_NormalSearch, "dup_relator", 6) == 83
+    assert search_nodes(_NormalSearch, "genus2", 4) < search_nodes(_ClassSearch, "genus2", 4)
+
+
+def test_the_normal_search_shares_the_node_budget(monkeypatch):
+    p = corpus_presentation("dup_relator")
+    monkeypatch.setattr(lowindex, "MAX_NODES", 83)
+    assert len(normal_subgroups(p, 6)) == 13
+    monkeypatch.setattr(lowindex, "MAX_NODES", 82)
+    with pytest.raises(LimitExceeded):
+        normal_subgroups(p, 6)
+    with pytest.raises(ValueError, match="max_index"):
+        normal_subgroups(p, 0)

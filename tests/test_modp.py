@@ -1,17 +1,23 @@
+from collections import Counter
+from functools import lru_cache
+
 import pytest
 from conftest import small_presentations
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deflab.chain import presentation_chain_complex
 from deflab.corpus import CORPUS, corpus_presentation
 from deflab.coset import subgroup_record
 from deflab.errors import NonNormalSubgroup, OrderCapExceeded
 from deflab.linalg import cokernel_invariants, rank_mod_p, transpose
-from deflab.lowindex import low_index_subgroups
+from deflab.lowindex import low_index_subgroups, normal_subgroups
+from deflab.presentation import Presentation
 from deflab.modp import bar_cohomology_dims, dual_complex_dims
 from deflab.presentation import parse_presentation, parse_word
 from deflab.quotient import FiniteGroup, core_quotient, core_record
 from deflab.schreier import rewrite_subgroup_presentation
+from deflab.words import Word
 
 
 def h1_dim_mod_p(sub_presentation, p):
@@ -163,3 +169,43 @@ def test_dual_complex_matches_the_quotient_complex_property(p):
     for rec in low_index_subgroups(p, 3, max_nodes=100_000):
         if rec.is_normal:
             assert_cover_dims_match_the_quotient_complex(p, rec)
+
+
+# dihedral of order 32: three normal subgroups of index 2
+D16 = parse_presentation("< a, b | a^16, b^2, a b a b >")
+RELABELLED = {name: corpus_presentation(name) for name in ("dup_relator", "c2xc2", "q8", "d4")}
+RELABELLED["d16"] = D16
+
+
+def modp_dims(p, k):
+    """The multiset of `modp -p 2 --normal-index k` dims.  jbar_dim is left
+    out: whether the bar cross-check realizes the group depends on the
+    labelling through Todd-Coxeter's coset limit (ROADMAP item 8)."""
+    return Counter(
+        dual_complex_dims(p, rec, 2).dims for rec in normal_subgroups(p, k) if rec.index == k
+    )
+
+
+@lru_cache(maxsize=None)
+def modp_dims_as_given(name, k):
+    return modp_dims(RELABELLED[name], k)
+
+
+@st.composite
+def relabellings(draw):
+    """(name, presentation with its generators permuted and inverted and its
+    relators reordered)."""
+    name = draw(st.sampled_from(sorted(RELABELLED)))
+    p = RELABELLED[name]
+    n = p.num_generators
+    image = draw(st.permutations(range(n)))
+    sign = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    relators = [Word(tuple((image[g], s * sign[g]) for g, s in r)) for r in p.relators]
+    return name, Presentation(p.generators, tuple(draw(st.permutations(relators))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(relabellings(), st.integers(2, 4))
+def test_modp_dims_do_not_depend_on_the_labelling(relabelled, k):
+    name, p = relabelled
+    assert modp_dims(p, k) == modp_dims_as_given(name, k), (name, k)
