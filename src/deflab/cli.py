@@ -164,46 +164,28 @@ def cmd_deficiency(args):
     return 0
 
 
+# the --csv columns, read from each JSON row with its interval flattened
+_CSV_COLUMNS = (
+    "group", "index", "ordinal", "schreier_generators", "schreier_relators", "b1",
+    "torsion", "lower", "upper", "certificate", "identity_status",
+)
+
+
 def cmd_stability(args):
     p, name = _load_presentation(args.presentation)
     report = stability_report(
         p, args.max_index, aspherical=args.aspherical, group_name=name
     )
-    _dump(report.to_json(), args.out)
+    data = report.to_json()
+    _dump(data, args.out)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "group",
-                    "index",
-                    "ordinal",
-                    "schreier_generators",
-                    "schreier_relators",
-                    "b1",
-                    "torsion",
-                    "lower",
-                    "upper",
-                    "certificate",
-                    "identity_status",
-                ]
-            )
-            for row in report.rows:
-                writer.writerow(
-                    [
-                        report.group,
-                        row.index,
-                        row.ordinal,
-                        row.schreier_generators,
-                        row.schreier_relators,
-                        row.b1,
-                        ";".join(str(t) for t in row.torsion),
-                        row.interval.lower,
-                        row.interval.upper,
-                        row.interval.certificate,
-                        row.identity_status,
-                    ]
-                )
+            writer.writerow(_CSV_COLUMNS)
+            for row in data["rows"]:
+                values = {**row, **row["interval"], "group": data["group"]}
+                values["torsion"] = ";".join(map(str, row["torsion"]))
+                writer.writerow([values[c] for c in _CSV_COLUMNS])
     ok = all(
         row.identity_status in (STATUS_CERTIFIED, STATUS_CONSISTENT)
         for row in report.rows

@@ -377,9 +377,10 @@ def schreier_transversal(t, conjugacy_class=None):
     )
 
 
-def subgroup_record(p, subgens=(), limit=100_000):
-    """Convenience: enumerate and package a full SubgroupRecord."""
-    return schreier_transversal(todd_coxeter(p, subgens, limit))
+def subgroup_record(p, subgens=()):
+    """Convenience: enumerate and package a full SubgroupRecord, under
+    `todd_coxeter`'s default coset limit."""
+    return schreier_transversal(todd_coxeter(p, subgens))
 
 
 def cyclic_cover_record(p, k, weights=None):

@@ -36,16 +36,16 @@ from __future__ import annotations
 from .coset import UNDEF, CosetTable, letters_of, orbit, schreier_transversal
 from .errors import InternalCheckFailed, LimitExceeded
 
-# the node budget of every low-index search
+# the node budget of every low-index search, read when a search starts
 MAX_NODES = 2_000_000
 
 
 class _ClassSearch:
-    def __init__(self, p, max_index, max_nodes):
+    def __init__(self, p, max_index):
         self.p = p
         self.ncols = 2 * p.num_generators
         self.max_index = max_index
-        self.max_nodes = max_nodes
+        self.max_nodes = MAX_NODES
         self.nodes = 0
         self.table = [[UNDEF] * self.ncols]
         self.trail = []
@@ -227,18 +227,15 @@ class _NormalSearch(_ClassSearch):
         return 0
 
     def emit(self, ties):
-        """Record the one member of a normal class, checked three ways: every
-        root ties, each tie reproduces the table, and the permutation test
-        of `schreier_transversal` finds it normal."""
-        rows = self.table
-        if len(ties) != len(rows):
+        """Record the one member of a normal class through the class
+        search's `emit`, checked three ways: every root ties, each tie
+        reproduces the table, and the permutation test of
+        `schreier_transversal` finds the record normal."""
+        if len(ties) != len(self.table):
             raise InternalCheckFailed("a normal-search leaf does not tie at every root")
-        self.tie_renames(ties)
-        record = schreier_transversal(CosetTable.from_rows(rows, self.p, 0), self.classes)
-        if not record.is_normal:
+        super().emit(ties)
+        if not self.records[-1].is_normal:
             raise InternalCheckFailed("a normal-search leaf is not a normal subgroup")
-        self.records.append(record)
-        self.classes += 1
 
 
 def _canonical_order(records):
@@ -263,18 +260,19 @@ def normal_subgroups(p, max_index):
     """
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
-    search = _NormalSearch(p, max_index, MAX_NODES)
+    search = _NormalSearch(p, max_index)
     search.run()
     _canonical_order(search.records)
     return search.records
 
 
-def low_index_subgroups(p, max_index, max_nodes=MAX_NODES, on_budget="raise"):
+def low_index_subgroups(p, max_index, on_budget="raise"):
     """All subgroups of index <= max_index, one SubgroupRecord each,
     canonically ordered by (index, action).
 
     The search visits one table per conjugacy class and expands it to the
-    class's members; max_nodes bounds the nodes of that class search.
+    class's members; the module's MAX_NODES, read at the call, bounds the
+    nodes of that class search.
     Each record's conjugacy_class numbers its class in the order the
     search found the classes.
 
@@ -287,7 +285,7 @@ def low_index_subgroups(p, max_index, max_nodes=MAX_NODES, on_budget="raise"):
         raise ValueError("max_index must be >= 1")
     if on_budget not in ("raise", "partial"):
         raise ValueError(f"on_budget must be 'raise' or 'partial', not {on_budget!r}")
-    search = _ClassSearch(p, max_index, max_nodes)
+    search = _ClassSearch(p, max_index)
     complete = True
     try:
         search.run()

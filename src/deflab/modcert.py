@@ -158,13 +158,15 @@ class CertificateReport:
         }
 
 
-def rank_drop_certificate(p, witness, q, max_index=12):
+def rank_drop_certificate(p, witness, q, max_index):
     """Certify a generator drop for the restricted relation module.
 
     Steps: verify the witness lies in ker d2 after pushing to the quotient q;
-    primitivize; find a normal separating subgroup H for the support; the
-    restricted module then needs at most u = e2*[G:H] - 1 generators because
-    the separated witness is a primitive vector of the transversal lattice.
+    primitivize; find a normal separating subgroup H of index <= max_index
+    (required: the CLI's --max-index holds the one default) for the support;
+    the restricted module then needs at most u = e2*[G:H] - 1 generators
+    because the separated witness is a primitive vector of the transversal
+    lattice.
     The Schreier presentation of H has k*(e1-1)+1 generators and e2*k
     relators, read off `schreier_counts` without rewriting it; the amended
     partial resolution over H (u in degree 2 over those generators) gives the

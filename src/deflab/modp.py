@@ -28,6 +28,9 @@ from .linalg import is_prime, rank_mod_p, sparse_row
 from .quotient import FiniteGroup
 from .schreier import schreier_counts
 
+# the largest group order the bar oracle accepts, read at each call
+BAR_ORDER_CAP = 64
+
 
 @dataclass(frozen=True)
 class CohomologyDims:
@@ -38,17 +41,18 @@ class CohomologyDims:
     group_order: int
 
 
-def bar_cohomology_dims(group, p, max_order=64):
+def bar_cohomology_dims(group, p):
     """Cohomology dims of a finite group from the truncated bar complex.
 
     Cochains are F_p-valued functions on tuples of group elements in degrees
-    <= 3, enough to read off H^0, H^1 and H^2.
+    <= 3, enough to read off H^0, H^1 and H^2.  OrderCapExceeded when the
+    group order exceeds BAR_ORDER_CAP.
     """
     if not is_prime(p):
         raise NonPrimeModulus(f"{p} is not prime")
     n = group.order
-    if n > max_order:
-        raise OrderCapExceeded(f"group order {n} exceeds the cap {max_order}")
+    if n > BAR_ORDER_CAP:
+        raise OrderCapExceeded(f"group order {n} exceeds the cap {BAR_ORDER_CAP}")
     mult = group.mult
     # d1: C^1 -> C^2, (d1 f)(g, h) = f(h) - f(gh) + f(g)
     d1 = [
@@ -79,7 +83,7 @@ class DualComplexReport:
     and dim H^1(N, F_p).  h2_truncated exceeds dim H^2(N, F_p) by the
     dimension of the reduced degree-2 kernel; jbar_dim carries that excess
     when an independent bar-complex reference for the subgroup exists (the
-    whole group is finite and within the cap), else None.
+    whole group is finite and within BAR_ORDER_CAP), else None.
     """
 
     p: int
@@ -99,13 +103,13 @@ class DualComplexReport:
         }
 
 
-def dual_complex_dims(p, record, prime, cap=64):
+def dual_complex_dims(p, record, prime):
     """Mod-p homology of the dual of the index-k cover, for a normal subgroup.
 
     h0 = 1 (the cover is connected, so d1 has rank k - 1); with r2 the mod-p
     rank of `cover_relation_matrix`, h1 = k*(e1-1)+1 - r2 and the truncated
     h2 = k*e2 - r2.  The residual h0 - h1 + h2 - k*chi is identically zero.
-    cap bounds only the bar-oracle cross-check, not the index.
+    BAR_ORDER_CAP bounds only the bar-oracle cross-check, not the index.
     """
     if not is_prime(prime):
         raise NonPrimeModulus(f"{prime} is not prime")
@@ -117,9 +121,9 @@ def dual_complex_dims(p, record, prime, cap=64):
     h0, h1, h2t = 1, gens - r2, rels - r2
     residual = (h0 - h1 + h2t) - k * (1 - p.num_generators + p.num_relators)
     jbar = None
-    finite = _finite_subgroup_realization(p, record, cap)
+    finite = _finite_subgroup_realization(p, record)
     if finite is not None:
-        ref = bar_cohomology_dims(finite, prime, max_order=cap)
+        ref = bar_cohomology_dims(finite, prime)
         if ref.dims[:2] != (h0, h1):
             raise InternalCheckFailed("dual complex disagrees with the bar oracle in low degrees")
         jbar = h2t - ref.dims[2]
@@ -134,16 +138,16 @@ def dual_complex_dims(p, record, prime, cap=64):
     )
 
 
-def _finite_subgroup_realization(p, record, cap):
+def _finite_subgroup_realization(p, record):
     """The subgroup H itself as a FiniteGroup, when the whole group is finite
-    and small enough to realize regularly.  Its elements are the positions of
-    block 0 of `right_coset_positions`; the Schreier generator (c, g) sends
-    h_i to h_j where h_i t_c g = h_j t_{c.g}."""
+    and small enough, by BAR_ORDER_CAP, to realize regularly.  Its elements are
+    the positions of block 0 of `right_coset_positions`; the Schreier generator
+    (c, g) sends h_i to h_j where h_i t_c g = h_j t_{c.g}."""
     try:
-        regular = todd_coxeter(p, (), limit=4 * cap + 8)
+        regular = todd_coxeter(p, (), limit=4 * BAR_ORDER_CAP + 8)
     except LimitExceeded:
         return None
-    if regular.index > cap * record.index:
+    if regular.index > BAR_ORDER_CAP * record.index:
         return None
     position = right_coset_positions(regular.action, record)
     (at,) = inverse_permutations((position,))

@@ -107,13 +107,12 @@ def _classify(k, base, sub):
     return STATUS_CONSISTENT
 
 
-def stability_report(p, max_index, aspherical=False, group_name="group", max_nodes=2_000_000):
-    """Enumerate all subgroups of index <= max_index and test stabilization."""
+def stability_report(p, max_index, aspherical=False, group_name="group"):
+    """Enumerate all subgroups of index <= max_index and test stabilization.
+    Past the budget `lowindex.MAX_NODES`, enumeration_complete is False."""
     base_interval, base_pres = witnessed_interval(p, aspherical)
     certificate = base_interval.certificate
-    records, complete = low_index_subgroups(
-        base_pres, max_index, max_nodes=max_nodes, on_budget="partial"
-    )
+    records, complete = low_index_subgroups(base_pres, max_index, on_budget="partial")
     rows = []
     ordinals = {}
     homology = {}

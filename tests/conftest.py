@@ -1,10 +1,12 @@
 """Fixtures and helpers shared by several test modules."""
 
+import contextlib
 import random
 
 import pytest
 from hypothesis import strategies as st
 
+from deflab import lowindex
 from deflab.corpus import CORPUS, corpus_presentation
 from deflab.lowindex import low_index_subgroups
 from deflab.presentation import Presentation
@@ -44,6 +46,15 @@ def corpus_core_quotients():
                 seen.add(q.right)
                 found.append((name, p, [tuple(perm) for perm in rec.table.action], q))
     return found
+
+
+@contextlib.contextmanager
+def node_budget(nodes):
+    """lowindex.MAX_NODES set to nodes inside the with-block; for hypothesis
+    tests and helpers, which cannot take the monkeypatch fixture."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lowindex, "MAX_NODES", nodes)
+        yield
 
 
 def seeded_presentations(seed, count):

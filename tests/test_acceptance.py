@@ -15,6 +15,7 @@ from math import factorial
 
 from conftest import from_dense, to_dense
 
+from deflab import lowindex
 from deflab.chain import (
     collapse_to_point,
     presentation_chain_complex,
@@ -128,7 +129,8 @@ def test_criterion_3_subgroup_count_oracles():
           "Hall == brute force): PASS")
 
 
-def test_criterion_4_fox_chain_soundness():
+def test_criterion_4_fox_chain_soundness(monkeypatch):
+    monkeypatch.setattr(lowindex, "MAX_NODES", 40_000)
     t0 = time.time()
     rng = random.Random(101)
     built = 0
@@ -147,7 +149,7 @@ def test_criterion_4_fox_chain_soundness():
         p = Presentation(tuple("abc"[:ngens]), tuple(rels))
         quotients = [FiniteGroup.trivial(ngens)]
         try:
-            for rec in low_index_subgroups(p, 3, max_nodes=40_000)[:3]:
+            for rec in low_index_subgroups(p, 3)[:3]:
                 try:
                     _, q = core_record(rec, max_order=24)
                     quotients.append(q)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -120,6 +121,24 @@ def test_stability_exit_codes(tmp_path):
     assert data["verdict"] == "certified-holds"
     lines = csvf.read_text().strip().splitlines()
     assert len(lines) == len(data["rows"]) + 1  # header + rows
+
+
+# sha256 of the --csv file; recorded before the CSV rows were read from the
+# report's JSON rows
+CSV_DIGESTS = {
+    ("redundant", "4"): (0, "9f62aa7b1a23bba7a1e7b6aa6afedb78be7fa1824588f0eb46d917fc931dd2cb"),
+    ("dup_relator", "6"): (2, "d5af29ec238b40d1d531a62ff567c754b60de9048ae3ba6628ddd57681375289"),
+}
+
+
+def test_stability_csv_bytes(tmp_path):
+    for (name, k), (code, digest) in CSV_DIGESTS.items():
+        out, csvf = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        args = ["--max-index", k, "--out", str(out), "--csv", str(csvf)]
+        assert cli.main(["stability", f"corpus:{name}", *args]) == code
+        assert hashlib.sha256(csvf.read_bytes()).hexdigest() == digest, name
+    # dup_relator's rows carry torsion lists, joined by ';'
+    assert ",3;3;3," in csvf.read_text()
 
 
 def test_stability_byte_stable(tmp_path):

@@ -1,5 +1,6 @@
 import pytest
 
+from deflab import lowindex
 from deflab.chain import presentation_chain_complex, restrict_to_subgroup
 from deflab.coset import (
     SubgroupRecord,
@@ -158,9 +159,10 @@ def test_hot_paths_spell_no_transversal_words(monkeypatch):
     assert separating_subgroup(words, d4, 4).index == 4
 
 
-def test_todd_coxeter_cross_validates_low_index(random_presentations):
+def test_todd_coxeter_cross_validates_low_index(random_presentations, monkeypatch):
     # two independent enumerations: feeding the Schreier generators of each
     # low-index record back through Todd-Coxeter must reproduce its table
+    monkeypatch.setattr(lowindex, "MAX_NODES", 100_000)
     pres = [
         corpus_presentation("torus"),
         corpus_presentation("trefoil"),
@@ -168,7 +170,7 @@ def test_todd_coxeter_cross_validates_low_index(random_presentations):
         parse_presentation("< a, b | a^2, b^3, a b a b >"),
     ] + random_presentations(41, 10)
     for p in pres:
-        for rec in low_index_subgroups(p, 4, max_nodes=100_000):
+        for rec in low_index_subgroups(p, 4):
             # a pair is off the tree exactly when its Schreier word is not trivial
             off_tree = list(rec.schreier_generators())
             words = rec.transversal
@@ -185,14 +187,15 @@ def test_todd_coxeter_cross_validates_low_index(random_presentations):
             assert t.action == rec.table.action
 
 
-def test_is_normal_matches_core_quotient_order(random_presentations):
+def test_is_normal_matches_core_quotient_order(random_presentations, monkeypatch):
     # independent route: H is normal iff the core has the same index as H,
     # i.e. iff the permutation image G/core has order [G:H]
+    monkeypatch.setattr(lowindex, "MAX_NODES", 100_000)
     names = ["torus", "trefoil", "dup_relator", "d4", "q8"]
     pres = [corpus_presentation(n) for n in names] + random_presentations(7, 30)
     seen = {True: 0, False: 0}
     for p in pres:
-        for rec in low_index_subgroups(p, 4, max_nodes=100_000):
+        for rec in low_index_subgroups(p, 4):
             _, group = core_quotient(rec)
             assert rec.is_normal == (group.order == rec.index)
             seen[rec.is_normal] += 1

@@ -1,7 +1,7 @@
 """Modules share code through public names only, import no numpy, define
 nothing that the package itself never uses, add no assert statements, leave
-the multiplication table to the bar oracle, and keep every name the
-benchmark's tracer wraps."""
+the multiplication table to the bar oracle, keep every name the benchmark's
+tracer wraps, and bind no ALL_CAPS constant as a parameter default."""
 
 import ast
 import importlib
@@ -286,4 +286,46 @@ def test_checker_flags_missing_traced_names(tmp_path):
         "coset.no_such_walk",
         "linalg.SNFResult.no_such_method",
         "no_such_module.f",
+    ]
+
+
+def constant_defaults(paths):
+    """Each parameter default that names an ALL_CAPS constant.  A default
+    binds when the module is imported, so a later change to the constant
+    never reaches it; read the constant in the body instead."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for default in node.args.defaults + [d for d in node.args.kw_defaults if d]:
+                for sub in ast.walk(default):
+                    name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", "")
+                    if name.isupper():
+                        found.append(f"{path.name}:{default.lineno} default names {name}")
+    return found
+
+
+def test_no_parameter_default_names_a_constant():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 10
+    assert constant_defaults(modules) == []
+
+
+def test_checker_flags_constant_defaults(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from . import lowindex\n"
+        "LIMIT = 10\n"
+        "def f(n=LIMIT, *, m=lowindex.MAX_NODES, k=None, s='LIMIT', t=min(LIMIT, 2)):\n"
+        "    return lambda x=LIMIT: x\n"
+        "def g(limit=10, label=Limit, policy=lowindex.raise_on):\n"
+        "    return LIMIT\n"
+    )
+    assert constant_defaults([bad]) == [
+        "bad.py:3 default names LIMIT",
+        "bad.py:3 default names MAX_NODES",
+        "bad.py:3 default names LIMIT",
+        "bad.py:4 default names LIMIT",
     ]

@@ -7,7 +7,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from conftest import from_dense, small_presentations, to_dense
+from conftest import from_dense, node_budget, small_presentations, to_dense
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -244,7 +244,9 @@ def test_universal_coefficients_match_ranks_mod_p(p):
     # torsion factors of H_i divisible by p: Smith forms on one side,
     # rank_mod_p on the other
     quotients = [FiniteGroup.trivial(p.num_generators)]
-    quotients += [core_quotient(rec)[1] for rec in low_index_subgroups(p, 3, max_nodes=100_000)]
+    with node_budget(100_000):
+        records = low_index_subgroups(p, 3)
+    quotients += [core_quotient(rec)[1] for rec in records]
     for q in quotients:
         c = presentation_chain_complex(p, q)
         over_q = betti_numbers(c, "Q")
@@ -702,7 +704,7 @@ def dual_with(name, fake):
 
 
 def bar_reporting(dims):
-    return lambda group, p, max_order: modp.CohomologyDims(p, dims, group.order)
+    return lambda group, p: modp.CohomologyDims(p, dims, group.order)
 
 
 torus = parse_presentation("< a, b | [a, b] >")

@@ -3,7 +3,7 @@ from collections import Counter, defaultdict
 from math import factorial
 
 import pytest
-from conftest import ENUM_CAPS, small_presentations
+from conftest import ENUM_CAPS, node_budget, small_presentations
 from hypothesis import given, settings
 from lowindex_oracle import member_search
 
@@ -13,6 +13,7 @@ from deflab.coset import CosetTable, todd_coxeter
 from deflab.errors import LimitExceeded
 from deflab.lowindex import _ClassSearch, _NormalSearch, low_index_subgroups, normal_subgroups
 from deflab.presentation import parse_presentation
+from deflab.stability import stability_report
 from deflab.words import Word
 
 
@@ -117,13 +118,15 @@ def test_all_tables_valid():
         r.table.verify()
 
 
-def test_budget():
+def test_budget(monkeypatch):
     p = parse_presentation("< a, b, c | >")
+    monkeypatch.setattr(lowindex, "MAX_NODES", 100)
     with pytest.raises(LimitExceeded):
-        low_index_subgroups(p, 6, max_nodes=100)
+        low_index_subgroups(p, 6)
     # a misspelt policy must not return a silently truncated list
+    monkeypatch.setattr(lowindex, "MAX_NODES", 50)
     with pytest.raises(ValueError, match="on_budget"):
-        low_index_subgroups(parse_presentation("< a, b | >"), 6, max_nodes=50, on_budget="partal")
+        low_index_subgroups(parse_presentation("< a, b | >"), 6, on_budget="partal")
 
 
 def test_brute_force_oracle_random_presentations():
@@ -195,7 +198,8 @@ def assert_normal_search_matches(p, max_index, everything):
 
 def assert_matches_the_member_search(p, max_index):
     """The class search and the normal search against the member oracle."""
-    records = low_index_subgroups(p, max_index, max_nodes=100_000)
+    with node_budget(100_000):
+        records = low_index_subgroups(p, max_index)
     want, _ = member_search(p, max_index, max_nodes=100_000)
     assert fingerprint(records) == fingerprint(want)
     assert_classes_are_conjugacy_classes(records)
@@ -216,7 +220,9 @@ def test_class_search_matches_the_member_search_property(p):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(small_presentations())
 def test_todd_coxeter_on_the_schreier_generators_gives_the_table_back(p):
-    for rec in low_index_subgroups(p, 3, max_nodes=100_000):
+    with node_budget(100_000):
+        records = low_index_subgroups(p, 3)
+    for rec in records:
         t = rec.transversal
         gens = [
             t[c] * Word(((g, 1),)) * t[rec.table.action[g][c]].inverse()
@@ -225,9 +231,10 @@ def test_todd_coxeter_on_the_schreier_generators_gives_the_table_back(p):
         assert todd_coxeter(p, gens, limit=50_000).action == rec.table.action
 
 
-def test_the_node_budget_counts_class_search_nodes():
+def test_the_node_budget_counts_class_search_nodes(monkeypatch):
     genus2 = corpus_presentation("genus2")
-    records = low_index_subgroups(genus2, 4, max_nodes=30_000)
+    monkeypatch.setattr(lowindex, "MAX_NODES", 30_000)
+    records = low_index_subgroups(genus2, 4)
     assert len(records) == 5511
     assert len({r.conjugacy_class for r in records}) == 1731
     assert member_search(genus2, 4)[1] == 41_109
@@ -247,13 +254,14 @@ def test_one_verified_table_per_member(monkeypatch):
     assert sorted(verified) == sorted(rec.table.action for rec in records)
 
 
-def test_a_partial_result_holds_whole_classes():
+def test_a_partial_result_holds_whole_classes(monkeypatch):
     p = corpus_presentation("free2")
     everything, complete = low_index_subgroups(p, 5, on_budget="partial")
     assert complete
     keys = {r.table.action for r in everything}
     for budget in (10, 100, 500):
-        records, complete = low_index_subgroups(p, 5, max_nodes=budget, on_budget="partial")
+        monkeypatch.setattr(lowindex, "MAX_NODES", budget)
+        records, complete = low_index_subgroups(p, 5, on_budget="partial")
         assert not complete and 0 < len(records) < len(everything)
         assert {r.table.action for r in records} <= keys
         assert_classes_are_conjugacy_classes(records)
@@ -267,7 +275,7 @@ def test_normal_search_is_the_normal_part_of_the_class_search_past_the_cap():
 
 
 def search_nodes(search, name, max_index):
-    run = search(corpus_presentation(name), max_index, lowindex.MAX_NODES)
+    run = search(corpus_presentation(name), max_index)
     run.run()
     return run.nodes
 
@@ -288,3 +296,18 @@ def test_the_normal_search_shares_the_node_budget(monkeypatch):
         normal_subgroups(p, 6)
     with pytest.raises(ValueError, match="max_index"):
         normal_subgroups(p, 0)
+
+
+def test_one_budget_read_at_call_time_governs_every_search(monkeypatch):
+    # the class search on dup_relator at index <= 6 takes 587 nodes, the
+    # normal search 83, and the stability report's search (of the simplified
+    # < a, b | b^3 >) 587 again
+    p = corpus_presentation("dup_relator")
+    monkeypatch.setattr(lowindex, "MAX_NODES", 587)
+    assert len(low_index_subgroups(p, 6)) == 444
+    assert stability_report(p, 6).enumeration_complete is True
+    monkeypatch.setattr(lowindex, "MAX_NODES", 586)
+    with pytest.raises(LimitExceeded, match="586 nodes"):
+        low_index_subgroups(p, 6)
+    assert len(normal_subgroups(p, 6)) == 13
+    assert stability_report(p, 6).enumeration_complete is False

@@ -2,10 +2,11 @@ from collections import Counter
 from functools import lru_cache
 
 import pytest
-from conftest import small_presentations
+from conftest import node_budget, small_presentations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deflab import modp
 from deflab.chain import presentation_chain_complex
 from deflab.corpus import CORPUS, corpus_presentation
 from deflab.coset import subgroup_record
@@ -50,8 +51,24 @@ def test_bar_klein_four():
 
 
 def test_bar_cap():
-    with pytest.raises(OrderCapExceeded):
-        bar_cohomology_dims(FiniteGroup.cyclic(9), 3, max_order=8)
+    with pytest.raises(OrderCapExceeded, match="group order 65 exceeds the cap 64"):
+        bar_cohomology_dims(FiniteGroup.cyclic(65), 3)
+
+
+def test_one_cap_read_at_call_time_bounds_the_oracle_and_the_cross_check(monkeypatch):
+    # the index-2 normal subgroups of q8 have order 4
+    q8 = corpus_presentation("q8")
+    halves = [rec for rec in normal_subgroups(q8, 2) if rec.index == 2]
+    assert len(halves) == 3
+    monkeypatch.setattr(modp, "BAR_ORDER_CAP", 4)
+    assert bar_cohomology_dims(FiniteGroup.cyclic(4), 2).dims == (1, 1, 1)
+    assert [dual_complex_dims(q8, rec, 2).jbar_dim for rec in halves] == [3, 3, 3]
+    monkeypatch.setattr(modp, "BAR_ORDER_CAP", 3)
+    with pytest.raises(OrderCapExceeded, match="group order 4 exceeds the cap 3"):
+        bar_cohomology_dims(FiniteGroup.cyclic(4), 2)
+    reports = [dual_complex_dims(q8, rec, 2) for rec in halves]
+    assert [r.jbar_dim for r in reports] == [None, None, None]
+    assert {r.dims[:2] for r in reports} == {(1, 1)}  # each half is C4
 
 
 def test_dual_complex_z_mod_2z():
@@ -166,7 +183,9 @@ def test_dual_complex_matches_the_quotient_complex_on_the_corpus():
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(small_presentations())
 def test_dual_complex_matches_the_quotient_complex_property(p):
-    for rec in low_index_subgroups(p, 3, max_nodes=100_000):
+    with node_budget(100_000):
+        records = low_index_subgroups(p, 3)
+    for rec in records:
         if rec.is_normal:
             assert_cover_dims_match_the_quotient_complex(p, rec)
 

@@ -1,9 +1,9 @@
 import json
 
-from conftest import from_dense, small_presentations
+from conftest import from_dense, node_budget, small_presentations
 from hypothesis import given, settings
 
-from deflab import intervals, stability
+from deflab import intervals, lowindex, stability
 from deflab.chain import cover_relation_matrix
 from deflab.corpus import CORPUS, corpus_presentation
 from deflab.intervals import CERT_NONE
@@ -71,10 +71,9 @@ def test_report_schema():
             "torsion", "interval", "identity_status"} <= set(row)
 
 
-def test_partial_report_flagged():
-    rep = stability_report(
-        corpus_presentation("free3"), 5, group_name="free3", max_nodes=500
-    )
+def test_partial_report_flagged(monkeypatch):
+    monkeypatch.setattr(lowindex, "MAX_NODES", 500)
+    rep = stability_report(corpus_presentation("free3"), 5, group_name="free3")
     assert rep.enumeration_complete is False
     assert rep.rows  # some rows were still produced
 
@@ -204,16 +203,19 @@ def test_cover_route_matches_schreier_route_on_the_corpus(enum_caps):
             assert_cover_matches_schreier(base, rec, row)
 
 
-def test_cover_route_matches_schreier_route_on_random_presentations(random_presentations):
+def test_cover_route_matches_schreier_route_on_random_presentations(random_presentations, monkeypatch):
+    monkeypatch.setattr(lowindex, "MAX_NODES", 100_000)
     for p in random_presentations(61, 30):
-        for rec in low_index_subgroups(p, 4, max_nodes=100_000):
+        for rec in low_index_subgroups(p, 4):
             assert_cover_matches_schreier(p, rec)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(small_presentations())
 def test_cover_route_matches_schreier_route_property(p):
-    for rec in low_index_subgroups(p, 3, max_nodes=100_000):
+    with node_budget(100_000):
+        records = low_index_subgroups(p, 3)
+    for rec in records:
         assert_cover_matches_schreier(p, rec)
 
 
