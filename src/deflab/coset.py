@@ -89,6 +89,18 @@ def right_coset_positions(right, record):
     return position
 
 
+def rerooted_entries(rows, ngens, root=0):
+    """The action of complete letter-code rows, canonically numbered from
+    root, as one list, generator by generator: entry g*k + c is the coset
+    generator g sends c to.  Cosets are numbered by first appearance in a
+    row-major scan of the positive generator columns from root, which
+    becomes coset 0: the action on the cosets of the stabiliser of root."""
+    order, rename = orbit(root, lambda c: rows[c][::2])
+    if len(order) != len(rows):
+        raise InternalCheckFailed("table not transitive")
+    return [rename[rows[c][l]] for l in range(0, 2 * ngens, 2) for c in order]
+
+
 def inverse_permutations(perms):
     """The inverse of each permutation of range(n) in perms."""
     inv = []
@@ -134,20 +146,17 @@ class CosetTable:
 
     @classmethod
     def from_rows(cls, rows, origin, root=0):
-        """Canonically numbered, verified table from complete letter-code rows.
+        """Verified table of the `rerooted_entries` of complete letter-code
+        rows: the table of the stabiliser of root."""
+        entries = rerooted_entries(rows, origin.num_generators, root)
+        return cls.from_entries(entries, len(rows), origin)
 
-        Cosets are renumbered by first appearance in a row-major scan of the
-        positive generator columns from root, which becomes coset 0: the
-        table of the stabiliser of root.
-        """
-        order, rename = orbit(root, lambda c: rows[c][::2])
-        if len(order) != len(rows):
-            raise InternalCheckFailed("table not transitive")
-        action = tuple(
-            tuple(rename[rows[c][2 * g]] for c in order)
-            for g in range(origin.num_generators)
-        )
-        table = cls(index=len(rows), action=action, origin=origin)
+    @classmethod
+    def from_entries(cls, entries, k, origin):
+        """Verified index-k table whose action is entries, generator by
+        generator."""
+        action = tuple(tuple(entries[i:i + k]) for i in range(0, k * origin.num_generators, k))
+        table = cls(index=k, action=action, origin=origin)
         table.verify()
         return table
 

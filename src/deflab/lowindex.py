@@ -19,8 +19,15 @@ Re-rooting a table at coset r and standardising it gives the table of that
 stabiliser; a partial table is pruned as soon as some re-rooting is already
 smaller on the entries defined in both, so only the least table of each
 class reaches a leaf.  There the roots that reproduce the table number
-[N(H):H], and the class is expanded to its members by re-rooting, at one
-root per member.
+[N(H):H], and the class becomes one `ClassRecord`: the least table,
+verified and packaged once, and one sort key per member, at one root per
+member.  `low_index_subgroups` expands the class records to one verified
+record per member and sorts them; `stability` reads the class records
+through `class_members` and packages a member only when it needs one.
+
+A node is charged to the budget MAX_NODES when the search enters it, but a
+node past the budget raises LimitExceeded only when it would emit a class or
+descend to a child: a dead end past the budget leaves no work undone.
 
 `normal_subgroups` runs the same search for the normal subgroups alone.  A
 complete table is normal exactly when every root ties with it, and a
@@ -33,11 +40,63 @@ Each leaf is one record, the table rooted at 0.
 
 from __future__ import annotations
 
-from .coset import UNDEF, CosetTable, letters_of, orbit, schreier_transversal
+import struct
+from dataclasses import dataclass
+
+from .coset import (
+    UNDEF,
+    CosetTable,
+    SubgroupRecord,
+    letters_of,
+    orbit,
+    rerooted_entries,
+    schreier_transversal,
+)
 from .errors import InternalCheckFailed, LimitExceeded
 
 # the node budget of every low-index search, read when a search starts
 MAX_NODES = 2_000_000
+
+
+def _key_format(k, length):
+    """The struct format of a member's sort key: the length entries of an
+    index-k action, generator by generator, as big-endian unsigned integers
+    of one width taken from k, so that keys of one length compare like the
+    action tuples they encode."""
+    return f">{length}" + ("B" if k <= 1 << 8 else "H" if k <= 1 << 16 else "Q")
+
+
+def _member_record(key, k, p, conjugacy_class):
+    """The record of the index-k subgroup of p whose sort key is key: the
+    table the key encodes, verified, and its transversal."""
+    entries = struct.unpack(_key_format(k, k * p.num_generators), key)
+    return schreier_transversal(CosetTable.from_entries(entries, k, p), conjugacy_class)
+
+
+@dataclass(frozen=True)
+class ClassRecord:
+    """One conjugacy class of subgroups, as the class search found it.
+
+    keys[i] is the sort key (`_key_format`) of member i, the least table
+    re-rooted at one of its cosets; keys[0] is the least table's own.
+    record is member 0, verified and packaged once; its conjugacy_class
+    numbers the class.
+    """
+
+    record: SubgroupRecord
+    keys: tuple
+
+    @property
+    def index(self):
+        return self.record.index
+
+    def member(self, i):
+        """The record of member i: the class's own record for i = 0, else
+        one built and verified from its key."""
+        if i == 0:
+            return self.record
+        rec = self.record
+        return _member_record(self.keys[i], rec.index, rec.table.origin, rec.conjugacy_class)
 
 
 class _ClassSearch:
@@ -49,8 +108,7 @@ class _ClassSearch:
         self.nodes = 0
         self.table = [[UNDEF] * self.ncols]
         self.trail = []
-        self.records = []
-        self.classes = 0
+        self.classes = []
         # starting[l]: the distinct cyclic conjugates, of every relator and
         # its inverse, whose first letter is l
         starting = [set() for _ in range(self.ncols)]
@@ -68,17 +126,20 @@ class _ClassSearch:
         """Search below the current table; entries before pos are defined.
 
         Bit r of larger is set when the table re-rooted at r is already
-        larger than the table, which no definition below can change.
+        larger than the table, which no definition below can change.  The
+        node is charged on entry; past the budget it raises only before it
+        would emit or descend.
         """
         self.nodes += 1
-        if self.nodes > self.max_nodes:
-            raise LimitExceeded(f"low-index search exceeded {self.max_nodes} nodes")
+        spent = self.nodes > self.max_nodes
         table, ncols = self.table, self.ncols
         m = len(table)
         end = m * ncols
         while pos < end and table[pos // ncols][pos % ncols] != UNDEF:
             pos += 1
         if pos == end:
+            if spent:
+                self.exceeded()
             self.emit([r for r in range(m) if not larger >> r & 1])
             return
         c, l = divmod(pos, ncols)
@@ -96,10 +157,15 @@ class _ClassSearch:
             if self.deduce(c, l):
                 below = self.compare_roots(larger)
                 if below is not None:
+                    if spent:
+                        self.exceeded()
                     self.extend(pos + 1, below)
             self.undo(mark)
             if d == m:
                 table.pop()
+
+    def exceeded(self):
+        raise LimitExceeded(f"low-index search exceeded {self.max_nodes} nodes")
 
     def undo(self, mark):
         table, trail = self.table, self.trail
@@ -194,24 +260,38 @@ class _ClassSearch:
             renames.append(rename)
         return renames
 
+    def rerooted(self, r):
+        """The sort key of the complete table's `rerooted_entries` at r."""
+        entries = rerooted_entries(self.table, self.p.num_generators, r)
+        return struct.pack(_key_format(len(self.table), len(entries)), *entries)
+
     def emit(self, ties):
-        """Record every member of the class of the least table, one verified
-        table each.  At a complete table the ties are the roots that
-        reproduce it, [N(H):H] of them; re-rooting at a tie renames the
-        cosets by an automorphism of the action, and roots in one orbit of
-        these automorphisms root the same member."""
-        rows, k = self.table, len(self.table)
+        """Record the class of the least table as one ClassRecord.
+
+        At a complete table the ties are the roots that reproduce it,
+        [N(H):H] of them; re-rooting at a tie renames the cosets by an
+        automorphism of the action, and roots in one orbit of these
+        automorphisms root the same member, so one root per orbit gives
+        each member once, with the key of its re-rooted table.  Only the
+        least table (rooted at 0) is built and verified here: a member is
+        the least table with its cosets renamed by a bijection, so its
+        relators act trivially exactly when the least table's do.  Another
+        member's table is built and verified only when `ClassRecord.member`
+        packages it.  Every re-rooting is still checked to be transitive,
+        and class size times [N(H):H] to be the index.
+        """
+        k = len(self.table)
         renames = self.tie_renames(ties)
-        members, rooted = {}, set()
+        keys, rooted = {}, set()
         for r in range(k):
             if r not in rooted:
                 rooted.update(rename[r] for rename in renames)
-                t = CosetTable.from_rows(rows, self.p, r)
-                members.setdefault(t.action, t)
-        if len(members) * len(ties) != k:
+                keys.setdefault(self.rerooted(r))
+        if len(keys) * len(ties) != k:
             raise InternalCheckFailed("class size times [N(H):H] is not the index")
-        self.records += [schreier_transversal(t, self.classes) for t in members.values()]
-        self.classes += 1
+        keys = tuple(keys)
+        record = _member_record(keys[0], k, self.p, len(self.classes))
+        self.classes.append(ClassRecord(record=record, keys=keys))
 
 
 class _NormalSearch(_ClassSearch):
@@ -234,15 +314,17 @@ class _NormalSearch(_ClassSearch):
         if len(ties) != len(self.table):
             raise InternalCheckFailed("a normal-search leaf does not tie at every root")
         super().emit(ties)
-        if not self.records[-1].is_normal:
+        if not self.classes[-1].record.is_normal:
             raise InternalCheckFailed("a normal-search leaf is not a normal subgroup")
 
 
-def _canonical_order(records):
-    """Sort records by (index, action) in place: by action, then stably by
-    index, with no key tuple per record."""
-    records.sort(key=lambda rec: rec.table.action)
-    records.sort(key=lambda rec: rec.index)
+def _in_order(classes):
+    """(class, member number) of every member of classes, in (index,
+    action) order: by key, then stably by index."""
+    members = [(cls, i) for cls in classes for i in range(len(cls.keys))]
+    members.sort(key=lambda m: m[0].keys[m[1]])
+    members.sort(key=lambda m: m[0].index)
+    return members
 
 
 def normal_subgroups(p, max_index):
@@ -262,24 +344,18 @@ def normal_subgroups(p, max_index):
         raise ValueError("max_index must be >= 1")
     search = _NormalSearch(p, max_index)
     search.run()
-    _canonical_order(search.records)
-    return search.records
+    return [cls.member(i) for cls, i in _in_order(search.classes)]
 
 
-def low_index_subgroups(p, max_index, on_budget="raise"):
-    """All subgroups of index <= max_index, one SubgroupRecord each,
-    canonically ordered by (index, action).
+def class_members(p, max_index, on_budget="raise"):
+    """(members, complete): every subgroup of index <= max_index as a pair
+    (ClassRecord, member number), in (index, action) order, from one class
+    search; complete is False when the budget ran out.
 
-    The search visits one table per conjugacy class and expands it to the
-    class's members; the module's MAX_NODES, read at the call, bounds the
-    nodes of that class search.
-    Each record's conjugacy_class numbers its class in the order the
-    search found the classes.
-
-    on_budget: "raise" (default) raises LimitExceeded when the node budget
-    runs out; "partial" returns (records, complete_flag), where the records
-    are every member of each class found before the budget ran out; any
-    other value raises ValueError before the search starts.
+    The module's MAX_NODES, read at the call, bounds the nodes of the
+    search.  on_budget: "raise" (default) raises LimitExceeded when it runs
+    out; "partial" returns the members of every class found before it ran
+    out; any other value raises ValueError before the search starts.
     """
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
@@ -293,8 +369,26 @@ def low_index_subgroups(p, max_index, on_budget="raise"):
         if on_budget == "raise":
             raise
         complete = False
-    records = search.records
-    _canonical_order(records)
+    return _in_order(search.classes), complete
+
+
+def low_index_subgroups(p, max_index, on_budget="raise"):
+    """All subgroups of index <= max_index, one SubgroupRecord each,
+    canonically ordered by (index, action).
+
+    The class records of `class_members`, each expanded to its members:
+    one verified table per member, the least one verified when its class
+    was found, every other one by `ClassRecord.member`.  Each record's
+    conjugacy_class numbers its class in the order the search found the
+    classes.
+
+    on_budget: "raise" (default) raises LimitExceeded when the node budget
+    MAX_NODES runs out; "partial" returns (records, complete_flag), where
+    the records are every member of each class found before the budget ran
+    out; any other value raises ValueError before the search starts.
+    """
+    members, complete = class_members(p, max_index, on_budget)
+    records = [cls.member(i) for cls, i in members]
     if on_budget == "partial":
         return records, complete
     return records

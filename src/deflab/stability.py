@@ -16,26 +16,29 @@ presentation so the Schreier inequality holds between reported lower bounds
 by construction; a row that breaks it, or any violated-upper row, raises
 InternalCheckFailed.
 
-b1 and torsion of every row come from `cover_relation_matrix`, d2 of the
-finite cover, computed once per conjugacy class: conjugate subgroups have
-isomorphic covers.  Every row's bracket starts at the Schreier count
-k*(e1-1)+1 - k*e2; its upper end is that count under a certificate and b1
-otherwise.  No presentation of H beats b1, so a certificate or count = b1
-closes the bracket; only a row whose bracket is still open rewrites its
-Schreier presentation, as input to Tietze, which can only raise the lower
-end.
+The low-index search hands over conjugacy classes (`class_members`), and
+conjugate subgroups are isomorphic, so everything but Tietze is computed
+once per class, from the class's least table: b1 and torsion from
+`cover_relation_matrix`, d2 of the finite cover, and the bracket.  Every
+row's bracket starts at the Schreier count k*(e1-1)+1 - k*e2; its upper end
+is that count under a certificate and b1 otherwise.  No presentation of H
+beats b1, so a certificate or count = b1 closes the bracket, and the
+class's interval and status serve each of its rows.  Only a row whose
+bracket is still open packages its member (a verified table and its
+transversal) and rewrites its Schreier presentation, as input to Tietze,
+which can only raise the lower end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import __version__ as _tool_version
 from .chain import cover_relation_matrix
 from .errors import InternalCheckFailed
 from .intervals import CERT_NONE, DeficiencyInterval, witnessed_interval
 from .linalg import cokernel_invariants
-from .lowindex import low_index_subgroups
+from .lowindex import class_members
 from .presentation import serialize_presentation
 from .schreier import rewrite_subgroup_presentation, schreier_counts
 from .tietze import tietze_simplify
@@ -107,38 +110,55 @@ def _classify(k, base, sub):
     return STATUS_CONSISTENT
 
 
+def _checked_status(k, base, interval):
+    """The identity status of a row at index k, which must keep the Schreier
+    inequality and must not be violated-upper."""
+    if interval.lower - 1 < k * (base.lower - 1):
+        raise InternalCheckFailed("Schreier inequality violated by reported lower bounds")
+    status = _classify(k, base, interval)
+    if status == STATUS_VIOLATED:
+        raise InternalCheckFailed(
+            "violated-upper row: contradicts the Schreier inequality, "
+            "which means a bound above is unsound"
+        )
+    return status
+
+
+def _class_values(p, base, rec):
+    """(generators, relators, b1, torsion, interval, status) shared by every
+    row of rec's conjugacy class; while the bracket is open, the interval
+    starts at the Schreier count and the status is None."""
+    k = rec.index
+    gens, rels = schreier_counts(p, k)
+    b1, torsion = cokernel_invariants(cover_relation_matrix(p, rec), rels)
+    lower = gens - rels  # achieved by the Schreier presentation; 1 - k*chi
+    upper = lower if base.certificate != CERT_NONE else b1
+    interval = DeficiencyInterval(lower=lower, upper=upper, certificate=base.certificate)
+    status = None if lower < upper else _checked_status(k, base, interval)
+    return gens, rels, b1, tuple(torsion), interval, status
+
+
 def stability_report(p, max_index, aspherical=False, group_name="group"):
     """Enumerate all subgroups of index <= max_index and test stabilization.
-    Past the budget `lowindex.MAX_NODES`, enumeration_complete is False."""
+    Past the budget `lowindex.MAX_NODES`, enumeration_complete is False and
+    the rows are those of whole conjugacy classes."""
     base_interval, base_pres = witnessed_interval(p, aspherical)
-    certificate = base_interval.certificate
-    records, complete = low_index_subgroups(base_pres, max_index, on_budget="partial")
+    members, complete = class_members(base_pres, max_index, on_budget="partial")
     rows = []
     ordinals = {}
-    homology = {}
-    for rec in records:
-        k = rec.index
+    classes = {}
+    for cls, i in members:
+        k = cls.index
         ordinals[k] = ordinals.get(k, 0) + 1
-        gens, rels = schreier_counts(base_pres, k)
-        if rec.conjugacy_class not in homology:
-            homology[rec.conjugacy_class] = cokernel_invariants(
-                cover_relation_matrix(base_pres, rec), rels
-            )
-        b1, torsion = homology[rec.conjugacy_class]
-        lower = gens - rels  # achieved by the Schreier presentation; 1 - k*chi
-        upper = lower if certificate != CERT_NONE else b1
-        if lower < upper:
-            sp = rewrite_subgroup_presentation(base_pres, rec).presentation
+        n = cls.record.conjugacy_class
+        if n not in classes:
+            classes[n] = _class_values(base_pres, base_interval, cls.record)
+        gens, rels, b1, torsion, interval, status = classes[n]
+        if status is None:
+            sp = rewrite_subgroup_presentation(base_pres, cls.member(i)).presentation
             lower = tietze_simplify(sp).deficiency_datum()
-        interval = DeficiencyInterval(lower=lower, upper=upper, certificate=certificate)
-        if interval.lower - 1 < k * (base_interval.lower - 1):
-            raise InternalCheckFailed("Schreier inequality violated by reported lower bounds")
-        status = _classify(k, base_interval, interval)
-        if status == STATUS_VIOLATED:
-            raise InternalCheckFailed(
-                "violated-upper row: contradicts the Schreier inequality, "
-                "which means a bound above is unsound"
-            )
+            interval = replace(interval, lower=lower)
+            status = _checked_status(k, base_interval, interval)
         rows.append(
             StabilityRow(
                 index=k,
@@ -146,7 +166,7 @@ def stability_report(p, max_index, aspherical=False, group_name="group"):
                 schreier_generators=gens,
                 schreier_relators=rels,
                 b1=b1,
-                torsion=tuple(torsion),
+                torsion=torsion,
                 interval=interval,
                 identity_status=status,
             )

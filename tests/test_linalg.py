@@ -677,9 +677,9 @@ def test_chain_complex_checks_large_entries_exactly():
 CHECKS_UNDER_O = """
 import dataclasses
 
-from deflab import lowindex, modcert, modp, stability
+from deflab import coset, lowindex, modcert, modp, stability
 from deflab.chain import ChainComplex, relator_boundary, restrict_to_subgroup
-from deflab.coset import CosetTable, SubgroupRecord, _Enumerator, schreier_transversal, subgroup_record
+from deflab.coset import CosetTable, SubgroupRecord, _Enumerator, orbit, schreier_transversal, subgroup_record
 from deflab.errors import InternalCheckFailed
 from deflab.groupring import GroupRingElement
 from deflab.intervals import CERT_NONE, DeficiencyInterval
@@ -760,6 +760,26 @@ def not_normal(t, conjugacy_class=None):
     return dataclasses.replace(schreier_transversal(t, conjugacy_class), is_normal=False)
 
 
+def class_route_with(owner, name, fake):
+    # the infinite dihedral group has one class of three non-normal
+    # subgroups of index 3
+    real = getattr(owner, name)
+    setattr(owner, name, fake)
+    try:
+        stability.stability_report(parse_presentation("< a, b | a^2, b^2 >"), 3)
+    finally:
+        setattr(owner, name, real)
+
+
+def truncated_orbit(start, successors, limit=None):
+    order, index = orbit(start, successors, limit)
+    return (order[:-1] if start else order), index
+
+
+def reversed_renames(search, ties):
+    return [list(range(len(search.table)))[::-1] for _ in ties]
+
+
 no_generators = parse_presentation("< a | >")
 # a complex over a group of order 4 with no boundaries; C4 with a -> 1 and
 # b -> 2 pairs the even elements with coset 0 of `double`, so a tree edge
@@ -806,6 +826,9 @@ for check in (
     lambda: _Enumerator(1, 1).live_rows(),  # no todd_coxeter input leaves a row incomplete
     lambda: normal_search_with(lowindex._NormalSearch, "compare_roots", lambda search, larger: 2),
     lambda: normal_search_with(lowindex, "schreier_transversal", not_normal),
+    lambda: class_route_with(lowindex._ClassSearch, "compare_roots", lambda search, larger: 0),
+    lambda: class_route_with(lowindex._ClassSearch, "tie_renames", reversed_renames),
+    lambda: class_route_with(coset, "orbit", truncated_orbit),
 ):
     try:
         check()
@@ -850,6 +873,9 @@ UNDER_O_EXPECTED = [
     ("InternalCheckFailed", "table incomplete after enumeration"),
     ("InternalCheckFailed", "a normal-search leaf does not tie at every root"),
     ("InternalCheckFailed", "a normal-search leaf is not a normal subgroup"),
+    ("InternalCheckFailed", "a tie root does not reproduce the table"),
+    ("InternalCheckFailed", "class size times [N(H):H] is not the index"),
+    ("InternalCheckFailed", "table not transitive"),
 ]
 
 

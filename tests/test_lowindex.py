@@ -1,4 +1,6 @@
 import itertools
+import random
+import struct
 from collections import Counter, defaultdict
 from math import factorial
 
@@ -11,7 +13,14 @@ from deflab import lowindex
 from deflab.corpus import CORPUS, corpus_presentation
 from deflab.coset import CosetTable, todd_coxeter
 from deflab.errors import LimitExceeded
-from deflab.lowindex import _ClassSearch, _NormalSearch, low_index_subgroups, normal_subgroups
+from deflab.lowindex import (
+    _ClassSearch,
+    _NormalSearch,
+    _key_format,
+    class_members,
+    low_index_subgroups,
+    normal_subgroups,
+)
 from deflab.presentation import parse_presentation
 from deflab.stability import stability_report
 from deflab.words import Word
@@ -240,6 +249,47 @@ def test_the_node_budget_counts_class_search_nodes(monkeypatch):
     assert member_search(genus2, 4)[1] == 41_109
 
 
+def conjugates_by_rerooting(rec):
+    """The actions of rec's table re-rooted at each of its cosets."""
+    rows = letter_rows(rec.table)
+    return {CosetTable.from_rows(rows, rec.table.origin, r).action for r in range(rec.index)}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_class_records_expand_to_the_records_of_low_index_subgroups(name):
+    p, cap = corpus_presentation(name), ENUM_CAPS[name]
+    members, complete = class_members(p, cap)
+    assert complete
+    classes = [cls for cls, i in members if i == 0]
+    assert sorted(cls.record.conjugacy_class for cls in classes) == list(range(len(classes)))
+    assert all(cls.member(0) is cls.record for cls in classes)
+    # the oracle expansion: every re-rooting of each class's least table
+    want = sorted(
+        (cls.index, action, cls.record.conjugacy_class)
+        for cls in classes
+        for action in conjugates_by_rerooting(cls.record)
+    )
+    records = low_index_subgroups(p, cap)
+    assert [(r.index, r.table.action, r.conjugacy_class) for r in records] == want
+    # below index 256 a key is one byte per action entry
+    assert [cls.keys[i] for cls, i in members] == [
+        bytes(x for perm in r.table.action for x in perm) for r in records
+    ]
+
+
+@pytest.mark.parametrize("k", [2, 255, 256, 257, 300, 65_536, 65_537, 70_000])
+def test_action_keys_sort_like_the_actions(k):
+    rng = random.Random(k)
+    values = [0, 1, k - 2, k - 1] + [rng.randrange(k) for _ in range(4)]
+    actions = {
+        tuple(tuple(rng.choice(values) for _ in range(3)) for _ in range(2)) for _ in range(200)
+    }
+    keys = {action: struct.pack(_key_format(k, 6), *action[0], *action[1]) for action in actions}
+    assert len(set(keys.values())) == len(actions)
+    assert len({len(key) for key in keys.values()}) == 1
+    assert sorted(actions, key=keys.get) == sorted(actions)
+
+
 def test_one_verified_table_per_member(monkeypatch):
     verified = []
     real = CosetTable.verify
@@ -288,11 +338,14 @@ def test_the_normal_search_prunes_every_branch_that_cannot_end_normal():
 
 
 def test_the_normal_search_shares_the_node_budget(monkeypatch):
+    # node 83 of the normal search on dup_relator <= 6 is a dead end, so a
+    # budget of 82 leaves no work undone; at 81 node 82 still has work
     p = corpus_presentation("dup_relator")
-    monkeypatch.setattr(lowindex, "MAX_NODES", 83)
-    assert len(normal_subgroups(p, 6)) == 13
-    monkeypatch.setattr(lowindex, "MAX_NODES", 82)
-    with pytest.raises(LimitExceeded):
+    for budget in (83, 82):
+        monkeypatch.setattr(lowindex, "MAX_NODES", budget)
+        assert len(normal_subgroups(p, 6)) == 13
+    monkeypatch.setattr(lowindex, "MAX_NODES", 81)
+    with pytest.raises(LimitExceeded, match="81 nodes"):
         normal_subgroups(p, 6)
     with pytest.raises(ValueError, match="max_index"):
         normal_subgroups(p, 0)
@@ -301,13 +354,39 @@ def test_the_normal_search_shares_the_node_budget(monkeypatch):
 def test_one_budget_read_at_call_time_governs_every_search(monkeypatch):
     # the class search on dup_relator at index <= 6 takes 587 nodes, the
     # normal search 83, and the stability report's search (of the simplified
-    # < a, b | b^3 >) 587 again
+    # < a, b | b^3 >) 587 again; node 587 is a dead end, so a budget of 586
+    # leaves no work undone, while at 585 node 586 would still descend
     p = corpus_presentation("dup_relator")
-    monkeypatch.setattr(lowindex, "MAX_NODES", 587)
-    assert len(low_index_subgroups(p, 6)) == 444
-    assert stability_report(p, 6).enumeration_complete is True
-    monkeypatch.setattr(lowindex, "MAX_NODES", 586)
-    with pytest.raises(LimitExceeded, match="586 nodes"):
+    for budget in (587, 586):
+        monkeypatch.setattr(lowindex, "MAX_NODES", budget)
+        assert len(low_index_subgroups(p, 6)) == 444
+        rep = stability_report(p, 6)
+        assert rep.enumeration_complete is True and len(rep.rows) == 444
+    monkeypatch.setattr(lowindex, "MAX_NODES", 585)
+    with pytest.raises(LimitExceeded, match="585 nodes"):
         low_index_subgroups(p, 6)
     assert len(normal_subgroups(p, 6)) == 13
     assert stability_report(p, 6).enumeration_complete is False
+
+
+@pytest.mark.parametrize("search", [_ClassSearch, _NormalSearch])
+@pytest.mark.parametrize("name,max_index", [("free2", 4), ("torus", 4), ("c2xc2", 4), ("trefoil", 3)])
+def test_a_budget_one_node_short_raises_exactly_when_the_last_node_emits(search, name, max_index):
+    # only the last node is past the budget, and it has no child: it leaves
+    # work undone exactly when it emits a class
+    p = corpus_presentation(name)
+    full = search(p, max_index)
+    emitted_at = []
+    real_emit = full.emit
+    full.emit = lambda ties: (emitted_at.append(full.nodes), real_emit(ties))
+    full.run()
+    short = search(p, max_index)
+    short.max_nodes = full.nodes - 1
+    try:
+        short.run()
+    except LimitExceeded:
+        raised = True
+    else:
+        raised = False
+        assert [c.keys for c in short.classes] == [c.keys for c in full.classes]
+    assert raised == (emitted_at[-1] == full.nodes)

@@ -1,15 +1,20 @@
 import json
+import random
+from collections import Counter
 
-from conftest import from_dense, node_budget, small_presentations
+import pytest
+from conftest import ENUM_CAPS, from_dense, node_budget, small_presentations
 from hypothesis import given, settings
+from stability_oracle import member_stability_report
 
 from deflab import intervals, lowindex, stability
 from deflab.chain import cover_relation_matrix
 from deflab.corpus import CORPUS, corpus_presentation
+from deflab.coset import CosetTable
 from deflab.intervals import CERT_NONE
 from deflab.linalg import cokernel_invariants
-from deflab.lowindex import low_index_subgroups
-from deflab.presentation import parse_presentation, serialize_presentation
+from deflab.lowindex import class_members, low_index_subgroups
+from deflab.presentation import Presentation, parse_presentation, serialize_presentation
 from deflab.schreier import rewrite_subgroup_presentation
 from deflab.stability import (
     STATUS_CERTIFIED,
@@ -17,6 +22,7 @@ from deflab.stability import (
     stability_report,
 )
 from deflab.tietze import tietze_simplify
+from deflab.words import Word
 
 
 def test_torus_all_rows_certified():
@@ -262,3 +268,84 @@ def test_one_tietze_run_on_the_base_presentation(monkeypatch):
     assert sum(q is p for q in inputs) == 1
     assert rep.base_interval == intervals.deficiency_interval(p)
     assert rep.presentation == serialize_presentation(tietze_simplify(p))
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_the_class_route_equals_the_member_route_at_the_cap(name):
+    p, cap = corpus_presentation(name), ENUM_CAPS[name]
+    assert stability_report(p, cap, group_name=name) == member_stability_report(p, cap, group_name=name)
+
+
+def test_the_class_route_equals_the_member_route_certified_and_partial(monkeypatch):
+    f2xf2 = corpus_presentation("f2xf2")
+    assert stability_report(f2xf2, 2, aspherical=True) == member_stability_report(f2xf2, 2, aspherical=True)
+    # a partial report holds the same whole classes on both routes
+    monkeypatch.setattr(lowindex, "MAX_NODES", 500)
+    free3 = corpus_presentation("free3")
+    rep = stability_report(free3, 5)
+    assert not rep.enumeration_complete
+    assert rep == member_stability_report(free3, 5)
+
+
+def test_stability_packages_one_table_per_class_plus_one_per_open_row(monkeypatch):
+    verified, packaged, rewritten = [], [], []
+    real_verify = CosetTable.verify
+    real_package = lowindex.schreier_transversal
+    real_rewrite = stability.rewrite_subgroup_presentation
+
+    def verify(t):
+        verified.append(t.action)
+        return real_verify(t)
+
+    def package(t, conjugacy_class=None):
+        packaged.append(t.action)
+        return real_package(t, conjugacy_class)
+
+    def rewrite(p, rec):
+        rewritten.append(rec)
+        return real_rewrite(p, rec)
+
+    monkeypatch.setattr(CosetTable, "verify", verify)
+    monkeypatch.setattr(lowindex, "schreier_transversal", package)
+    monkeypatch.setattr(stability, "rewrite_subgroup_presentation", rewrite)
+    rep = stability_report(corpus_presentation("genus2"), 4)
+    assert len(rep.rows) == 5511
+    assert len(verified) == len(packaged) == 1731 and not rewritten  # every row is closed
+    for name, k in (("redundant", 3), ("f2xf2", 2), ("dup_relator", 4)):
+        verified.clear(), packaged.clear(), rewritten.clear()
+        rep = stability_report(corpus_presentation(name), k)
+        counts = len(verified), len(packaged), len(rewritten)
+        members, _ = class_members(parse_presentation(rep.presentation), k)
+        classes = sum(i == 0 for _, i in members)
+        tables, transversals, opened = counts
+        assert 0 < opened <= len(rep.rows), name
+        assert classes <= tables == transversals <= classes + opened, name
+
+
+def relabelled(p, rng):
+    """p with its generators permuted and inverted and its relators
+    reordered, all drawn from rng."""
+    n = p.num_generators
+    image = rng.sample(range(n), n)
+    sign = [rng.choice((1, -1)) for _ in range(n)]
+    relators = [Word(tuple((image[g], s * sign[g]) for g, s in r)) for r in p.relators]
+    rng.shuffle(relators)
+    return Presentation(p.generators, tuple(relators))
+
+
+def invariant_rows(p, max_index):
+    """The multiset of (index, b1, torsion, interval, status) of the report."""
+    rep = stability_report(p, max_index)
+    return Counter((r.index, r.b1, r.torsion, r.interval, r.identity_status) for r in rep.rows)
+
+
+@pytest.mark.parametrize(
+    "name,max_index",
+    [("dup_relator", 4), ("redundant", 3), ("f2xf2", 2), ("genus2", 3), ("d4", 4)],
+)
+def test_stability_rows_do_not_depend_on_the_labelling(name, max_index):
+    p = corpus_presentation(name)
+    want = invariant_rows(p, max_index)
+    rng = random.Random(25)
+    for _ in range(8):
+        assert invariant_rows(relabelled(p, rng), max_index) == want, name
