@@ -260,11 +260,6 @@ class _ClassSearch:
             renames.append(rename)
         return renames
 
-    def rerooted(self, r):
-        """The sort key of the complete table's `rerooted_entries` at r."""
-        entries = rerooted_entries(self.table, self.p.num_generators, r)
-        return struct.pack(_key_format(len(self.table), len(entries)), *entries)
-
     def emit(self, ties):
         """Record the class of the least table as one ClassRecord.
 
@@ -272,7 +267,7 @@ class _ClassSearch:
         [N(H):H] of them; re-rooting at a tie renames the cosets by an
         automorphism of the action, and roots in one orbit of these
         automorphisms root the same member, so one root per orbit gives
-        each member once, with the key of its re-rooted table.  Only the
+        each member once, with the key of its `rerooted_entries`.  Only the
         least table (rooted at 0) is built and verified here: a member is
         the least table with its cosets renamed by a bijection, so its
         relators act trivially exactly when the least table's do.  Another
@@ -280,18 +275,22 @@ class _ClassSearch:
         packages it.  Every re-rooting is still checked to be transitive,
         and class size times [N(H):H] to be the index.
         """
-        k = len(self.table)
+        rows, k = self.table, len(self.table)
+        ngens = self.p.num_generators
+        fmt = _key_format(k, k * ngens)
         renames = self.tie_renames(ties)
+        least = rerooted_entries(rows, ngens)
         keys, rooted = {}, set()
         for r in range(k):
             if r not in rooted:
                 rooted.update(rename[r] for rename in renames)
-                keys.setdefault(self.rerooted(r))
+                entries = rerooted_entries(rows, ngens, r) if r else least
+                keys.setdefault(struct.pack(fmt, *entries))
         if len(keys) * len(ties) != k:
             raise InternalCheckFailed("class size times [N(H):H] is not the index")
-        keys = tuple(keys)
-        record = _member_record(keys[0], k, self.p, len(self.classes))
-        self.classes.append(ClassRecord(record=record, keys=keys))
+        table = CosetTable.from_entries(least, k, self.p)
+        record = schreier_transversal(table, len(self.classes))
+        self.classes.append(ClassRecord(record=record, keys=tuple(keys)))
 
 
 class _NormalSearch(_ClassSearch):
