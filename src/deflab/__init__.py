@@ -1,7 +1,7 @@
 """deflab: exact deficiency, homology and module-rank experiments on
 finitely presented groups."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .words import Word, commutator
 from .presentation import (

@@ -166,8 +166,8 @@ def cmd_deficiency(args):
 
 # the --csv columns, read from each JSON row with its interval flattened
 _CSV_COLUMNS = (
-    "group", "index", "ordinal", "schreier_generators", "schreier_relators", "b1",
-    "torsion", "lower", "upper", "certificate", "identity_status",
+    "group", "index", "ordinal", "class_size", "schreier_generators", "schreier_relators",
+    "b1", "torsion", "lower", "upper", "certificate", "identity_status",
 )
 
 

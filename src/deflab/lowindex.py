@@ -346,32 +346,26 @@ def normal_subgroups(p, max_index):
     return [cls.member(i) for cls, i in _in_order(search.classes)]
 
 
-def class_members(p, max_index, on_budget="raise"):
+def class_members(p, max_index):
     """(members, complete): every subgroup of index <= max_index as a pair
     (ClassRecord, member number), in (index, action) order, from one class
-    search; complete is False when the budget ran out.
+    search.
 
     The module's MAX_NODES, read at the call, bounds the nodes of the
-    search.  on_budget: "raise" (default) raises LimitExceeded when it runs
-    out; "partial" returns the members of every class found before it ran
-    out; any other value raises ValueError before the search starts.
+    search.  When it runs out, complete is False and the members are those
+    of every class found before it ran out, so they form whole classes.
     """
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
-    if on_budget not in ("raise", "partial"):
-        raise ValueError(f"on_budget must be 'raise' or 'partial', not {on_budget!r}")
     search = _ClassSearch(p, max_index)
-    complete = True
     try:
         search.run()
     except LimitExceeded:
-        if on_budget == "raise":
-            raise
-        complete = False
-    return _in_order(search.classes), complete
+        return _in_order(search.classes), False
+    return _in_order(search.classes), True
 
 
-def low_index_subgroups(p, max_index, on_budget="raise"):
+def low_index_subgroups(p, max_index):
     """All subgroups of index <= max_index, one SubgroupRecord each,
     canonically ordered by (index, action).
 
@@ -379,15 +373,9 @@ def low_index_subgroups(p, max_index, on_budget="raise"):
     one verified table per member, the least one verified when its class
     was found, every other one by `ClassRecord.member`.  Each record's
     conjugacy_class numbers its class in the order the search found the
-    classes.
-
-    on_budget: "raise" (default) raises LimitExceeded when the node budget
-    MAX_NODES runs out; "partial" returns (records, complete_flag), where
-    the records are every member of each class found before the budget ran
-    out; any other value raises ValueError before the search starts.
+    classes.  LimitExceeded when the node budget MAX_NODES runs out.
     """
-    members, complete = class_members(p, max_index, on_budget)
-    records = [cls.member(i) for cls, i in members]
-    if on_budget == "partial":
-        return records, complete
-    return records
+    members, complete = class_members(p, max_index)
+    if not complete:
+        raise LimitExceeded(f"low-index search exceeded {MAX_NODES} nodes")
+    return [cls.member(i) for cls, i in members]

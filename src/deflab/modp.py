@@ -90,7 +90,6 @@ class DualComplexReport:
     index: int
     dims: tuple
     jbar_dim: int | None
-    euler_identity_residual: int
 
     def to_json(self):
         return {
@@ -99,7 +98,6 @@ class DualComplexReport:
             "dims": list(self.dims),
             "h2_label": "h2 of the truncated dual complex",
             "jbar_dim": self.jbar_dim,
-            "euler_identity_residual": self.euler_identity_residual,
         }
 
 
@@ -108,8 +106,8 @@ def dual_complex_dims(p, record, prime):
 
     h0 = 1 (the cover is connected, so d1 has rank k - 1); with r2 the mod-p
     rank of `cover_relation_matrix`, h1 = k*(e1-1)+1 - r2 and the truncated
-    h2 = k*e2 - r2.  The residual h0 - h1 + h2 - k*chi is identically zero.
-    BAR_ORDER_CAP bounds only the bar-oracle cross-check, not the index.
+    h2 = k*e2 - r2.  BAR_ORDER_CAP bounds only the bar-oracle cross-check,
+    not the index.
     """
     if not is_prime(prime):
         raise NonPrimeModulus(f"{prime} is not prime")
@@ -119,7 +117,6 @@ def dual_complex_dims(p, record, prime):
     gens, rels = schreier_counts(p, k)
     r2 = rank_mod_p(cover_relation_matrix(p, record), prime)
     h0, h1, h2t = 1, gens - r2, rels - r2
-    residual = (h0 - h1 + h2t) - k * (1 - p.num_generators + p.num_relators)
     jbar = None
     finite = _finite_subgroup_realization(p, record)
     if finite is not None:
@@ -134,7 +131,6 @@ def dual_complex_dims(p, record, prime):
         index=k,
         dims=(h0, h1, h2t),
         jbar_dim=jbar,
-        euler_identity_residual=residual,
     )
 
 

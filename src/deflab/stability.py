@@ -16,17 +16,19 @@ presentation so the Schreier inequality holds between reported lower bounds
 by construction; a row that breaks it, or any violated-upper row, raises
 InternalCheckFailed.
 
-The low-index search hands over conjugacy classes (`class_members`), and
-conjugate subgroups are isomorphic, so everything but Tietze is computed
-once per class, from the class's least table: b1 and torsion from
-`cover_relation_matrix`, d2 of the finite cover, and the bracket.  Every
-row's bracket starts at the Schreier count k*(e1-1)+1 - k*e2; its upper end
-is that count under a certificate and b1 otherwise.  No presentation of H
-beats b1, so a certificate or count = b1 closes the bracket, and the
-class's interval and status serve each of its rows.  Only a row whose
-bracket is still open packages its member (a verified table and its
-transversal) and rewrites its Schreier presentation, as input to Tietze,
-which can only raise the lower end.
+Conjugate subgroups are isomorphic, so the report has one row per
+conjugacy class.  The row stands where the class's first member stands in
+(index, action) order; its ordinal is that member's ordinal among the
+subgroups of its index, and class_size counts the members.  Everything but
+Tietze is computed once per class (`class_members`), from the class's
+least table: b1 and torsion from `cover_relation_matrix`, d2 of the finite
+cover, and the bracket.  Every bracket starts at the Schreier count
+k*(e1-1)+1 - k*e2; its upper end is that count under a certificate and b1
+otherwise.  No presentation of H beats b1, so a certificate or count = b1
+closes the bracket.  While the bracket is open, every member packages its
+table and rewrites its Schreier presentation, as input to Tietze, which can
+only raise the lower end; the members' presentations differ, and so can
+their Tietze bounds, and the row keeps the best of them.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ STATUS_INCONCLUSIVE = "inconclusive"
 class StabilityRow:
     index: int
     ordinal: int
+    class_size: int
     schreier_generators: int
     schreier_relators: int
     b1: int
@@ -64,6 +67,7 @@ class StabilityRow:
         return {
             "index": self.index,
             "ordinal": self.ordinal,
+            "class_size": self.class_size,
             "schreier_generators": self.schreier_generators,
             "schreier_relators": self.schreier_relators,
             "b1": self.b1,
@@ -124,53 +128,54 @@ def _checked_status(k, base, interval):
     return status
 
 
-def _class_values(p, base, rec):
-    """(generators, relators, b1, torsion, interval, status) shared by every
-    row of rec's conjugacy class; while the bracket is open, the interval
-    starts at the Schreier count and the status is None."""
+def _class_row(p, base, cls, numbers, ordinal):
+    """The row of the conjugacy class cls, whose members are numbers;
+    ordinal is the first member's."""
+    rec = cls.record
     k = rec.index
     gens, rels = schreier_counts(p, k)
     b1, torsion = cokernel_invariants(cover_relation_matrix(p, rec), rels)
     lower = gens - rels  # achieved by the Schreier presentation; 1 - k*chi
     upper = lower if base.certificate != CERT_NONE else b1
     interval = DeficiencyInterval(lower=lower, upper=upper, certificate=base.certificate)
-    status = None if lower < upper else _checked_status(k, base, interval)
-    return gens, rels, b1, tuple(torsion), interval, status
+    if lower < upper:
+        lowers = []
+        for i in numbers:
+            sp = rewrite_subgroup_presentation(p, cls.member(i)).presentation
+            lowers.append(tietze_simplify(sp).deficiency_datum())
+        # the Schreier inequality holds for every member's bound, and the row keeps the best
+        _checked_status(k, base, replace(interval, lower=min(lowers)))
+        interval = replace(interval, lower=max(lowers))
+    return StabilityRow(
+        index=k,
+        ordinal=ordinal,
+        class_size=len(numbers),
+        schreier_generators=gens,
+        schreier_relators=rels,
+        b1=b1,
+        torsion=tuple(torsion),
+        interval=interval,
+        identity_status=_checked_status(k, base, interval),
+    )
 
 
 def stability_report(p, max_index, aspherical=False, group_name="group"):
-    """Enumerate all subgroups of index <= max_index and test stabilization.
-    Past the budget `lowindex.MAX_NODES`, enumeration_complete is False and
-    the rows are those of whole conjugacy classes."""
+    """Enumerate all subgroups of index <= max_index and test stabilization,
+    one row per conjugacy class.  Past the budget `lowindex.MAX_NODES`,
+    enumeration_complete is False and the rows are those of the classes
+    found before it ran out."""
     base_interval, base_pres = witnessed_interval(p, aspherical)
-    members, complete = class_members(base_pres, max_index, on_budget="partial")
-    rows = []
+    members, complete = class_members(base_pres, max_index)
     ordinals = {}
-    classes = {}
+    classes = {}  # conjugacy class -> (first member's ordinal, class record, member numbers)
     for cls, i in members:
         k = cls.index
         ordinals[k] = ordinals.get(k, 0) + 1
-        n = cls.record.conjugacy_class
-        if n not in classes:
-            classes[n] = _class_values(base_pres, base_interval, cls.record)
-        gens, rels, b1, torsion, interval, status = classes[n]
-        if status is None:
-            sp = rewrite_subgroup_presentation(base_pres, cls.member(i)).presentation
-            lower = tietze_simplify(sp).deficiency_datum()
-            interval = replace(interval, lower=lower)
-            status = _checked_status(k, base_interval, interval)
-        rows.append(
-            StabilityRow(
-                index=k,
-                ordinal=ordinals[k],
-                schreier_generators=gens,
-                schreier_relators=rels,
-                b1=b1,
-                torsion=torsion,
-                interval=interval,
-                identity_status=status,
-            )
-        )
+        classes.setdefault(cls.record.conjugacy_class, (ordinals[k], cls, []))[2].append(i)
+    rows = [
+        _class_row(base_pres, base_interval, cls, numbers, ordinal)
+        for ordinal, cls, numbers in classes.values()
+    ]
     statuses = {row.identity_status for row in rows}
     if STATUS_INCONCLUSIVE in statuses:  # a violated-upper row raised above
         verdict = STATUS_INCONCLUSIVE

@@ -1,16 +1,18 @@
 """The member-by-member stability report, kept as a test oracle.
 
-It walks the records of `low_index_subgroups`, one verified table per
-member, and computes every row on its own: counts, bracket, Tietze and
-status per member, with b1 and torsion cached per conjugacy class.  The
-report it builds must equal `stability_report`'s, which works per class.
+It walks the members of `class_members`, one verified table per member,
+and computes one row per member on its own: counts, bracket, Tietze and
+status, with b1 and torsion cached per conjugacy class.  Each of its rows
+stands for one member (class_size 1).  `stability_report` has one row per
+class; each of its rows, repeated class_size times, must give the rows of
+its members here.
 """
 
 from deflab.chain import cover_relation_matrix
 from deflab.errors import InternalCheckFailed
 from deflab.intervals import CERT_NONE, DeficiencyInterval, witnessed_interval
 from deflab.linalg import cokernel_invariants
-from deflab.lowindex import low_index_subgroups
+from deflab.lowindex import class_members
 from deflab.presentation import serialize_presentation
 from deflab.schreier import rewrite_subgroup_presentation, schreier_counts
 from deflab.stability import (
@@ -28,11 +30,12 @@ from deflab.tietze import tietze_simplify
 def member_stability_report(p, max_index, aspherical=False, group_name="group"):
     base_interval, base_pres = witnessed_interval(p, aspherical)
     certificate = base_interval.certificate
-    records, complete = low_index_subgroups(base_pres, max_index, on_budget="partial")
+    members, complete = class_members(base_pres, max_index)
     rows = []
     ordinals = {}
     homology = {}
-    for rec in records:
+    for cls, i in members:
+        rec = cls.member(i)
         k = rec.index
         ordinals[k] = ordinals.get(k, 0) + 1
         gens, rels = schreier_counts(base_pres, k)
@@ -56,6 +59,7 @@ def member_stability_report(p, max_index, aspherical=False, group_name="group"):
             StabilityRow(
                 index=k,
                 ordinal=ordinals[k],
+                class_size=1,
                 schreier_generators=gens,
                 schreier_relators=rels,
                 b1=b1,

@@ -109,6 +109,26 @@ def test_deficiency(tmp_path):
         assert report["base_interval"] == data
 
 
+def test_a_certificate_below_an_achieved_lower_bound_exits_1(capsys):
+    # redundant simplifies to deficiency 1, above 1 - chi = 0 of the asserted
+    # complex, so the complex cannot be aspherical
+    for argv in (
+        ["deficiency", "corpus:redundant", "--aspherical"],
+        ["stability", "corpus:redundant", "--max-index", "2", "--aspherical"],
+    ):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: certificate contradicts an achieved lower bound; "
+            "the complex cannot be aspherical\n"
+        )
+    # on the boundary: f2xf2's lower end equals the certified value 0
+    assert cli.main(["deficiency", "corpus:f2xf2", "--aspherical"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data == {"lower": 0, "upper": 0, "certificate": "aspherical-asserted"}
+
+
 def test_stability_exit_codes(tmp_path):
     out = tmp_path / "report.json"
     csvf = tmp_path / "rows.csv"
@@ -121,13 +141,14 @@ def test_stability_exit_codes(tmp_path):
     assert data["verdict"] == "certified-holds"
     lines = csvf.read_text().strip().splitlines()
     assert len(lines) == len(data["rows"]) + 1  # header + rows
+    assert lines[0].startswith("group,index,ordinal,class_size,")
 
 
-# sha256 of the --csv file; recorded before the CSV rows were read from the
-# report's JSON rows
+# sha256 of the --csv file; re-recorded when the report went to one row per
+# conjugacy class, with a class_size column
 CSV_DIGESTS = {
-    ("redundant", "4"): (0, "9f62aa7b1a23bba7a1e7b6aa6afedb78be7fa1824588f0eb46d917fc931dd2cb"),
-    ("dup_relator", "6"): (2, "d5af29ec238b40d1d531a62ff567c754b60de9048ae3ba6628ddd57681375289"),
+    ("redundant", "4"): (0, "9934c7eaa256beaf6f7b427b392d9c5473510abde05b3869301febb22e9393f0"),
+    ("dup_relator", "6"): (2, "43451717c02df680a8fb798e49d24410402a278398b82342c0a4a2d30262ee10"),
 }
 
 
@@ -188,7 +209,6 @@ def test_modp():
     data = json.loads(proc.stdout)
     assert len(data) == 1
     assert data[0]["dims"][:2] == [1, 1]
-    assert data[0]["euler_identity_residual"] == 0
     # the cap of 64 bounds the bar oracle alone, which Z cannot feed
     proc = run_cli("modp", "corpus:free1", "-p", "2", "--normal-index", "65")
     assert proc.returncode == 0, proc.stderr

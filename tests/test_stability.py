@@ -1,6 +1,7 @@
 import json
 import random
-from collections import Counter
+from collections import Counter, defaultdict
+from dataclasses import replace
 
 import pytest
 from conftest import ENUM_CAPS, from_dense, node_budget, small_presentations
@@ -73,8 +74,8 @@ def test_report_schema():
     }
     assert data["enumeration_complete"] is True
     row = data["rows"][0]
-    assert {"index", "schreier_generators", "schreier_relators", "b1",
-            "torsion", "interval", "identity_status"} <= set(row)
+    assert set(row) == {"index", "ordinal", "class_size", "schreier_generators",
+                        "schreier_relators", "b1", "torsion", "interval", "identity_status"}
 
 
 def test_partial_report_flagged(monkeypatch):
@@ -194,8 +195,25 @@ def assert_cover_matches_schreier(p, rec, row=None):
     if row is not None:
         assert (row.schreier_generators, row.schreier_relators) == counts
         assert (row.b1, row.torsion) == homology
-        if row.interval.certificate == CERT_NONE:
-            assert row.interval.lower == lower
+    return lower
+
+
+def rows_by_class(rep, records):
+    """The report's row of each conjugacy class of records, checked to be
+    one row per class: the record at a row's ordinal among the records of
+    its index is the first member of the row's class, and the class has
+    class_size members."""
+    sizes = Counter(rec.conjugacy_class for rec in records)
+    ordinals = Counter()
+    first = {}
+    for rec in records:
+        ordinals[rec.index] += 1
+        first.setdefault(rec.conjugacy_class, (rec.index, ordinals[rec.index]))
+    at = {(row.index, row.ordinal): row for row in rep.rows}
+    assert len(at) == len(rep.rows) == len(first)
+    rows = {n: at[position] for n, position in first.items()}
+    assert all(row.class_size == sizes[n] for n, row in rows.items())
+    return rows
 
 
 def test_cover_route_matches_schreier_route_on_the_corpus(enum_caps):
@@ -204,9 +222,14 @@ def test_cover_route_matches_schreier_route_on_the_corpus(enum_caps):
         rep = stability_report(corpus_presentation(name), cap, group_name=name)
         base = parse_presentation(rep.presentation)  # the presentation the rows come from
         records = low_index_subgroups(base, cap)
-        assert len(records) == len(rep.rows), name
-        for rec, row in zip(records, rep.rows):
-            assert_cover_matches_schreier(base, rec, row)
+        rows = rows_by_class(rep, records)
+        lowers = defaultdict(list)
+        for rec in records:
+            row = rows[rec.conjugacy_class]
+            lowers[rec.conjugacy_class].append(assert_cover_matches_schreier(base, rec, row))
+        for n, row in rows.items():
+            if row.interval.certificate == CERT_NONE:
+                assert row.interval.lower == max(lowers[n]), name
 
 
 def test_cover_route_matches_schreier_route_on_random_presentations(random_presentations, monkeypatch):
@@ -249,9 +272,16 @@ def test_one_smith_form_per_conjugacy_class(monkeypatch):
         return cover_relation_matrix(p, rec)
 
     monkeypatch.setattr(stability, "cover_relation_matrix", counting)
-    rep = stability_report(corpus_presentation("genus2"), 4, group_name="genus2")
-    assert len(rep.rows) == 5511
+    p = corpus_presentation("genus2")
+    rep = stability_report(p, 4, group_name="genus2")
+    assert len(rep.rows) == 1731
     assert sorted(calls) == list(range(1731))
+    # per index, the class sizes sum to the number of subgroups
+    members = Counter()
+    for row in rep.rows:
+        members[row.index] += row.class_size
+    assert members == Counter(rec.index for rec in low_index_subgroups(p, 4))
+    assert sum(members.values()) == 5511
 
 
 def test_one_tietze_run_on_the_base_presentation(monkeypatch):
@@ -270,21 +300,58 @@ def test_one_tietze_run_on_the_base_presentation(monkeypatch):
     assert rep.presentation == serialize_presentation(tietze_simplify(p))
 
 
+def member_values(rows):
+    """The multiset of (index, b1, torsion, interval, status) over the
+    members of rows, a row counting class_size times."""
+    out = Counter()
+    for row in rows:
+        out[row.index, row.b1, row.torsion, row.interval, row.identity_status] += row.class_size
+    return out
+
+
+def assert_class_rows_expand_to_member_rows(rep, oracle):
+    """rep, one row per class, against the member-by-member oracle report:
+    the same header, each row repeated class_size times gives the oracle's
+    rows, and each row is the oracle's row of the class's first member."""
+    assert replace(rep, rows=()) == replace(oracle, rows=())
+    assert member_values(rep.rows) == member_values(oracle.rows)
+    at = {(row.index, row.ordinal): row for row in oracle.rows}
+    for row in rep.rows:
+        assert replace(at[row.index, row.ordinal], class_size=row.class_size) == row
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_the_class_route_equals_the_member_route_at_the_cap(name):
     p, cap = corpus_presentation(name), ENUM_CAPS[name]
-    assert stability_report(p, cap, group_name=name) == member_stability_report(p, cap, group_name=name)
+    rep = stability_report(p, cap, group_name=name)
+    assert_class_rows_expand_to_member_rows(rep, member_stability_report(p, cap, group_name=name))
 
 
 def test_the_class_route_equals_the_member_route_certified_and_partial(monkeypatch):
     f2xf2 = corpus_presentation("f2xf2")
-    assert stability_report(f2xf2, 2, aspherical=True) == member_stability_report(f2xf2, 2, aspherical=True)
+    rep = stability_report(f2xf2, 2, aspherical=True)
+    assert_class_rows_expand_to_member_rows(rep, member_stability_report(f2xf2, 2, aspherical=True))
     # a partial report holds the same whole classes on both routes
     monkeypatch.setattr(lowindex, "MAX_NODES", 500)
     free3 = corpus_presentation("free3")
     rep = stability_report(free3, 5)
     assert not rep.enumeration_complete
-    assert rep == member_stability_report(free3, 5)
+    assert_class_rows_expand_to_member_rows(rep, member_stability_report(free3, 5))
+
+
+def test_a_class_row_keeps_the_best_member_bound_on_random_presentations(random_presentations, monkeypatch):
+    # the members of one class have their own Schreier presentations, so
+    # their Tietze bounds can differ; the row never ends below any of them
+    monkeypatch.setattr(lowindex, "MAX_NODES", 100_000)
+    for p in random_presentations(16, 40):
+        rep = stability_report(p, 3)
+        records = low_index_subgroups(intervals.witnessed_interval(p)[1], 3)
+        rows = rows_by_class(rep, records)
+        lowers = defaultdict(list)
+        for rec, member in zip(records, member_stability_report(p, 3).rows, strict=True):
+            lowers[rec.conjugacy_class].append(member.interval.lower)
+        for n, row in rows.items():
+            assert row.interval.lower == max(lowers[n]), serialize_presentation(p)
 
 
 def test_stability_packages_one_table_per_class_plus_one_per_open_row(monkeypatch):
@@ -309,7 +376,7 @@ def test_stability_packages_one_table_per_class_plus_one_per_open_row(monkeypatc
     monkeypatch.setattr(lowindex, "schreier_transversal", package)
     monkeypatch.setattr(stability, "rewrite_subgroup_presentation", rewrite)
     rep = stability_report(corpus_presentation("genus2"), 4)
-    assert len(rep.rows) == 5511
+    assert len(rep.rows) == 1731
     assert len(verified) == len(packaged) == 1731 and not rewritten  # every row is closed
     for name, k in (("redundant", 3), ("f2xf2", 2), ("dup_relator", 4)):
         verified.clear(), packaged.clear(), rewritten.clear()
@@ -318,7 +385,12 @@ def test_stability_packages_one_table_per_class_plus_one_per_open_row(monkeypatc
         members, _ = class_members(parse_presentation(rep.presentation), k)
         classes = sum(i == 0 for _, i in members)
         tables, transversals, opened = counts
-        assert 0 < opened <= len(rep.rows), name
+        # every member of a class whose Schreier count is below its upper end
+        open_members = sum(
+            row.class_size for row in rep.rows
+            if row.schreier_generators - row.schreier_relators < row.interval.upper
+        )
+        assert 0 < opened == open_members, name
         assert classes <= tables == transversals <= classes + opened, name
 
 
@@ -334,9 +406,9 @@ def relabelled(p, rng):
 
 
 def invariant_rows(p, max_index):
-    """The multiset of (index, b1, torsion, interval, status) of the report."""
-    rep = stability_report(p, max_index)
-    return Counter((r.index, r.b1, r.torsion, r.interval, r.identity_status) for r in rep.rows)
+    """The multiset of (index, b1, torsion, interval, status) over the
+    subgroups of the report, each row counted class_size times."""
+    return member_values(stability_report(p, max_index).rows)
 
 
 @pytest.mark.parametrize(
