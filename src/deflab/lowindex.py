@@ -19,11 +19,12 @@ Re-rooting a table at coset r and standardising it gives the table of that
 stabiliser; a partial table is pruned as soon as some re-rooting is already
 smaller on the entries defined in both, so only the least table of each
 class reaches a leaf.  There the roots that reproduce the table number
-[N(H):H], and the class becomes one `ClassRecord`: the least table,
-verified and packaged once, and one sort key per member, at one root per
-member.  `low_index_subgroups` expands the class records to one verified
-record per member and sorts them; `stability` reads the class records
-through `class_members` and packages a member only when it needs one.
+[N(H):H], and the class becomes one `ClassRecord`: one sort key per member,
+at one root per member, in ascending order, and its first member verified
+and packaged once.  `low_index_subgroups` expands the class records to one
+verified record per member and sorts them; `stability` reads the class
+records through `class_members` and packages a member only when it needs
+one.
 
 A node is charged to the budget MAX_NODES when the search enters it, but a
 node past the budget raises LimitExceeded only when it would emit a class or
@@ -77,10 +78,10 @@ def _member_record(key, k, p, conjugacy_class):
 class ClassRecord:
     """One conjugacy class of subgroups, as the class search found it.
 
-    keys[i] is the sort key (`_key_format`) of member i, the least table
-    re-rooted at one of its cosets; keys[0] is the least table's own.
-    record is member 0, verified and packaged once; its conjugacy_class
-    numbers the class.
+    keys[i] is the sort key (`_key_format`) of member i, in ascending
+    order, so member 0 is the class's first subgroup in (index, action)
+    order.  record is member 0, verified and packaged once; its
+    conjugacy_class numbers the class.
     """
 
     record: SubgroupRecord
@@ -101,6 +102,8 @@ class ClassRecord:
 
 class _ClassSearch:
     def __init__(self, p, max_index):
+        if max_index < 1:
+            raise ValueError("max_index must be >= 1")
         self.p = p
         self.ncols = 2 * p.num_generators
         self.max_index = max_index
@@ -261,34 +264,34 @@ class _ClassSearch:
         return renames
 
     def emit(self, ties):
-        """Record the class of the least table as one ClassRecord.
+        """Record the class of the complete table as one ClassRecord.
 
-        At a complete table the ties are the roots that reproduce it,
-        [N(H):H] of them; re-rooting at a tie renames the cosets by an
-        automorphism of the action, and roots in one orbit of these
-        automorphisms root the same member, so one root per orbit gives
-        each member once, with the key of its `rerooted_entries`.  Only the
-        least table (rooted at 0) is built and verified here: a member is
-        the least table with its cosets renamed by a bijection, so its
-        relators act trivially exactly when the least table's do.  Another
-        member's table is built and verified only when `ClassRecord.member`
-        packages it.  Every re-rooting is still checked to be transitive,
-        and class size times [N(H):H] to be the index.
+        The ties are the roots that reproduce the table, [N(H):H] of them;
+        re-rooting at a tie renames the cosets by an automorphism of the
+        action, and roots in one orbit of these automorphisms root the same
+        member, so one root per orbit gives each member once, with the key
+        of its `rerooted_entries`.  Only the first member (the least key)
+        is built and verified here: every member is the first one with its
+        cosets renamed by a bijection, so its relators act trivially exactly
+        when the first member's do.  Another member's table is built and
+        verified only when `ClassRecord.member` packages it.  Every
+        re-rooting is still checked to be transitive, and class size times
+        [N(H):H] to be the index.
         """
         rows, k = self.table, len(self.table)
         ngens = self.p.num_generators
         fmt = _key_format(k, k * ngens)
         renames = self.tie_renames(ties)
-        least = rerooted_entries(rows, ngens)
-        keys, rooted = {}, set()
+        members, rooted = {}, set()  # key -> entries
         for r in range(k):
             if r not in rooted:
                 rooted.update(rename[r] for rename in renames)
-                entries = rerooted_entries(rows, ngens, r) if r else least
-                keys.setdefault(struct.pack(fmt, *entries))
-        if len(keys) * len(ties) != k:
+                entries = rerooted_entries(rows, ngens, r)
+                members.setdefault(struct.pack(fmt, *entries), entries)
+        if len(members) * len(ties) != k:
             raise InternalCheckFailed("class size times [N(H):H] is not the index")
-        table = CosetTable.from_entries(least, k, self.p)
+        keys = sorted(members)
+        table = CosetTable.from_entries(members[keys[0]], k, self.p)
         record = schreier_transversal(table, len(self.classes))
         self.classes.append(ClassRecord(record=record, keys=tuple(keys)))
 
@@ -319,7 +322,8 @@ class _NormalSearch(_ClassSearch):
 
 def _in_order(classes):
     """(class, member number) of every member of classes, in (index,
-    action) order: by key, then stably by index."""
+    action) order: by key, then stably by index.  A class's keys ascend,
+    so its member 0 comes first."""
     members = [(cls, i) for cls in classes for i in range(len(cls.keys))]
     members.sort(key=lambda m: m[0].keys[m[1]])
     members.sort(key=lambda m: m[0].index)
@@ -339,8 +343,6 @@ def normal_subgroups(p, max_index):
     nodes share the budget MAX_NODES of `low_index_subgroups`; LimitExceeded
     when it runs out.
     """
-    if max_index < 1:
-        raise ValueError("max_index must be >= 1")
     search = _NormalSearch(p, max_index)
     search.run()
     return [cls.member(i) for cls, i in _in_order(search.classes)]
@@ -355,8 +357,6 @@ def class_members(p, max_index):
     search.  When it runs out, complete is False and the members are those
     of every class found before it ran out, so they form whole classes.
     """
-    if max_index < 1:
-        raise ValueError("max_index must be >= 1")
     search = _ClassSearch(p, max_index)
     try:
         search.run()
@@ -369,13 +369,12 @@ def low_index_subgroups(p, max_index):
     """All subgroups of index <= max_index, one SubgroupRecord each,
     canonically ordered by (index, action).
 
-    The class records of `class_members`, each expanded to its members:
-    one verified table per member, the least one verified when its class
-    was found, every other one by `ClassRecord.member`.  Each record's
+    The class search's records, each expanded to its members: one
+    verified table per member, the first one verified when its class was
+    found, every other one by `ClassRecord.member`.  Each record's
     conjugacy_class numbers its class in the order the search found the
     classes.  LimitExceeded when the node budget MAX_NODES runs out.
     """
-    members, complete = class_members(p, max_index)
-    if not complete:
-        raise LimitExceeded(f"low-index search exceeded {MAX_NODES} nodes")
-    return [cls.member(i) for cls, i in members]
+    search = _ClassSearch(p, max_index)
+    search.run()
+    return [cls.member(i) for cls, i in _in_order(search.classes)]

@@ -2,7 +2,7 @@
 
 Grammar (UTF-8, whitespace insignificant, relators comma separated)::
 
-    presentation := '<' namelist '|' relatorlist? '>'
+    presentation := '<' namelist? '|' relatorlist? '>'
     name         := [A-Za-z][A-Za-z0-9_]*
     relator      := term+
     term         := name ('^' signed-int)? | '[' word ',' word ']'
@@ -163,12 +163,13 @@ class _Parser:
 def parse_presentation(text):
     """Parse presentation text into a Presentation.
 
+    The generator list may be empty, as in `< | >`, the trivial group.
     Raises GrammarError (with position) on syntax problems, unknown generator
-    names, duplicate names or an empty generator list.
+    names or duplicate names.
     """
     p = _Parser(text)
     p.expect("<")
-    names = [p.name()]
+    names = [] if p.peek() == "|" else [p.name()]
     while p.peek() == ",":
         p.pos += 1
         names.append(p.name())

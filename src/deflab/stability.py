@@ -8,8 +8,9 @@ classifies the identity delta(H) - 1 = k * (delta(G) - 1):
 * violated-upper: upper(H) - 1 < k * (lower(G) - 1), which contradicts the
   Schreier inequality and therefore signals an internal error if it ever
   fires on sound bounds;
-* inconclusive: lower(H) - 1 > k * (upper(G) - 1), the excess direction the
-  bounds cannot settle.
+* inconclusive: lower(H) - 1 > k * (upper(G) - 1); since lower(H) <= def(H)
+  and def(G) <= upper(G), this proves def(H) - 1 > k * (def(G) - 1), so the
+  identity fails at H, in the excess direction.
 
 Without a certificate all rows are computed from the simplified base
 presentation so the Schreier inequality holds between reported lower bounds
@@ -21,7 +22,7 @@ conjugacy class.  The row stands where the class's first member stands in
 (index, action) order; its ordinal is that member's ordinal among the
 subgroups of its index, and class_size counts the members.  Everything but
 Tietze is computed once per class (`class_members`), from the class's
-least table: b1 and torsion from `cover_relation_matrix`, d2 of the finite
+first member: b1 and torsion from `cover_relation_matrix`, d2 of the finite
 cover, and the bracket.  Every bracket starts at the Schreier count
 k*(e1-1)+1 - k*e2; its upper end is that count under a certificate and b1
 otherwise.  No presentation of H beats b1, so a certificate or count = b1
@@ -128,9 +129,8 @@ def _checked_status(k, base, interval):
     return status
 
 
-def _class_row(p, base, cls, numbers, ordinal):
-    """The row of the conjugacy class cls, whose members are numbers;
-    ordinal is the first member's."""
+def _class_row(p, base, cls, ordinal):
+    """The row of the conjugacy class cls; ordinal is its first member's."""
     rec = cls.record
     k = rec.index
     gens, rels = schreier_counts(p, k)
@@ -140,7 +140,7 @@ def _class_row(p, base, cls, numbers, ordinal):
     interval = DeficiencyInterval(lower=lower, upper=upper, certificate=base.certificate)
     if lower < upper:
         lowers = []
-        for i in numbers:
+        for i in range(len(cls.keys)):
             sp = rewrite_subgroup_presentation(p, cls.member(i)).presentation
             lowers.append(tietze_simplify(sp).deficiency_datum())
         # the Schreier inequality holds for every member's bound, and the row keeps the best
@@ -149,7 +149,7 @@ def _class_row(p, base, cls, numbers, ordinal):
     return StabilityRow(
         index=k,
         ordinal=ordinal,
-        class_size=len(numbers),
+        class_size=len(cls.keys),
         schreier_generators=gens,
         schreier_relators=rels,
         b1=b1,
@@ -166,16 +166,12 @@ def stability_report(p, max_index, aspherical=False, group_name="group"):
     found before it ran out."""
     base_interval, base_pres = witnessed_interval(p, aspherical)
     members, complete = class_members(base_pres, max_index)
-    ordinals = {}
-    classes = {}  # conjugacy class -> (first member's ordinal, class record, member numbers)
+    ordinals, rows = {}, []
     for cls, i in members:
         k = cls.index
         ordinals[k] = ordinals.get(k, 0) + 1
-        classes.setdefault(cls.record.conjugacy_class, (ordinals[k], cls, []))[2].append(i)
-    rows = [
-        _class_row(base_pres, base_interval, cls, numbers, ordinal)
-        for ordinal, cls, numbers in classes.values()
-    ]
+        if i == 0:  # the class's first member
+            rows.append(_class_row(base_pres, base_interval, cls, ordinals[k]))
     statuses = {row.identity_status for row in rows}
     if STATUS_INCONCLUSIVE in statuses:  # a violated-upper row raised above
         verdict = STATUS_INCONCLUSIVE

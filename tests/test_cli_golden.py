@@ -11,8 +11,8 @@ before `modp` searched normal subgroups alone.  Every `stability` and
 `stability` went to one row per conjugacy class and `modp` dropped its
 vacuous euler_identity_residual.  A changed digest means a report
 changed; there is deliberately no way to regenerate the table from this
-file.  One report is also run in a `python -O` subprocess against its
-digest.
+file.  Three reports are also run in a `python -O` subprocess against
+their digests.
 """
 
 import contextlib
@@ -57,7 +57,7 @@ def case_keys():
             f"modp {spec} -p 2 --normal-index 2",
         ]
     keys += [f"cert corpus:dup_relator --witness {w}" for w in WITNESSES]
-    keys.append("stability corpus:genus2 --max-index 4")  # 5,511 rows, as in cover_sweep
+    keys.append("stability corpus:genus2 --max-index 4")  # 1,731 rows, as in cover_sweep
     keys.append("stability corpus:redundant --max-index 4")  # as in cover_sweep
     keys.append("subgroups corpus:genus2 --max-index 4")
     keys.append("subgroups corpus:free2 --max-index 5")
@@ -258,10 +258,16 @@ def test_cli_report_digest(key, tmp_path):
     assert run_case(key, tmp_path) == GOLDEN[key]
 
 
-def test_report_digest_under_python_O():
-    """python -O strips assert statements; the report must not change.  Its
-    open rows run the Schreier rewrite and Tietze."""
-    key = "stability corpus:redundant --max-index 4"
+@pytest.mark.parametrize(
+    "key",
+    [
+        "stability corpus:redundant --max-index 4",  # open rows: Schreier rewrite and Tietze
+        "modp corpus:q8 -p 2 --normal-index 4",  # the bar oracle's cross-checks
+        "homology corpus:d4 --quotient core:2:1",  # Smith form verify and d o d = 0
+    ],
+)
+def test_report_digest_under_python_O(key):
+    """python -O strips assert statements; the reports must not change."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(

@@ -259,18 +259,21 @@ def test_class_records_expand_to_the_records_of_low_index_subgroups(name):
     classes = [cls for cls, i in members if i == 0]
     assert sorted(cls.record.conjugacy_class for cls in classes) == list(range(len(classes)))
     assert all(cls.member(0) is cls.record for cls in classes)
-    # the oracle expansion: every re-rooting of each class's least table
+    records = low_index_subgroups(p, cap)
+    # below index 256 a key is one byte per action entry
+    by_key = {bytes(x for perm in r.table.action for x in perm): r for r in records}
+    for cls in classes:  # member 0 is the class's first subgroup
+        assert list(cls.keys) == sorted(cls.keys)
+        rec = by_key[cls.keys[0]]
+        assert rec == cls.record and rec.conjugacy_class == cls.record.conjugacy_class
+    # the oracle expansion: every re-rooting of each class's first member
     want = sorted(
         (cls.index, action, cls.record.conjugacy_class)
         for cls in classes
         for action in conjugates_by_rerooting(cls.record)
     )
-    records = low_index_subgroups(p, cap)
     assert [(r.index, r.table.action, r.conjugacy_class) for r in records] == want
-    # below index 256 a key is one byte per action entry
-    assert [cls.keys[i] for cls, i in members] == [
-        bytes(x for perm in r.table.action for x in perm) for r in records
-    ]
+    assert [cls.keys[i] for cls, i in members] == list(by_key)
 
 
 @pytest.mark.parametrize("k", [2, 255, 256, 257, 300, 65_536, 65_537, 70_000])

@@ -30,6 +30,12 @@ def test_free_group_no_relators():
     assert p.relators == ()
 
 
+def test_empty_generator_list():
+    p = parse_presentation("< | >")
+    assert p.generators == () and p.relators == ()
+    assert parse_presentation(serialize_presentation(p)) == p
+
+
 def test_nested_commutators_and_negative_exponents():
     p = parse_presentation("< a, b, c | [[a,b], c], a^-3 b >")
     assert p.num_relators == 2

@@ -65,6 +65,12 @@ def test_report_determinism():
     )
 
 
+def test_a_report_without_generators_parses_back():
+    rep = stability_report(parse_presentation("< a | a^-1, a >"), 2)
+    p = parse_presentation(rep.presentation)
+    assert (p.num_generators, p.num_relators) == (0, 0)
+
+
 def test_report_schema():
     rep = stability_report(corpus_presentation("torus"), 2, group_name="torus")
     data = rep.to_json()
