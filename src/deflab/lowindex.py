@@ -18,13 +18,13 @@ Conjugate subgroups are the stabilisers of the other cosets of one action.
 Re-rooting a table at coset r and standardising it gives the table of that
 stabiliser; a partial table is pruned as soon as some re-rooting is already
 smaller on the entries defined in both, so only the least table of each
-class reaches a leaf.  There the roots that reproduce the table number
-[N(H):H], and the class becomes one `ClassRecord`: one sort key per member,
-at one root per member, in ascending order, and its first member verified
-and packaged once.  `low_index_subgroups` expands the class records to one
-verified record per member and sorts them; `stability` reads the class
-records through `class_members` and packages a member only when it needs
-one.
+class reaches a leaf.  There every root is re-rooted once, the roots that
+reproduce the table number [N(H):H], and the class becomes one
+`ClassRecord`: the members' distinct sort keys in ascending order, and its
+first member verified and packaged once.  `low_index_subgroups` expands
+the class records to one verified record per member and sorts them;
+`stability` reads the class records through `class_members` and packages
+a member only when it needs one.
 
 A node is charged to the budget MAX_NODES when the search enters it, but a
 node past the budget raises LimitExceeded only when it would emit a class or
@@ -49,7 +49,6 @@ from .coset import (
     CosetTable,
     SubgroupRecord,
     letters_of,
-    orbit,
     rerooted_entries,
     schreier_transversal,
 )
@@ -251,48 +250,29 @@ class _ClassSearch:
                     larger |= 1 << r
         return larger
 
-    def tie_renames(self, ties):
-        """The re-rooting of the complete table at each tie, checked to
-        reproduce the table: an automorphism of the action."""
-        rows, k = self.table, len(self.table)
-        renames = []
-        for t in ties:
-            _, rename = orbit(t, rows.__getitem__)  # the row-major re-rooting
-            if any([rename[d] for d in rows[c]] != rows[rename[c]] for c in range(k)):
-                raise InternalCheckFailed("a tie root does not reproduce the table")
-            renames.append(rename)
-        return renames
-
     def emit(self, ties):
         """Record the class of the complete table as one ClassRecord.
 
-        The ties are the roots that reproduce the table, [N(H):H] of them;
-        re-rooting at a tie renames the cosets by an automorphism of the
-        action, and roots in one orbit of these automorphisms root the same
-        member, so one root per orbit gives each member once, with the key
-        of its `rerooted_entries`.  Only the first member (the least key)
-        is built and verified here: every member is the first one with its
-        cosets renamed by a bijection, so its relators act trivially exactly
-        when the first member's do.  Another member's table is built and
-        verified only when `ClassRecord.member` packages it.  Every
-        re-rooting is still checked to be transitive, and class size times
-        [N(H):H] to be the index.
+        The table re-rooted at each root is a member, keyed by its packed
+        `rerooted_entries` (which checks that it is transitive); the members
+        are the distinct keys.  The ties, the roots the search found to
+        reproduce the table, must be exactly the roots whose key is root
+        0's, and class size times their number [N(H):H] must be the index.
+        Only the first member (the least key) is built and verified here:
+        every member is the first one with its cosets renamed by a
+        bijection, so its relators act trivially exactly when the first
+        member's do.  Another member's table is built and verified only
+        when `ClassRecord.member` packages it.
         """
-        rows, k = self.table, len(self.table)
-        ngens = self.p.num_generators
+        k, ngens = len(self.table), self.p.num_generators
         fmt = _key_format(k, k * ngens)
-        renames = self.tie_renames(ties)
-        members, rooted = {}, set()  # key -> entries
-        for r in range(k):
-            if r not in rooted:
-                rooted.update(rename[r] for rename in renames)
-                entries = rerooted_entries(rows, ngens, r)
-                members.setdefault(struct.pack(fmt, *entries), entries)
-        if len(members) * len(ties) != k:
+        roots = [struct.pack(fmt, *rerooted_entries(self.table, ngens, r)) for r in range(k)]
+        if ties != [r for r in range(k) if roots[r] == roots[0]]:
+            raise InternalCheckFailed("the ties are not the roots that reproduce the table")
+        keys = sorted(set(roots))
+        if len(keys) * len(ties) != k:
             raise InternalCheckFailed("class size times [N(H):H] is not the index")
-        keys = sorted(members)
-        table = CosetTable.from_entries(members[keys[0]], k, self.p)
-        record = schreier_transversal(table, len(self.classes))
+        record = _member_record(keys[0], k, self.p, len(self.classes))
         self.classes.append(ClassRecord(record=record, keys=tuple(keys)))
 
 

@@ -776,8 +776,12 @@ def truncated_orbit(start, successors, limit=None):
     return (order[:-1] if start else order), index
 
 
-def reversed_renames(search, ties):
-    return [list(range(len(search.table)))[::-1] for _ in ties]
+def root_2_as_root_1(rows, ngens, root=0):
+    return coset.rerooted_entries(rows, ngens, 1 if root == 2 else root)
+
+
+def only_root_0_ties(search, larger):
+    return (1 << len(search.table)) - 2  # every other root larger: drops the ties
 
 
 no_generators = parse_presentation("< a | >")
@@ -827,7 +831,8 @@ for check in (
     lambda: normal_search_with(lowindex._NormalSearch, "compare_roots", lambda search, larger: 2),
     lambda: normal_search_with(lowindex, "schreier_transversal", not_normal),
     lambda: class_route_with(lowindex._ClassSearch, "compare_roots", lambda search, larger: 0),
-    lambda: class_route_with(lowindex._ClassSearch, "tie_renames", reversed_renames),
+    lambda: class_route_with(lowindex, "rerooted_entries", root_2_as_root_1),
+    lambda: class_route_with(lowindex._ClassSearch, "compare_roots", only_root_0_ties),
     lambda: class_route_with(coset, "orbit", truncated_orbit),
 ):
     try:
@@ -873,8 +878,9 @@ UNDER_O_EXPECTED = [
     ("InternalCheckFailed", "table incomplete after enumeration"),
     ("InternalCheckFailed", "a normal-search leaf does not tie at every root"),
     ("InternalCheckFailed", "a normal-search leaf is not a normal subgroup"),
-    ("InternalCheckFailed", "a tie root does not reproduce the table"),
+    ("InternalCheckFailed", "the ties are not the roots that reproduce the table"),
     ("InternalCheckFailed", "class size times [N(H):H] is not the index"),
+    ("InternalCheckFailed", "the ties are not the roots that reproduce the table"),
     ("InternalCheckFailed", "table not transitive"),
 ]
 

@@ -2,7 +2,7 @@ import itertools
 import random
 import struct
 from collections import Counter, defaultdict
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from conftest import ENUM_CAPS, node_budget, small_presentations
@@ -26,14 +26,53 @@ from deflab.stability import stability_report
 from deflab.words import Word
 
 
-def hall_counts(rank, up_to):
-    """Subgroup counts of a free group by Hall's recursion."""
-    a = {1: 1}
-    for n in range(2, up_to + 1):
-        a[n] = n * factorial(n) ** (rank - 1) - sum(
-            factorial(n - i) ** (rank - 1) * a[i] for i in range(1, n)
-        )
-    return a
+def hall_counts(homs, up_to):
+    """Subgroup counts at index 1..up_to of a group G with homs(n) =
+    |Hom(G, S_n)|, by Hall's transitive recursion: of those homomorphisms,
+    t_n = h_n - sum_{k<n} C(n-1, k-1) t_k h_{n-k} are transitive, and
+    (n-1)! of them share each index-n subgroup."""
+    h = {n: homs(n) for n in range(1, up_to + 1)}
+    t, counts = {}, {}
+    for n in range(1, up_to + 1):
+        t[n] = h[n] - sum(comb(n - 1, k - 1) * t[k] * h[n - k] for k in range(1, n))
+        counts[n], rest = divmod(t[n], factorial(n - 1))
+        assert rest == 0, (n, t[n])
+    return counts
+
+
+def free_homs(rank):
+    """|Hom(F_rank, S_n)| = (n!)^rank."""
+    return lambda n: factorial(n) ** rank
+
+
+def partitions(n, largest=None):
+    """The partitions of n into parts of at most largest, as tuples."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
+def irreducible_dimension(shape):
+    """f_shape, the dimension of the irreducible character of S_n for the
+    partition shape, by the hook length formula."""
+    columns = [sum(1 for row in shape if row > j) for j in range(shape[0])]
+    hooks = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            hooks *= (row - j) + (columns[j] - i) - 1
+    return factorial(sum(shape)) // hooks
+
+
+def surface_homs(genus):
+    """Mednykh's |Hom(pi_1 of the genus surface, S_n)| =
+    n! sum over partitions lambda of n of (n!/f_lambda)^(2 genus - 2)."""
+    return lambda n: factorial(n) * sum(
+        (factorial(n) // irreducible_dimension(shape)) ** (2 * genus - 2)
+        for shape in partitions(n)
+    )
 
 
 def brute_force_counts(p, up_to):
@@ -78,14 +117,14 @@ def brute_force_counts(p, up_to):
 def test_f2_matches_hall():
     p = parse_presentation("< a, b | >")
     got = Counter(r.index for r in low_index_subgroups(p, 5))
-    assert dict(got) == hall_counts(2, 5)
+    assert dict(got) == hall_counts(free_homs(2), 5)
     assert got[2] == 3 and got[3] == 13
 
 
 def test_f3_matches_hall_small():
     p = parse_presentation("< a, b, c | >")
     got = Counter(r.index for r in low_index_subgroups(p, 3))
-    assert dict(got) == hall_counts(3, 3)  # 1, 7, 97
+    assert dict(got) == hall_counts(free_homs(3), 3)  # 1, 7, 97
 
 
 def test_brute_force_oracle_on_presentations_with_relators():
@@ -100,7 +139,22 @@ def test_brute_force_oracle_on_presentations_with_relators():
 def test_brute_force_oracle_free_group():
     p = parse_presentation("< a, b | >")
     got = Counter(r.index for r in low_index_subgroups(p, 5))
-    assert dict(got) == brute_force_counts(p, 5) == hall_counts(2, 5)
+    assert dict(got) == brute_force_counts(p, 5) == hall_counts(free_homs(2), 5)
+
+
+@pytest.mark.parametrize(
+    "name, genus, max_index, counts",
+    [("torus", 1, 4, [1, 3, 4, 7]), ("genus2", 2, 4, [1, 15, 220, 5_275]), ("genus3", 3, 2, [1, 63])],
+)
+def test_class_sizes_match_mednykh(name, genus, max_index, counts):
+    # Mednykh's count of the index-n subgroups of a surface group, against
+    # the class sizes of the stability report's rows
+    mednykh = hall_counts(surface_homs(genus), max_index)
+    assert list(mednykh.values()) == counts
+    got = Counter()
+    for row in stability_report(corpus_presentation(name), max_index).rows:
+        got[row.index] += row.class_size
+    assert dict(got) == mednykh
 
 
 def test_subgroups_of_z():
