@@ -16,18 +16,23 @@ Ranks eliminate the shorter side: a matrix with more non-empty rows than
 non-empty columns is eliminated as its transpose (over F_2, packed by
 columns).  That is exact, because A and A^T have the same rank; it is
 faster, because each dependent row of a tall matrix must be driven to zero
-one at a time (the bar oracle's d2 is n^3 x n^2).  `smith_normal_form`, and
-so `cokernel_invariants`, eliminate the matrix as given, since L and R
-belong to that matrix.
+one at a time (the bar oracle's d2 is n^3 x n^2).  `smith_normal_form`
+eliminates the matrix as given, since L and R belong to that matrix;
+`cokernel_invariants` eliminates the columns, which span what it quotients
+by.
 
-`smith_normal_form` runs in two phases on the same sparse rows.  Phase 1
-clears every +-1 pivot it can find with sparse unimodular row and column
-operations (cf. Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001);
-phase 2 runs a Euclidean elimination on the least entry of the rows that are
-left and finalises a pivot only once it divides every entry still left, so
-the diagonal comes out in divisibility order.  L and R are recorded sparsely
-throughout.  They are checked on the whole input, L @ A @ R = diag and
-d_i | d_{i+1}, on every call.
+Both share one +-1 elimination, `_unit_pivots`: it clears every +-1 pivot
+it can find with sparse line operations that it records in L (cf. Dumas,
+Saunders and Villard, J. Symbolic Comput. 32, 2001).  `smith_normal_form`
+runs it on the rows as phase 1 and then clears each pivot row with column
+operations recorded in R; phase 2 runs a Euclidean elimination on the least
+entry of the rows that are left and finalises a pivot only once it divides
+every entry still left, so the diagonal comes out in divisibility order.  L
+and R are checked on the whole input, L @ A @ R = diag and d_i | d_{i+1},
+on every call.  `cokernel_invariants` runs it on the columns and keeps no
+R: the span that the +-1 pivots clear is a direct summand (Newman, Integral
+Matrices, 1972), so it checks the reduced columns against L and their
+shape, and runs `smith_normal_form` only on the core that is left.
 """
 
 from __future__ import annotations
@@ -275,28 +280,76 @@ def _non_multiple_row(m, v):
     return next((k for k, row in m.items() if any(x % v for x in row.values())), None)
 
 
+def _unit_pivots(lines, where, left):
+    """Clear every +-1 pivot of the sparse `lines` by line operations.
+
+    `lines` maps each line to its {coordinate: value} dict and `where` maps
+    each coordinate to the lines that hold it; both change in place.  Each
+    step takes the sparsest line (lazy heap) that holds a +-1, pivots on its
+    +-1 in the coordinate held by the fewest lines (ties by coordinate), and
+    clears that coordinate from every other line by line k -= f * line i,
+    which it also applies to the rows of `left`.  A pivot line leaves `lines`
+    and never changes again, so it is 0 at every earlier pivot's coordinate.
+    Returns the pivots in order, as (line, coordinate, pivot line).
+    """
+    pivots = []
+    heap = [(len(line), i) for i, line in lines.items() if line]
+    heapify(heap)
+    while heap:
+        n, i = heappop(heap)
+        piv = lines.get(i, ())
+        if len(piv) != n:
+            continue  # stale entry: the line was pivoted or changed length
+        units = [j for j, x in piv.items() if x == 1 or x == -1]
+        if not units:
+            continue  # back on the heap only if a line operation changes it
+        c = min(units, key=lambda j: (len(where[j]), j))
+        del lines[i]
+        for j in piv:
+            where[j].discard(i)
+        v = piv.pop(c)
+        for k in where.pop(c):  # line k -= w * v * line i, with w = lines[k][c]
+            line = lines[k]
+            f = line.pop(c) * v
+            for j, x in piv.items():
+                y = line.get(j, 0) - f * x
+                if y:
+                    if j not in line:
+                        where[j].add(k)
+                    line[j] = y
+                else:
+                    del line[j]
+                    where[j].discard(k)
+            _add_multiple(left[k], left[i], -f)
+            if line:
+                heappush(heap, (len(line), k))
+        piv[c] = v
+        pivots.append((i, c, piv))
+    return pivots
+
+
 def smith_normal_form(a, ncols):
     """Smith normal form L @ a @ R = diag of a sparse matrix with ncols columns.
 
-    Phase 1 eliminates +-1 pivots sparsely: rows are {col: value} dicts with
-    a column -> rows index, and each step takes the sparsest row (lazy heap)
-    and its +-1 entry in the shortest column, clears that column with row
-    operations and the pivot row with column operations, which in the matrix
-    touch the pivot row alone.  L is kept as sparse rows, R as sparse
-    columns.  Phase 2 works on the rows that are left, which hold no +-1
-    entry: it pivots on the entry of least absolute value (ties by row, then
-    column), reduces the other rows in its column and then its row's other
-    columns by floor division, and starts again at the least remainder until
-    the pivot stands alone.  Each remainder is smaller than the pivot, so
-    entries stay near the input's size instead of growing as in a dense
-    elimination (Kannan and Bachem, SIAM J. Comput. 8, 1979).  A pivot is
-    final only once it divides every entry left (Newman, Integral Matrices,
-    1972): one that divides its row but not some other row first adds that
-    row to its own, which leaves a remainder.  So the +-1 pivots of phase 1
-    and then those of phase 2 come out in divisibility order.  Every result
-    is verified on the whole input before it is returned.  The input is
-    eliminated as given, never transposed, because L and R must factor the
-    caller's own matrix.
+    Phase 1 eliminates +-1 pivots sparsely: `_unit_pivots` takes the rows as
+    {col: value} dicts with a column -> rows index, and each step takes the
+    sparsest row (lazy heap) and its +-1 entry in the shortest column and
+    clears that column with row operations.  Each pivot row is then cleared
+    with column operations, which in the matrix touch the pivot row alone.
+    L is kept as sparse rows, R as sparse columns.  Phase 2 works on the
+    rows that are left, which hold no +-1 entry: it pivots on the entry of
+    least absolute value (ties by row, then column), reduces the other rows
+    in its column and then its row's other columns by floor division, and
+    starts again at the least remainder until the pivot stands alone.  Each
+    remainder is smaller than the pivot, so entries stay near the input's
+    size instead of growing as in a dense elimination (Kannan and Bachem,
+    SIAM J. Comput. 8, 1979).  A pivot is final only once it divides every
+    entry left (Newman, Integral Matrices, 1972): one that divides its row
+    but not some other row first adds that row to its own, which leaves a
+    remainder.  So the +-1 pivots of phase 1 and then those of phase 2 come
+    out in divisibility order.  Every result is verified on the whole input
+    before it is returned.  The input is eliminated as given, never
+    transposed, because L and R must factor the caller's own matrix.
     """
     m, where = _sparse_rows(a, 0)
     if where and (j := max(where)) >= ncols:
@@ -304,39 +357,12 @@ def smith_normal_form(a, ncols):
     left = [{i: 1} for i in range(len(a))]
     right = [{j: 1} for j in range(ncols)]
     pivots = []  # (row, column, value)
-    heap = [(len(row), i) for i, row in m.items() if row]
-    heapify(heap)
-    while heap:
-        n, i = heappop(heap)
-        piv = m.get(i, ())
-        if len(piv) != n:
-            continue  # stale entry: the row was pivoted or changed length
-        units = [j for j, x in piv.items() if x == 1 or x == -1]
-        if not units:
-            continue  # back on the heap only if a row operation changes it
-        c = min(units, key=lambda j: (len(where[j]), j))
-        del m[i]
-        for j in piv:
-            where[j].discard(i)
-        v = piv.pop(c)
+    for i, c, piv in _unit_pivots(m, where, left):
+        v = piv[c]
         pivots.append((i, c, v))
-        for k in where.pop(c):  # row k -= w * v * row i, with w = m[k][c]
-            row = m[k]
-            f = row.pop(c) * v
-            for j, x in piv.items():
-                y = row.get(j, 0) - f * x
-                if y:
-                    if j not in row:
-                        where[j].add(k)
-                    row[j] = y
-                else:
-                    del row[j]
-                    where[j].discard(k)
-            _add_multiple(left[k], left[i], -f)
-            if row:
-                heappush(heap, (len(row), k))
-        for j, x in piv.items():  # column j -= x * v * column c
-            _add_multiple(right[j], right[c], -x * v)
+        for j, x in piv.items():  # column j -= x * v * column c: row i only
+            if j != c:
+                _add_multiple(right[j], right[c], -x * v)
     while any(m.values()):  # phase 2: Euclid on the entry of least |v|
         _, i, c = min((abs(x), i, j) for i, row in m.items() for j, x in row.items())
         piv = m[i]
@@ -381,11 +407,57 @@ def cokernel_invariants(a, ncols):
     """Invariant factors of Z^len(a) / column span of A, with ncols columns.
 
     Returns (free_rank, torsion) where torsion lists the factors > 1.
+
+    The columns of A are eliminated as lines over the coordinates 0..len(a)-1
+    by `_unit_pivots`, so the span never changes and no R is kept.  The
+    result is certified before it is used:
+    * each pivot line is +-1 at its own coordinate and 0 at every earlier
+      pivot's, so the r pivot lines and the unit vectors of the other
+      coordinates are a basis of Z^len(a);
+    * every other line, the core, is 0 at every pivot coordinate, so the
+      cokernel is that of the core on the other coordinates;
+    * L @ (columns of A) is the reduced lines, and L is unit triangular in
+      pivot order (the other lines last), so it is unimodular and the
+      reduced lines span the columns of A.
+    So the cokernel is Z^(len(a) - r - rank(core)) plus the core's factors
+    > 1, which `smith_normal_form` finds and checks with its own L @ A @ R;
+    an empty core needs no Smith form.
     """
-    if not any(a):
-        return len(a), []
-    snf = smith_normal_form(a, ncols)
-    return len(a) - snf.rank, [d for d in snf.diagonal if d > 1]
+    cols = [{} for _ in range(ncols)]
+    where = {}  # coordinate -> lines
+    try:
+        for i, row in enumerate(a):
+            where[i] = set(row)
+            for j, x in row.items():
+                cols[j][i] = x
+    except IndexError:
+        raise ValueError(f"shape mismatch: a {len(a)} x {ncols} matrix has an entry in column {j}") from None
+    lines = {j: dict(col) for j, col in enumerate(cols) if col}
+    left = [{j: 1} for j in range(ncols)]
+    pivots = _unit_pivots(lines, where, left)
+    done = set()  # the coordinates pivoted so far
+    for _, c, piv in pivots:
+        if piv.get(c) not in (1, -1) or not done.isdisjoint(piv):
+            raise InternalCheckFailed("a pivot line is not +-1 at its coordinate and 0 at every earlier one")
+        done.add(c)
+    if not all(done.isdisjoint(line) for line in lines.values()):
+        raise InternalCheckFailed("a core line is not 0 at every pivot coordinate")
+    reduced = [lines.get(j, {}) for j in range(ncols)]
+    order = {}  # pivot line -> its step
+    for s, (i, _, piv) in enumerate(pivots):
+        reduced[i] = piv
+        order[i] = s
+    if mat_mul(left, cols) != reduced:
+        raise InternalCheckFailed("L @ (columns of A) is not the reduced lines")
+    r = len(pivots)
+    for k, row in enumerate(left):  # the other lines come after every pivot line
+        if row.get(k) != 1 or any(order.get(j, r) >= order.get(k, r) for j in row if j != k):
+            raise InternalCheckFailed("L is not unit triangular in pivot order")
+    core = [line for line in lines.values() if line]
+    if not core:
+        return len(a) - r, []
+    snf = smith_normal_form(core, len(a))
+    return len(a) - r - snf.rank, [d for d in snf.diagonal if d > 1]
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,17 @@
 
 It walks the members of `class_members`, one verified table per member,
 and computes one row per member on its own: counts, bracket, Tietze and
-status, with b1 and torsion cached per conjugacy class.  Each of its rows
-stands for one member (class_size 1).  `stability_report` has one row per
-class; each of its rows, repeated class_size times, must give the rows of
-its members here.
+status.  b1 and torsion come from the Smith form of each member's own
+abelianized Schreier relator matrix, not from the cover's relation matrix
+or `cokernel_invariants`, and conjugate members must agree on them.  Each
+of its rows stands for one member (class_size 1).  `stability_report` has
+one row per class; each of its rows, repeated class_size times, must give
+the rows of its members here.
 """
 
-from deflab.chain import cover_relation_matrix
 from deflab.errors import InternalCheckFailed
 from deflab.intervals import CERT_NONE, DeficiencyInterval, witnessed_interval
-from deflab.linalg import cokernel_invariants
+from deflab.linalg import smith_normal_form
 from deflab.lowindex import class_members
 from deflab.presentation import serialize_presentation
 from deflab.schreier import rewrite_subgroup_presentation, schreier_counts
@@ -39,15 +40,14 @@ def member_stability_report(p, max_index, aspherical=False, group_name="group"):
         k = rec.index
         ordinals[k] = ordinals.get(k, 0) + 1
         gens, rels = schreier_counts(base_pres, k)
-        if rec.conjugacy_class not in homology:
-            homology[rec.conjugacy_class] = cokernel_invariants(
-                cover_relation_matrix(base_pres, rec), rels
-            )
-        b1, torsion = homology[rec.conjugacy_class]
+        sp = rewrite_subgroup_presentation(base_pres, rec).presentation
+        snf = smith_normal_form(sp.abelianized_relator_matrix(), gens)
+        b1, torsion = gens - snf.rank, [d for d in snf.diagonal if d > 1]
+        # conjugate subgroups are isomorphic, so their H_1 agree
+        assert homology.setdefault(rec.conjugacy_class, (b1, torsion)) == (b1, torsion), rec
         lower = gens - rels
         upper = lower if certificate != CERT_NONE else b1
         if lower < upper:
-            sp = rewrite_subgroup_presentation(base_pres, rec).presentation
             lower = tietze_simplify(sp).deficiency_datum()
         interval = DeficiencyInterval(lower=lower, upper=upper, certificate=certificate)
         if interval.lower - 1 < k * (base_interval.lower - 1):

@@ -11,7 +11,7 @@ from conftest import from_dense, node_budget, small_presentations, to_dense
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deflab import linalg, modp
+from deflab import linalg, modp, stability
 from deflab.chain import ChainComplex, presentation_chain_complex
 from deflab.corpus import CORPUS, corpus_presentation
 from deflab.errors import (
@@ -562,6 +562,48 @@ def test_cokernel_invariants_in_both_orientations(a):
         assert cokernel_invariants(from_dense(m), len(m[0])) == expected, m
 
 
+# entry, max index, conjugacy classes (one class matrix each), Smith forms on
+# the cores left by the +-1 pivots, and the largest index whose class
+# matrices are checked against their minors: the index-8 matrices of q8 and
+# d4 are 9 x 24, too many minors for the Leibniz formula
+CLASS_MATRICES = [
+    ("q8", 8, 6, 5, 4),
+    ("d4", 8, 8, 7, 4),
+    ("c2xc2", 4, 5, 4, 4),
+    ("trefoil", 5, 9, 6, 5),
+    ("dup_relator", 6, 98, 46, 6),
+    ("genus2", 4, 1731, 0, 0),
+    ("f2xf2", 3, 62, 0, 0),
+    ("redundant", 4, 84, 0, 0),
+    ("torus", 6, 33, 0, 0),
+]
+
+
+@pytest.mark.parametrize("name, max_index, classes, cores, minors_up_to", CLASS_MATRICES)
+def test_class_matrix_cokernels_through_the_stability_route(
+    monkeypatch, name, max_index, classes, cores, minors_up_to
+):
+    matrices, smith = [], []
+    cover_matrix, snf = stability.cover_relation_matrix, linalg.smith_normal_form
+
+    def recording(p, rec):
+        m = cover_matrix(p, rec)
+        matrices.append((rec.index, m, rec.index * p.num_relators))
+        return m
+
+    monkeypatch.setattr(stability, "cover_relation_matrix", recording)
+    monkeypatch.setattr(linalg, "smith_normal_form", lambda a, ncols: smith.append(a) or snf(a, ncols))
+    rep = stability.stability_report(corpus_presentation(name), max_index)
+    assert len(rep.rows) == len(matrices) == classes
+    assert len(smith) == cores
+    for row, (k, m, ncols) in zip(rep.rows, matrices):
+        assert row.index == k
+        if k <= minors_up_to:
+            factors = determinantal_invariants(to_dense(m, ncols))
+            assert row.b1 == len(m) - len(factors)
+            assert list(row.torsion) == [d for d in factors if d > 1]
+
+
 def test_tall_matrices_are_eliminated_on_their_shorter_side(monkeypatch):
     lines = []  # the number of lines each sparse rank elimination works on
     sparse_rows = linalg._sparse_rows
@@ -677,7 +719,7 @@ def test_chain_complex_checks_large_entries_exactly():
 CHECKS_UNDER_O = """
 import dataclasses
 
-from deflab import coset, lowindex, modcert, modp, stability
+from deflab import coset, linalg, lowindex, modcert, modp, stability
 from deflab.chain import ChainComplex, relator_boundary, restrict_to_subgroup
 from deflab.coset import CosetTable, SubgroupRecord, _Enumerator, orbit, schreier_transversal, subgroup_record
 from deflab.errors import InternalCheckFailed
@@ -784,6 +826,46 @@ def only_root_0_ties(search, larger):
     return (1 << len(search.table)) - 2  # every other root larger: drops the ties
 
 
+def cokernel_with(mutate, a=({0: 1, 1: 1}, {0: 1, 1: 3})):
+    # the default is Z^2 / span((1, 1), (1, 3)) = Z/2: line 0 is the pivot
+    # line at coordinate 0 and line 1 becomes the core line (0, 2)
+    real = linalg._unit_pivots
+
+    def mutated(lines, where, left):
+        pivots = real(lines, where, left)
+        mutate(lines, pivots, left)
+        return pivots
+
+    linalg._unit_pivots = mutated
+    try:
+        linalg.cokernel_invariants(list(a), 2)
+    finally:
+        linalg._unit_pivots = real
+
+
+def pivot_2(lines, pivots, left):
+    _, c, piv = pivots[0]
+    piv[c] = 2
+
+
+def keep_earlier_pivot(lines, pivots, left):
+    pivots[1][2][pivots[0][1]] = 5
+
+
+def drop_line_operation(lines, pivots, left):
+    left[1] = {1: 1}
+
+
+def core_at_pivot(lines, pivots, left):
+    lines[1][pivots[0][1]] = 1
+
+
+def double_core_and_L(lines, pivots, left):
+    # L @ (columns of A) still gives the lines, but L has determinant 2
+    lines[1] = {j: 2 * x for j, x in lines[1].items()}
+    left[1] = {j: 2 * x for j, x in left[1].items()}
+
+
 no_generators = parse_presentation("< a | >")
 # a complex over a group of order 4 with no boundaries; C4 with a -> 1 and
 # b -> 2 pairs the even elements with coset 0 of `double`, so a tree edge
@@ -834,6 +916,11 @@ for check in (
     lambda: class_route_with(lowindex, "rerooted_entries", root_2_as_root_1),
     lambda: class_route_with(lowindex._ClassSearch, "compare_roots", only_root_0_ties),
     lambda: class_route_with(coset, "orbit", truncated_orbit),
+    lambda: cokernel_with(pivot_2),
+    lambda: cokernel_with(keep_earlier_pivot, ({0: 1}, {1: 1})),
+    lambda: cokernel_with(core_at_pivot),
+    lambda: cokernel_with(drop_line_operation),
+    lambda: cokernel_with(double_core_and_L),
 ):
     try:
         check()
@@ -882,6 +969,11 @@ UNDER_O_EXPECTED = [
     ("InternalCheckFailed", "class size times [N(H):H] is not the index"),
     ("InternalCheckFailed", "the ties are not the roots that reproduce the table"),
     ("InternalCheckFailed", "table not transitive"),
+    ("InternalCheckFailed", "a pivot line is not +-1 at its coordinate and 0 at every earlier one"),
+    ("InternalCheckFailed", "a pivot line is not +-1 at its coordinate and 0 at every earlier one"),
+    ("InternalCheckFailed", "a core line is not 0 at every pivot coordinate"),
+    ("InternalCheckFailed", "L @ (columns of A) is not the reduced lines"),
+    ("InternalCheckFailed", "L is not unit triangular in pivot order"),
 ]
 
 
