@@ -55,9 +55,9 @@ def _load_presentation(spec):
 def _parse_index_spec(spec):
     out = set()
     for part in spec.split(","):
-        lo, _, hi = part.partition("-")
+        lo, dash, hi = part.partition("-")
         try:
-            lo, hi = int(lo), int(hi or lo)
+            lo, hi = int(lo), int(hi if dash else lo)
         except ValueError:
             raise DeflabError(f"index spec {spec!r} is not a list of K or K-L") from None
         if hi < lo:

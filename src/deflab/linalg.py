@@ -5,34 +5,36 @@ overflow.  deflab has one matrix format: a list of {col: value} row dicts
 that store no zero.  The column count is not stored; it is passed where it
 cannot be read off (`smith_normal_form(a, ncols)`, `transpose`); an entry
 past it is a ValueError naming the shape.  The eliminations copy the rows
-and keep a column -> rows index (`_sparse_rows`).  Ranks over Q and over odd
-F_p come from one sparse elimination, `_rank`; ranks over F_2 come from a
-packed one, `_rank_mod_2`, that holds each line's odd entries as the bits of
-a Python int, so a row operation is one XOR (the method of M4RI: Albrecht,
-Bard and Hart, ACM TOMS 37, 2010).  Primes are certified by deterministic
-Miller-Rabin, which is exact below 2^64.
+and keep a column -> rows index (`_sparse_rows`).  There is one elimination
+over each ring.  Over Z it is the +-1 elimination `_unit_pivots`, and ranks
+over Q are read off the cokernels it certifies.  Over odd F_p it is the sparse
+`_rank`.  Over F_2 it is a packed one, `_rank_mod_2`, that holds each line's
+odd entries as the bits of a Python int, so a row operation is one XOR (the
+method of M4RI: Albrecht, Bard and Hart, ACM TOMS 37, 2010).  Primes are
+certified by deterministic Miller-Rabin, which is exact below 2^64.
 
-Ranks eliminate the shorter side: a matrix with more non-empty rows than
-non-empty columns is eliminated as its transpose (over F_2, packed by
-columns).  That is exact, because A and A^T have the same rank; it is
-faster, because each dependent row of a tall matrix must be driven to zero
-one at a time (the bar oracle's d2 is n^3 x n^2).  `smith_normal_form`
-eliminates the matrix as given, since L and R belong to that matrix;
-`cokernel_invariants` eliminates the columns, which span what it quotients
-by.
+Ranks eliminate the shorter side.  Over F_p a matrix with more non-empty rows
+than non-empty columns is eliminated as its transpose (over F_2, packed by
+columns); `cokernel_invariants` eliminates the columns, so `rank_over_Q`
+hands it the transpose of a matrix with more columns than rows.  That is
+exact, because A and A^T have the same rank; it is faster, because each
+dependent line must be driven to zero one at a time (the bar oracle's d2 is
+n^3 x n^2).  `smith_normal_form` eliminates the matrix as given, since L and
+R belong to that matrix.
 
-Both share one +-1 elimination, `_unit_pivots`: it clears every +-1 pivot
-it can find with sparse line operations that it records in L (cf. Dumas,
-Saunders and Villard, J. Symbolic Comput. 32, 2001).  `smith_normal_form`
-runs it on the rows as phase 1 and then clears each pivot row with column
-operations recorded in R; phase 2 runs a Euclidean elimination on the least
-entry of the rows that are left and finalises a pivot only once it divides
-every entry still left, so the diagonal comes out in divisibility order.  L
-and R are checked on the whole input, L @ A @ R = diag and d_i | d_{i+1},
-on every call.  `cokernel_invariants` runs it on the columns and keeps no
-R: the span that the +-1 pivots clear is a direct summand (Newman, Integral
-Matrices, 1972), so it checks the reduced columns against L and their
-shape, and runs `smith_normal_form` only on the core that is left.
+`smith_normal_form` and `cokernel_invariants` share `_unit_pivots`: it
+clears every +-1 pivot it can find with sparse line operations that it
+records in L (cf. Dumas, Saunders and Villard, J. Symbolic Comput. 32,
+2001).  `smith_normal_form` runs it on the rows as phase 1 and then clears
+each pivot row with column operations recorded in R; phase 2 runs a
+Euclidean elimination on the least entry of the rows that are left and
+finalises a pivot only once it divides every entry still left, so the
+diagonal comes out in divisibility order.  L and R are checked on the whole
+input, L @ A @ R = diag and d_i | d_{i+1}, on every call.
+`cokernel_invariants` runs it on the columns and keeps no R: the span that
+the +-1 pivots clear is a direct summand (Newman, Integral Matrices, 1972),
+so it checks the reduced columns against L and their shape, and runs
+`smith_normal_form` only on the core that is left.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from math import gcd
 
 from .errors import InternalCheckFailed, ModulusTooLarge, NonPrimeModulus
 
@@ -101,25 +102,24 @@ def _sparse_rows(a, p):
 
 
 def _rank(a, p):
-    """Rank of a sparse integer matrix over F_p, or over Q when p == 0.
+    """Rank of a sparse integer matrix over F_p, p prime.
 
-    Works on copies of the rows with a column -> rows index.  When `a` has more
-    non-empty rows than non-empty columns (counted on the integer entries,
-    before any reduction mod p), it works on the rows of a transpose instead:
-    A^T has the rank of A, and the fewer lines there are, the fewer dependent
-    ones must be cleared to zero.  Picking the side is one pass over the
-    entries; the transpose is dropped once its rows are copied.  Each step
-    pivots on the sparsest row, at a +-1 entry if any, else in the shortest
-    column, and clears that column from the other rows by s*row - t*pivot:
-    mod p with the pivot scaled to 1 over F_p, divided by the row's content
-    over Q.
+    Works on copies of the rows reduced mod p, with a column -> rows index.
+    When `a` has more non-empty rows than non-empty columns (counted on the
+    integer entries, before the reduction), it works on the rows of a
+    transpose instead: A^T has the rank of A, and the fewer lines there are,
+    the fewer dependent ones must be cleared to zero.  Picking the side is one
+    pass over the entries; the transpose is dropped once its rows are copied.
+    Each step pivots on the sparsest row, at a 1 or p - 1 entry if any, else
+    in the shortest column, scales the pivot to 1 and clears its column from
+    the other rows by row - t * pivot mod p.
     """
     cols = set().union(*a)
     rows, where = _sparse_rows(transpose(a, max(cols) + 1) if sum(map(bool, a)) > len(cols) else a, p)
     lines = len(rows)
     heap = [(len(row), i) for i, row in rows.items() if row]
     heapify(heap)
-    units = (1, p - 1) if p else (1, -1)
+    units = (1, p - 1)
     while heap:
         n, i = heappop(heap)
         if len(rows.get(i, ())) != n:
@@ -128,22 +128,14 @@ def _rank(a, p):
         for j in piv:
             where[j].discard(i)
         c = min(piv, key=lambda j: (piv[j] not in units, len(where[j]), j))
-        v = piv.pop(c)
-        if p and v != 1:
+        if (v := piv.pop(c)) != 1:
             inv = pow(v, -1, p)
-            piv, v = {j: x * inv % p for j, x in piv.items()}, 1
+            piv = {j: x * inv % p for j, x in piv.items()}
         for k in where.pop(c):
             row = rows[k]
-            w = row.pop(c)
-            g = gcd(v, w)
-            s, t = v // g, w // g
-            if s != 1:
-                rows[k] = row = {j: x * s for j, x in row.items()}
+            t = row.pop(c)
             for j, x in piv.items():
-                y = row.get(j, 0) - t * x
-                if p:
-                    y %= p
-                if y:
+                if y := (row.get(j, 0) - t * x) % p:
                     if j not in row:
                         where[j].add(k)
                     row[j] = y
@@ -151,8 +143,6 @@ def _rank(a, p):
                     del row[j]
                     where[j].discard(k)
             if row:
-                if not p and (g := gcd(*row.values())) > 1:
-                    rows[k] = {j: x // g for j, x in row.items()}
                 heappush(heap, (len(row), k))
     return lines - len(rows)  # each pivot popped its row; the rest are now empty
 
@@ -205,8 +195,17 @@ def _rank_mod_2(a):
 
 
 def rank_over_Q(a):
-    """Exact rational rank of an integer matrix; `a` is not modified."""
-    return _rank(a, 0)
+    """Exact rational rank of an integer matrix; `a` is not modified.
+
+    The rank of the span that `cokernel_invariants` quotients by, so it is
+    certified as the cokernel is.  A matrix with more columns than rows goes
+    in as its transpose, so the +-1 elimination runs on the shorter side.
+    """
+    ncols = max(set().union(*a), default=-1) + 1
+    if ncols > len(a):
+        a, ncols = transpose(a, ncols), len(a)
+    free, _ = cokernel_invariants(a, ncols)
+    return len(a) - free
 
 
 def is_prime(n):
@@ -423,15 +422,8 @@ def cokernel_invariants(a, ncols):
     > 1, which `smith_normal_form` finds and checks with its own L @ A @ R;
     an empty core needs no Smith form.
     """
-    cols = [{} for _ in range(ncols)]
-    where = {}  # coordinate -> lines
-    try:
-        for i, row in enumerate(a):
-            where[i] = set(row)
-            for j, x in row.items():
-                cols[j][i] = x
-    except IndexError:
-        raise ValueError(f"shape mismatch: a {len(a)} x {ncols} matrix has an entry in column {j}") from None
+    cols = transpose(a, ncols)
+    where = {i: set(row) for i, row in enumerate(a)}  # coordinate -> lines
     lines = {j: dict(col) for j, col in enumerate(cols) if col}
     left = [{j: 1} for j in range(ncols)]
     pivots = _unit_pivots(lines, where, left)

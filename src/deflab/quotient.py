@@ -85,10 +85,11 @@ class FiniteGroup:
         """Closure of permutations under composition, BFS from the identity.
 
         Permutations act on the right: (p * q)(x) = q(p(x)).  Every input
-        must permute one common range(n), else ValueError.
+        must permute one common range(n), else ValueError.  No generators
+        give the trivial group.
         """
         if not gen_perms:
-            raise ValueError("need at least one generator permutation")
+            return FiniteGroup(right=())
         points = list(range(len(gen_perms[0])))
         if any(sorted(gp) != points for gp in gen_perms):
             raise ValueError("generators are not permutations of one common range(n)")

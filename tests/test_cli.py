@@ -216,6 +216,20 @@ def test_modp():
     assert report["index"] == 65 and report["dims"] == [1, 1, 0] and report["jbar_dim"] is None
 
 
+def test_the_group_with_no_generators_has_a_trivial_core(tmp_path):
+    f = tmp_path / "trivial.txt"
+    f.write_text("< | >")
+    proc = run_cli("modp", str(f), "-p", "2", "--normal-index", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        {"dims": [1, 0, 0], "h2_label": "h2 of the truncated dual complex", "index": 1, "jbar_dim": 0, "p": 2}
+    ]
+    proc = run_cli("homology", str(f), "--quotient", "core:1:1")
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["betti"] == [1, 0, 0] and data["quotient_order"] == 1
+
+
 def test_unknown_corpus_and_bad_specs():
     assert run_cli("parse", "corpus:nope").returncode == 1
     assert run_cli("homology", "corpus:torus", "--quotient", "bogus").returncode == 1
@@ -235,6 +249,7 @@ def test_malformed_specs_are_named_in_the_error():
         ("homology", "--quotient", "core:0:1"),
         ("schreier", "--index-spec", "0-2"),
         ("schreier", "--index-spec", "1-2,5-4"),
+        ("schreier", "--index-spec", "2-"),
     ):
         proc = run_cli(command, "corpus:torus", option, spec)
         assert proc.returncode == 1 and proc.stdout == ""

@@ -560,12 +560,13 @@ def test_cokernel_invariants_in_both_orientations(a):
         factors = determinantal_invariants(m)
         expected = (len(m) - len(factors), [d for d in factors if d > 1])
         assert cokernel_invariants(from_dense(m), len(m[0])) == expected, m
+        assert rank_over_Q(from_dense(m)) == len(factors), m
 
 
 # entry, max index, conjugacy classes (one class matrix each), Smith forms on
-# the cores left by the +-1 pivots, and the largest index whose class
-# matrices are checked against their minors: the index-8 matrices of q8 and
-# d4 are 9 x 24, too many minors for the Leibniz formula
+# the cores left by the +-1 pivots of the class matrices, and the largest
+# index whose class matrices are checked against their minors: the index-8
+# matrices of q8 and d4 are 9 x 24, too many minors for the Leibniz formula
 CLASS_MATRICES = [
     ("q8", 8, 6, 5, 4),
     ("d4", 8, 8, 7, 4),
@@ -577,25 +578,43 @@ CLASS_MATRICES = [
     ("redundant", 4, 84, 0, 0),
     ("torus", 6, 33, 0, 0),
 ]
+# Smith forms on the core of the base's abelianized matrix, whose rank over
+# Q gives the base's b1; the other entries leave no core there
+BASE_CORES = {"q8": 1, "d4": 1, "c2xc2": 1, "dup_relator": 1}
 
 
 @pytest.mark.parametrize("name, max_index, classes, cores, minors_up_to", CLASS_MATRICES)
 def test_class_matrix_cokernels_through_the_stability_route(
     monkeypatch, name, max_index, classes, cores, minors_up_to
 ):
-    matrices, smith = [], []
+    matrices, smith = [], {"class": 0, "base": 0}  # Smith forms, by the matrix being eliminated
+    eliminating = []  # the class matrix whose cokernel is being computed
     cover_matrix, snf = stability.cover_relation_matrix, linalg.smith_normal_form
+    cokernel = stability.cokernel_invariants
 
     def recording(p, rec):
         m = cover_matrix(p, rec)
         matrices.append((rec.index, m, rec.index * p.num_relators))
         return m
 
+    def class_cokernel(a, ncols):
+        assert a is matrices[-1][1]
+        eliminating.append(a)
+        try:
+            return cokernel(a, ncols)
+        finally:
+            eliminating.pop()
+
+    def counting(a, ncols):
+        smith["class" if eliminating else "base"] += 1
+        return snf(a, ncols)
+
     monkeypatch.setattr(stability, "cover_relation_matrix", recording)
-    monkeypatch.setattr(linalg, "smith_normal_form", lambda a, ncols: smith.append(a) or snf(a, ncols))
+    monkeypatch.setattr(stability, "cokernel_invariants", class_cokernel)
+    monkeypatch.setattr(linalg, "smith_normal_form", counting)
     rep = stability.stability_report(corpus_presentation(name), max_index)
     assert len(rep.rows) == len(matrices) == classes
-    assert len(smith) == cores
+    assert smith == {"class": cores, "base": BASE_CORES.get(name, 0)}
     for row, (k, m, ncols) in zip(rep.rows, matrices):
         assert row.index == k
         if k <= minors_up_to:

@@ -215,6 +215,7 @@ def test_from_permutations_needs_one_common_point_set():
         with pytest.raises(ValueError, match="one common range"):
             FiniteGroup.from_permutations(gens)
     assert FiniteGroup.from_permutations([(1, 0, 2), (0, 2, 1)]).order == 6
+    assert FiniteGroup.from_permutations(()) == FiniteGroup.trivial(0)  # no generators
 
 
 def test_non_regular_action_is_rejected():
