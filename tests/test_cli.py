@@ -209,7 +209,7 @@ def test_modp():
     data = json.loads(proc.stdout)
     assert len(data) == 1
     assert data[0]["dims"][:2] == [1, 1]
-    # the cap of 64 bounds the bar oracle alone, which Z cannot feed
+    # the cap of 64 bounds only jbar_dim's route, which needs a finite group
     proc = run_cli("modp", "corpus:free1", "-p", "2", "--normal-index", "65")
     assert proc.returncode == 0, proc.stderr
     (report,) = json.loads(proc.stdout)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from deflab import modp
 from deflab.chain import presentation_chain_complex
 from deflab.corpus import CORPUS, corpus_presentation
-from deflab.coset import subgroup_record
+from deflab.coset import subgroup_record, todd_coxeter
 from deflab.errors import NonNormalSubgroup, OrderCapExceeded
 from deflab.linalg import cokernel_invariants, rank_mod_p, transpose
 from deflab.lowindex import low_index_subgroups, normal_subgroups
@@ -91,6 +91,65 @@ def test_dual_complex_rejects_non_normal():
     assert not rec.is_normal
     with pytest.raises(NonNormalSubgroup):
         dual_complex_dims(s3, rec, 2)
+
+
+def test_dual_complex_rejects_a_record_of_another_presentation():
+    torus, free3 = corpus_presentation("torus"), corpus_presentation("free3")
+    rec = next(r for r in normal_subgroups(free3, 2) if r.index == 2)
+    with pytest.raises(ValueError, match="record does not belong to this presentation"):
+        dual_complex_dims(torus, rec, 2)
+
+
+def subgroup_itself(regular, rec):
+    """N as a FiniteGroup: its Schreier generators t_c g t_{c.g}^-1 acting by
+    right multiplication on the elements of the whole group, whose regular
+    action is `regular`."""
+    t = rec.transversal
+    perms = []
+    for c, g in rec.schreier_generators():
+        w = t[c] * Word(((g, 1),)) * t[rec.table.action[g][c]].inverse()
+        perms.append(tuple(regular.trace(e, w) for e in range(regular.index)))
+    return FiniteGroup.from_permutations(perms)
+
+
+ORACLE_GROUPS = [(corpus_presentation(name), 8) for name in ("c2", "c3", "c4", "c5", "c2xc2", "q8", "d4")]
+ORACLE_GROUPS += [
+    (parse_presentation("< a, b | a^16, b^2, a b a b >"), 4),  # dihedral, order 32
+    (parse_presentation("< a, b | a^8, a^4 b^-2, b^-1 a b a >"), 4),  # quaternion, order 16
+    (parse_presentation("< a, b | a^2, b^3, a b a b a b >"), 4),  # A4
+    (parse_presentation("< a, b | a^2, b^3, a b a b a b a b >"), 4),  # S4
+    (parse_presentation("< a, b | a^4, b^4, [a, b] >"), 4),  # C4 x C4
+]
+
+
+def test_pi2_route_matches_the_bar_oracle():
+    # h0 and h1 of the cover, and h2 less the image of pi2, are the bar
+    # complex's dims of N itself
+    checked = 0
+    for p, max_index in ORACLE_GROUPS:
+        regular = todd_coxeter(p, ())
+        for rec in normal_subgroups(p, max_index):
+            group = subgroup_itself(regular, rec)
+            assert group.order * rec.index == regular.index
+            for prime in (2, 3):
+                h0, h1, h2t = (rep := dual_complex_dims(p, rec, prime)).dims
+                assert bar_cohomology_dims(group, prime).dims == (h0, h1, h2t - rep.jbar_dim), (
+                    p, rec.index, prime,
+                )
+                checked += 1
+    assert checked == 102
+
+
+def test_pi2_route_runs_past_the_bar_oracles_reach(monkeypatch):
+    # the bar complex of C8 x C8 has 64^3 rows; H^1 and H^2 over F_3 vanish
+    def refuse(group, p):
+        raise AssertionError("the bar oracle ran")
+
+    monkeypatch.setattr(modp, "bar_cohomology_dims", refuse)
+    c8xc8 = parse_presentation("< a, b | a^8, b^8, [a, b] >")
+    (whole,) = normal_subgroups(c8xc8, 1)
+    rep = dual_complex_dims(c8xc8, whole, 3)
+    assert rep.dims == (1, 0, 1) and rep.jbar_dim == 1
 
 
 def test_dual_position1_matches_schreier_abelianization():
@@ -193,8 +252,8 @@ RELABELLED["d16"] = D16
 
 def modp_dims(p, k):
     """The multiset of `modp -p 2 --normal-index k` dims.  jbar_dim is left
-    out: whether the bar cross-check realizes the group depends on the
-    labelling through Todd-Coxeter's coset limit (ROADMAP item 8)."""
+    out: whether Todd-Coxeter closes the whole group within the coset limit
+    of the pi2 route depends on the labelling (ROADMAP item 8)."""
     return Counter(
         dual_complex_dims(p, rec, 2).dims for rec in normal_subgroups(p, k) if rec.index == k
     )
